@@ -9,8 +9,7 @@ verification harness and a benchmark runner around them.
 
 from .bench import BenchReport, detect_scalar_reference, run_bench
 from .core import (KPartiteGraph, NeighborSet, UniformHypergraph,
-                   VertexSubsetFamily, degree_product, induced_subgraph,
-                   kpartify, neighbors_in_part)
+                   degree_product, kpartify, neighbors_in_part)
 from .errors import (CliquelabError, InternalInconsistencyError,
                      InvalidParameterError, ParseError, ResourceLimitError)
 from .generate import GenSpec, GeneratedInstance, generate

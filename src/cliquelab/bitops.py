@@ -32,7 +32,3 @@ def iter_bits(bits: int) -> Iterator[int]:
 def bits_to_list(bits: int) -> List[int]:
     return list(iter_bits(bits))
 
-
-def lowest_bit(bits: int) -> int:
-    """Position of the lowest set bit; bits must be nonzero."""
-    return (bits & -bits).bit_length() - 1

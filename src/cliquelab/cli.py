@@ -12,6 +12,7 @@ from typing import List, Optional
 
 from . import io as graphio
 from .bench import ENGINES, run_bench
+from .bitops import bits_to_list
 from .core import KPartiteGraph, UniformHypergraph
 from .errors import (InvalidParameterError, ParseError, ResourceLimitError)
 from .generate import KINDS, GenSpec, generate
@@ -185,7 +186,7 @@ def cmd_regularity(args) -> int:
     report = check_pseudoregular_sampled(G, P, epsilon, args.samples,
                                          seed=args.seed)
     payload = {
-        "pieces": [sorted_bits(p) for p in P.pieces],
+        "pieces": [bits_to_list(p) for p in P.pieces],
         "densities": [[float(d) for d in row] for row in P.densities],
         "epsilon": epsilon,
         "verified": P.verified,
@@ -194,15 +195,6 @@ def cmd_regularity(args) -> int:
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK
-
-
-def sorted_bits(mask: int) -> List[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def cmd_verify(args) -> int:

@@ -2,7 +2,9 @@
 
 Global vertex ids are contiguous per part (part 0 first), so a single
 bit-row per vertex spans all parts and one AND intersects neighbourhoods
-across parts.  All structures are treated as immutable after construction.
+across parts.  A view from ``KPartiteGraph.restrict`` selects vertex
+subsets by per-part masks over the same rows.  All structures are treated
+as immutable after construction.
 """
 
 from dataclasses import dataclass
@@ -17,16 +19,18 @@ class KPartiteGraph:
     """k-partite graph with bit-packed symmetric cross-part adjacency rows.
 
     ``adjacency[v]`` is an int whose bit ``u`` says whether (v, u) is an
-    edge.  No intra-part edges are allowed.  ``origin`` optionally maps the
-    vertex ids of an induced subgraph back to its source graph's ids.
+    edge.  No intra-part edges are allowed.  Engines read the vertices of
+    part i only through ``part_masks[i]`` or ``part_vertices(i)``, so they
+    run unchanged on a view from ``restrict``.  ``n_total`` counts the
+    graph's vertices; ``len(adjacency)`` is the width of the id space.
+    ``part_start`` is None on a view, whose parts need not be contiguous.
     """
 
     __slots__ = ("part_sizes", "adjacency", "part_start", "part_masks",
-                 "_part_of", "origin")
+                 "_part_of", "n_total")
 
     def __init__(self, part_sizes: Sequence[int],
-                 adjacency: Optional[List[int]] = None,
-                 origin: Optional[List[int]] = None):
+                 adjacency: Optional[List[int]] = None):
         if any(s < 0 for s in part_sizes):
             raise InvalidParameterError("negative part size")
         self.part_sizes = list(part_sizes)
@@ -36,6 +40,7 @@ class KPartiteGraph:
             self.part_start.append(off)
             off += s
         n = off
+        self.n_total = n
         self.part_masks = [
             mask_range(self.part_start[i], self.part_start[i] + s)
             for i, s in enumerate(self.part_sizes)
@@ -49,9 +54,31 @@ class KPartiteGraph:
             raise InvalidParameterError(
                 f"adjacency has {len(adjacency)} rows, expected {n}")
         self.adjacency = adjacency
-        if origin is not None and len(origin) != n:
-            raise InvalidParameterError("origin map length mismatch")
-        self.origin = origin
+
+    def restrict(self, masks: Sequence[int]) -> "KPartiteGraph":
+        """View of the subgraph induced by per-part vertex masks.
+
+        Part i of the view is ``masks[i]``.  The view shares ``adjacency``
+        and copies no row, so its vertices keep this graph's ids.  Each
+        mask must lie inside one part of this graph, and the masks must be
+        pairwise disjoint.
+        """
+        seen = 0
+        for m in masks:
+            if m & seen:
+                raise InvalidParameterError("vertex masks overlap")
+            if m and not any((m & ~p) == 0 for p in self.part_masks):
+                raise InvalidParameterError(
+                    "vertex mask does not lie inside one part")
+            seen |= m
+        view = object.__new__(KPartiteGraph)
+        view.adjacency = self.adjacency
+        view.part_masks = list(masks)
+        view.part_sizes = [m.bit_count() for m in view.part_masks]
+        view.n_total = sum(view.part_sizes)
+        view.part_start = None
+        view._part_of = None
+        return view
 
     # -- basic accessors ---------------------------------------------------
 
@@ -59,32 +86,40 @@ class KPartiteGraph:
     def k(self) -> int:
         return len(self.part_sizes)
 
-    @property
-    def n_total(self) -> int:
-        return len(self.adjacency)
-
     def part_of(self, v: int) -> int:
-        return self._part_of[v]
+        if self._part_of is not None:
+            return self._part_of[v]
+        for i, mask in enumerate(self.part_masks):
+            if (mask >> v) & 1:
+                return i
+        raise InvalidParameterError(f"vertex {v} is not in the graph")
 
-    def part_vertices(self, i: int) -> range:
+    def part_vertices(self, i: int) -> Sequence[int]:
+        if self.part_start is None:
+            return bits_to_list(self.part_masks[i])
         start = self.part_start[i]
         return range(start, start + self.part_sizes[i])
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adjacency[u] >> v) & 1 == 1
 
-    def to_original(self, v: int) -> int:
-        """Map an induced-subgraph id back to the source graph's id."""
-        return v if self.origin is None else self.origin[v]
+    def _vertex_mask(self) -> int:
+        keep = 0
+        for mask in self.part_masks:
+            keep |= mask
+        return keep
 
     def edges(self) -> Iterable[Tuple[int, int]]:
         """All edges as (u, v) with u < v."""
-        for u, row in enumerate(self.adjacency):
-            for v in iter_bits(row >> (u + 1)):
+        keep = self._vertex_mask()
+        for u in iter_bits(keep):
+            for v in iter_bits((self.adjacency[u] & keep) >> (u + 1)):
                 yield (u, u + 1 + v)
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adjacency) // 2
+        keep = self._vertex_mask()
+        return sum((self.adjacency[u] & keep).bit_count()
+                   for u in iter_bits(keep)) // 2
 
     # -- construction ------------------------------------------------------
 
@@ -104,17 +139,17 @@ class KPartiteGraph:
 
     def validate(self) -> None:
         """Full-scan check of symmetry, no-intra-part and id-range invariants."""
-        n = self.n_total
-        full = mask_range(0, n)
-        for u, row in enumerate(self.adjacency):
-            if row & ~full:
-                raise InvalidParameterError(f"row {u} references invalid ids")
-            if row & self.part_masks[self._part_of[u]]:
-                raise InvalidParameterError(f"intra-part edge at vertex {u}")
-        for u in range(n):
-            for v in iter_bits(self.adjacency[u]):
-                if not (self.adjacency[v] >> u) & 1:
-                    raise InvalidParameterError(f"asymmetric edge ({u},{v})")
+        full = mask_range(0, len(self.adjacency))
+        for mask in self.part_masks:
+            for u in iter_bits(mask):
+                row = self.adjacency[u]
+                if row & ~full:
+                    raise InvalidParameterError(f"row {u} references invalid ids")
+                if row & mask:
+                    raise InvalidParameterError(f"intra-part edge at vertex {u}")
+                for v in iter_bits(row):
+                    if not (self.adjacency[v] >> u) & 1:
+                        raise InvalidParameterError(f"asymmetric edge ({u},{v})")
 
 
 @dataclass(frozen=True)
@@ -130,40 +165,6 @@ class NeighborSet:
 
     def vertices(self) -> List[int]:
         return bits_to_list(self.bits)
-
-
-@dataclass(frozen=True)
-class VertexSubsetFamily:
-    """Disjoint global-vertex-id sets, each within a single part.
-
-    Used to select induced subgraphs and to carry recursion splits.
-    """
-
-    subsets: Tuple[frozenset, ...]
-
-    @classmethod
-    def of(cls, *subsets: Iterable[int]) -> "VertexSubsetFamily":
-        return cls(tuple(frozenset(s) for s in subsets))
-
-    def validate(self, G: KPartiteGraph) -> None:
-        seen: Set[int] = set()
-        for sub in self.subsets:
-            parts = set()
-            for v in sub:
-                if not 0 <= v < G.n_total:
-                    raise InvalidParameterError(f"vertex id out of range: {v}")
-                if v in seen:
-                    raise InvalidParameterError(f"subsets overlap at vertex {v}")
-                seen.add(v)
-                parts.add(G.part_of(v))
-            if len(parts) > 1:
-                raise InvalidParameterError("subset spans multiple parts")
-
-    def union(self) -> Set[int]:
-        out: Set[int] = set()
-        for sub in self.subsets:
-            out |= sub
-        return out
 
 
 class UniformHypergraph:
@@ -263,37 +264,9 @@ def kpartify(adjacency: Sequence[int], k: int) -> KPartiteGraph:
     return out
 
 
-def induced_subgraph(G: KPartiteGraph, keep: VertexSubsetFamily) -> KPartiteGraph:
-    """Subgraph induced by the union of the kept vertex sets.
-
-    Parts keep their relative order; a part with no kept vertices becomes
-    empty.  The result's ``origin`` maps new ids back to G's ids.
-    """
-    keep.validate(G)
-    kept = keep.union()
-    per_part: List[List[int]] = [[] for _ in range(G.k)]
-    for v in kept:
-        per_part[G.part_of(v)].append(v)
-    origin: List[int] = []
-    for verts in per_part:
-        verts.sort()
-        origin.extend(verts)
-    new_id = {old: new for new, old in enumerate(origin)}
-    sizes = [len(verts) for verts in per_part]
-    sub = KPartiteGraph(sizes, origin=origin)
-    for new_u, old_u in enumerate(origin):
-        row = G.adjacency[old_u]
-        new_row = 0
-        for old_v in iter_bits(row):
-            if old_v in new_id:
-                new_row |= 1 << new_id[old_v]
-        sub.adjacency[new_u] = new_row
-    return sub
-
-
 def neighbors_in_part(G: KPartiteGraph, v: int, i: int) -> NeighborSet:
     """N_i(v): the neighbours of v inside part i, as a bitmask."""
-    if not 0 <= v < G.n_total:
+    if not 0 <= v < len(G.adjacency):
         raise InvalidParameterError(f"vertex id out of range: {v}")
     if not 0 <= i < G.k:
         raise InvalidParameterError(f"part index out of range: {i}")

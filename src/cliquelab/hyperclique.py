@@ -210,11 +210,7 @@ class HypercliqueTables:
     its required bits.
     """
 
-    def __init__(self, H: UniformHypergraph, params: HypercliqueParams,
-                 mode: str = "list"):
-        if mode not in ("detect", "list"):
-            raise InvalidParameterError(f"unknown mode {mode!r}")
-        self.mode = mode
+    def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
         self.geometry = BlockGeometry(H, params)
         geo = self.geometry
         L = params.L
@@ -257,9 +253,9 @@ class HypercliqueTables:
         return self.entries.get((j, rep), [])
 
 
-def build_tables(H: UniformHypergraph, params: HypercliqueParams,
-                 mode: str = "list") -> HypercliqueTables:
-    return HypercliqueTables(H, params, mode=mode)
+def build_tables(H: UniformHypergraph, params: HypercliqueParams
+                 ) -> HypercliqueTables:
+    return HypercliqueTables(H, params)
 
 
 def compress_all(H: UniformHypergraph, params: HypercliqueParams
@@ -309,7 +305,7 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
     if params is None:
         n = max(2, max(H.part_sizes))
         params = choose_block_size(n, k, H.r)
-    tables = build_tables(H, params, mode="list")
+    tables = build_tables(H, params)
     geo = tables.geometry
     cache = compress_all(H, params)
     result = ListingResult(requested_t=t)

@@ -14,8 +14,8 @@ Hypergraph format::
     edges <m>
     <v1> ... <vr>      (m lines)
 
-Parsers reject intra-part edges, duplicate edges and id overflow with
-line-numbered errors.
+Parsers reject intra-part edges, duplicate edges, id overflow and content
+after the declared edges with line-numbered errors.
 """
 
 from typing import List, TextIO, Tuple, Union
@@ -73,6 +73,12 @@ def _next(it) -> Tuple[int, List[str]]:
         raise ParseError("unexpected end of input", 0)
 
 
+def _expect_end(it) -> None:
+    extra = next(it, None)
+    if extra is not None:
+        raise ParseError("content after the declared edges", extra[0])
+
+
 def _parse_edge_count(it) -> Tuple[int, int]:
     lineno, toks = _next(it)
     if len(toks) != 2 or toks[0] != "edges":
@@ -112,6 +118,7 @@ def _parse_graph(it, header, header_line) -> KPartiteGraph:
             g.adjacency[v] |= 1 << u
         except InvalidParameterError:
             raise ParseError(f"intra-part edge {u} {v}", lineno)
+    _expect_end(it)
     return g
 
 
@@ -136,6 +143,7 @@ def _parse_hypergraph(it, header, header_line) -> UniformHypergraph:
             h.add_edge(verts)
         except InvalidParameterError as exc:
             raise ParseError(str(exc), lineno)
+    _expect_end(it)
     return h
 
 

@@ -10,11 +10,11 @@ triangle detector.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, List, Optional, Tuple
 
-from .bitops import iter_bits
-from .core import (KPartiteGraph, VertexSubsetFamily, degree_product,
-                   induced_subgraph)
+from .bitops import bits_to_list, iter_bits, mask_from_vertices
+from .core import KPartiteGraph, degree_product
 from .errors import InternalInconsistencyError, InvalidParameterError
 from .triangle import detect_naive
 
@@ -51,7 +51,7 @@ class RecursionParams:
 
 @dataclass
 class TraceNode:
-    """Diagnostic record of one recursion node."""
+    """Diagnostic record of one recursion node; vertex ids are global."""
 
     depth: int
     part_sizes: List[int]
@@ -111,7 +111,7 @@ def _exhaustive_kclique(G: KPartiteGraph) -> Optional[Tuple[int, ...]]:
                 return found
         return None
 
-    full = (1 << G.n_total) - 1
+    full = (1 << len(G.adjacency)) - 1
     return extend([], 0, full)
 
 
@@ -119,41 +119,25 @@ def kclique_via_k1(G: KPartiteGraph, k: int,
                    k1_solver: Callable[[KPartiteGraph], bool]) -> bool:
     """Reduce k-clique to (k-1)-clique by per-vertex neighbourhood tiling.
 
-    For each v in part 0, the induced neighbourhood graph G_v is tiled
-    into blocks of side d_v = min degree, and the (k-1)-solver runs on
-    every block combination.
+    For each v in part 0, the neighbourhood of v in parts 1..k-1 is tiled
+    into blocks of side d_v = min degree, and the (k-1)-solver runs on the
+    (k-1)-part view of every block combination.
     """
     if k < 4:
         raise InvalidParameterError("kclique_via_k1 requires k >= 4")
     if G.k != k:
         raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
     for v in G.part_vertices(0):
-        nbrs = [sorted(iter_bits(G.adjacency[v] & G.part_masks[i]))
+        nbrs = [bits_to_list(G.adjacency[v] & G.part_masks[i])
                 for i in range(1, k)]
-        degs = [len(nb) for nb in nbrs]
-        if min(degs) == 0:
+        d_v = min(len(nb) for nb in nbrs)
+        if d_v == 0:
             continue
-        d_v = min(degs)
-        tiles = [[nb[lo:lo + d_v] for lo in range(0, len(nb), d_v)]
-                 for nb in nbrs]
-
-        def combos(idx: int, chosen: List[List[int]]) -> bool:
-            if idx == k - 1:
-                keep = VertexSubsetFamily.of(*[set(c) for c in chosen])
-                sub = induced_subgraph(G, keep)
-                return k1_solver(_strip_first_part(sub))
-            return any(combos(idx + 1, chosen + [tile]) for tile in tiles[idx])
-
-        if combos(0, []):
+        tiles = [[mask_from_vertices(nb[lo:lo + d_v])
+                  for lo in range(0, len(nb), d_v)] for nb in nbrs]
+        if any(k1_solver(G.restrict(combo)) for combo in product(*tiles)):
             return True
     return False
-
-
-def _strip_first_part(sub: KPartiteGraph) -> KPartiteGraph:
-    """Re-home an induced subgraph whose part 0 is empty onto k-1 parts."""
-    assert sub.part_sizes[0] == 0
-    return KPartiteGraph(sub.part_sizes[1:], list(sub.adjacency),
-                         origin=sub.origin)
 
 
 def detect_kclique(G: KPartiteGraph, k: int,
@@ -184,39 +168,28 @@ def detect_kclique(G: KPartiteGraph, k: int,
     v = find_heavy_vertex(G, params.alpha)
     if v is not None:
         # 2a: exhaustive (k-1)-clique test inside v's neighbourhood.
-        nbr_sets = [set(iter_bits(G.adjacency[v] & G.part_masks[i]))
-                    for i in range(1, k)]
-        sub = induced_subgraph(G, VertexSubsetFamily.of(*nbr_sets))
-        child = _strip_first_part(sub)
-        if _exhaustive_kclique(child) is not None:
+        nbr = [G.adjacency[v] & G.part_masks[i] for i in range(1, k)]
+        if _exhaustive_kclique(G.restrict(nbr)) is not None:
             if trace is not None:
                 trace.append(TraceNode(depth=params.depth,
                                        part_sizes=list(G.part_sizes),
                                        branch="heavy-vertex", heavy_vertex=v))
             return True
         # 2b: recurse on the 2^(k-1) - 1 combinations, omitting all-ones.
-        splits: List[Tuple[set, set]] = []
-        for i in range(1, k):
-            in_n = set(iter_bits(G.adjacency[v] & G.part_masks[i]))
-            out_n = set(G.part_vertices(i)) - in_n
-            splits.append((out_n, in_n))
-        parent_product = 1
-        for s in G.part_sizes:
-            parent_product *= s
+        splits = [(G.part_masks[i] & ~nbr[i - 1], nbr[i - 1])
+                  for i in range(1, k)]
+        parent_product = math.prod(G.part_sizes)
         child_sum = 0
         answer = False
         for combo in range((1 << (k - 1)) - 1):
-            chosen = [set(G.part_vertices(0))]
-            prod = G.part_sizes[0]
-            for i in range(k - 1):
-                side = (combo >> i) & 1
-                chosen.append(splits[i][side])
-                prod *= len(splits[i][side])
+            chosen = [G.part_masks[0]] + [splits[i][(combo >> i) & 1]
+                                          for i in range(k - 1)]
+            prod = math.prod(m.bit_count() for m in chosen)
             child_sum += prod
             if prod == 0:
                 continue
-            sub = induced_subgraph(G, VertexSubsetFamily.of(*chosen))
-            if detect_kclique(sub, k, triangle_detector, params.child(), trace):
+            if detect_kclique(G.restrict(chosen), k, triangle_detector,
+                              params.child(), trace):
                 answer = True
                 break
         if trace is not None:
@@ -257,24 +230,23 @@ def find_witness(detector: Callable[[KPartiteGraph, int], bool],
 
     def recurse(cur: KPartiteGraph) -> Tuple[int, ...]:
         if all(s == 1 for s in cur.part_sizes):
-            verts = tuple(cur.part_start[i] for i in range(k))
-            return verts
+            return tuple(m.bit_length() - 1 for m in cur.part_masks)
         halves = []
         for i in range(k):
-            verts = list(cur.part_vertices(i))
-            mid = max(1, len(verts) // 2) if len(verts) > 1 else 1
+            verts = cur.part_vertices(i)
             if len(verts) == 1:
-                halves.append((verts, verts))
+                halves.append((cur.part_masks[i], cur.part_masks[i]))
             else:
-                halves.append((verts[:mid], verts[mid:]))
+                mid = len(verts) // 2
+                halves.append((mask_from_vertices(verts[:mid]),
+                               mask_from_vertices(verts[mid:])))
         for combo in range(1 << k):
-            chosen = [set(halves[i][(combo >> i) & 1]) for i in range(k)]
-            if any(len(c) == 0 for c in chosen):
+            chosen = [halves[i][(combo >> i) & 1] for i in range(k)]
+            if not all(chosen):
                 continue
-            sub = induced_subgraph(cur, VertexSubsetFamily.of(*chosen))
+            sub = cur.restrict(chosen)
             if detector(sub, k):
-                inner = recurse(sub)
-                return tuple(sub.to_original(x) for x in inner)
+                return recurse(sub)
         raise InternalInconsistencyError(
             "detector succeeded on the parent but on no half combination")
 

@@ -1,9 +1,9 @@
 """Regularity-partition triangle listing.
 
 Pipeline: compute a weak regularity partition of G[V2 u V3]; for every
-piece pair (i, j) build the induced tripartite instance (V1, V2_i, V3_j)
-and run whichever sparse Four-Russians variant has the smaller exactly
-evaluated cost estimate; a shared t-cutoff spans all sub-instances.  A
+piece pair (i, j) take the tripartite view (V1, V2_i, V3_j) and run
+whichever sparse Four-Russians variant has the smaller exactly evaluated
+cost estimate; a shared t-cutoff spans all sub-instances.  A
 thresholding wrapper splits every part into ~sqrt(n) blocks so listing can
 stop early, and a doubling wrapper recovers the list-everything mode.
 """
@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .bitops import iter_bits
-from .core import KPartiteGraph, VertexSubsetFamily, induced_subgraph
+from .bitops import iter_bits, mask_from_vertices
+from .core import KPartiteGraph
 from .errors import InvalidParameterError
 from .oracles import UNBOUNDED, ListingResult
 from .regularity import (RegularityConfig, default_epsilon,
@@ -107,15 +107,13 @@ def list_triangles_detailed(G: KPartiteGraph, t: Optional[int],
     result = ListingResult(requested_t=t)
     for plan, s2, s3 in jobs:
         remaining = None if t is UNBOUNDED else t - len(result.witnesses)
-        keep = VertexSubsetFamily.of(set(v1), set(iter_bits(s2)), set(iter_bits(s3)))
-        sub = induced_subgraph(G, keep)
+        sub = G.restrict([G.part_masks[0], s2, s3])
         params = SparseFRParams.defaults(sub)
         if plan.strategy == "pivot-v1":
             part = list_sparse_four_russians(sub, remaining, params)
         else:
             part = list_sparse_pivoted(sub, remaining, params)
-        for w in part.witnesses:
-            result.witnesses.append(tuple(sub.to_original(x) for x in w))
+        result.witnesses.extend(part.witnesses)
         if part.truncated:
             result.truncated = True
             break
@@ -145,21 +143,18 @@ def list_triangles_threshold(G: KPartiteGraph, t: Optional[int],
         size = G.part_sizes[p]
         g = max(1, math.isqrt(max(size - 1, 0)) + 1) if size else 1
         bsize = max(1, -(-size // g)) if size else 1
-        verts = list(G.part_vertices(p))
+        verts = G.part_vertices(p)
         blocks_per_part.append(
-            [verts[lo:lo + bsize] for lo in range(0, len(verts), bsize)] or [[]])
+            [mask_from_vertices(verts[lo:lo + bsize])
+             for lo in range(0, len(verts), bsize)] or [0])
 
     result = ListingResult(requested_t=t)
     for b1 in blocks_per_part[0]:
         for b2 in blocks_per_part[1]:
             for b3 in blocks_per_part[2]:
                 remaining = None if t is UNBOUNDED else t - len(result.witnesses)
-                keep = VertexSubsetFamily.of(set(b1), set(b2), set(b3))
-                sub = induced_subgraph(G, keep)
-                part = list_triangles(sub, remaining, cfg)
-                for w in part.witnesses:
-                    result.witnesses.append(
-                        tuple(sub.to_original(x) for x in w))
+                part = list_triangles(G.restrict([b1, b2, b3]), remaining, cfg)
+                result.witnesses.extend(part.witnesses)
                 if part.truncated:
                     result.truncated = True
                     return result

@@ -7,7 +7,7 @@ decision logic with the engines they verify.
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import KPartiteGraph, UniformHypergraph
 from .errors import InvalidParameterError
@@ -34,12 +34,12 @@ class ListingResult:
         return set(self.witnesses)
 
 
-def _adjacency_sets(G: KPartiteGraph) -> List[set]:
+def _adjacency_sets(G: KPartiteGraph) -> Dict[int, set]:
     """Per-vertex neighbour sets built by a plain pairwise scan."""
-    n = G.n_total
-    nbrs = [set() for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
+    verts = [v for i in range(G.k) for v in G.part_vertices(i)]
+    nbrs: Dict[int, set] = {v: set() for v in verts}
+    for a, u in enumerate(verts):
+        for v in verts[a + 1:]:
             if G.has_edge(u, v):
                 nbrs[u].add(v)
                 nbrs[v].add(u)

@@ -160,7 +160,9 @@ def check_pseudoregular_sampled(G: KPartiteGraph, P: PseudoregularPartition,
     if n == 0:
         return SampledCheckReport(samples=samples, violations=0, max_error=0.0)
     rng = random.Random(seed)
-    nbits = max(G.n_total, 1)
+    # Draw over the whole id space: on a view, n_total is smaller than the
+    # highest id, and bits above it would never be sampled.
+    nbits = max(len(G.adjacency), 1)
     dens = [[float(d) for d in row] for row in P.densities]
     bound = epsilon * n * n
     violations = 0
@@ -223,6 +225,11 @@ def weak_regular_partition(G: KPartiteGraph, cfg: RegularityConfig,
     cfg.rng_seed.  If the budget runs out the best partition so far is
     returned flagged unverified.
     """
+    if len(parts) != 2 or parts[0] == parts[1] or not all(
+            0 <= i < G.k for i in parts):
+        raise InvalidParameterError(
+            f"parts {tuple(parts)} are not two distinct parts of a "
+            f"{G.k}-part graph")
     universe = 0
     for i in parts:
         universe |= G.part_masks[i]

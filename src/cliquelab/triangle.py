@@ -15,11 +15,11 @@ Three engines over 3-part graphs:
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitops import iter_bits, mask_range
+from .bitops import iter_bits, mask_from_vertices
 from .core import KPartiteGraph
 from .errors import (InternalInconsistencyError, InvalidParameterError,
                      ResourceLimitError)
@@ -38,25 +38,21 @@ def table_byte_budget() -> int:
 
 @dataclass(frozen=True)
 class BlockScheme:
-    """Contiguous equal blocks over one part (last block may be short)."""
+    """Equal blocks of consecutive part vertices (last block may be short)."""
 
     part: int
     block_size: int
-    blocks: Tuple[range, ...]
+    blocks: Tuple[Sequence[int], ...]
 
     @classmethod
     def cover(cls, G: KPartiteGraph, part: int, block_size: int) -> "BlockScheme":
         if block_size < 1:
             raise InvalidParameterError("block size must be >= 1")
-        start = G.part_start[part]
-        size = G.part_sizes[part]
-        blocks = tuple(
-            range(start + lo, start + min(lo + block_size, size))
-            for lo in range(0, size, block_size)
-        )
-        if not blocks:
-            blocks = (range(start, start),)
-        return cls(part=part, block_size=block_size, blocks=blocks)
+        verts = G.part_vertices(part)
+        blocks = tuple(verts[lo:lo + block_size]
+                       for lo in range(0, len(verts), block_size))
+        return cls(part=part, block_size=block_size,
+                   blocks=blocks or (verts[0:0],))
 
 
 def default_block_size(n_total: int, eps: float = DEFAULT_BLOCK_EPS) -> int:
@@ -68,14 +64,26 @@ def default_block_size(n_total: int, eps: float = DEFAULT_BLOCK_EPS) -> int:
 
 
 def _graph_fingerprint(G: KPartiteGraph) -> int:
-    return hash((tuple(G.part_sizes), tuple(G.adjacency)))
+    """Hash of the part masks and of the rows of the graph's own vertices;
+    a view does not pay for hashing the rows it shares but leaves out."""
+    rows = tuple(G.adjacency[v] for i in range(G.k) for v in G.part_vertices(i))
+    return hash((tuple(G.part_masks), rows))
 
 
-def _local_block_masks(row_local: int, n: int, b: int, g: int) -> np.ndarray:
-    """Split an n-bit local row into g masks of b bits each."""
-    nbytes = (n + 7) // 8 if n else 1
-    raw = np.frombuffer(row_local.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: g * b]
+def _part_ids(G: KPartiteGraph, part: int) -> np.ndarray:
+    return np.fromiter(G.part_vertices(part), dtype=np.intp,
+                       count=G.part_sizes[part])
+
+
+def _row_bits(G: KPartiteGraph, row: int) -> np.ndarray:
+    """Unpacked row: entry v is bit v."""
+    nbytes = max(1, (len(G.adjacency) + 7) // 8)
+    raw = np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")
+
+
+def _block_masks(bits: np.ndarray, b: int, g: int) -> np.ndarray:
+    """Pack a part's local bits into g masks of b bits each."""
     if bits.size < g * b:
         bits = np.pad(bits, (0, g * b - bits.size))
     weights = (1 << np.arange(b, dtype=np.uint64))
@@ -85,13 +93,12 @@ def _local_block_masks(row_local: int, n: int, b: int, g: int) -> np.ndarray:
 class BlockEdgeTable:
     """Per-block-pair subset lookup table over parts 1 and 2.
 
-    Detect mode stores, for every (block i, subset S), the union of
-    S's neighbourhoods restricted to each block j of part 2 ("reach"
-    masks); entry(S, T) is then a single AND.  List mode explicitly
-    stores the edge list between S and T for every subset pair.
+    Stores, for every (block i, subset S), the union of S's
+    neighbourhoods restricted to each block j of part 2 ("reach" masks);
+    entry(S, T) is then a single AND.
     """
 
-    def __init__(self, G: KPartiteGraph, b: int, mode: str = "detect",
+    def __init__(self, G: KPartiteGraph, b: int,
                  max_index_bits: int = DEFAULT_MAX_INDEX_BITS):
         if G.k != 3:
             raise InvalidParameterError(f"expected 3 parts, got {G.k}")
@@ -101,9 +108,6 @@ class BlockEdgeTable:
             raise ResourceLimitError(
                 f"subset-pair index needs {2 * b} bits, guard is {max_index_bits}",
                 required=2 * b, allowed=max_index_bits)
-        if mode not in ("detect", "list"):
-            raise InvalidParameterError(f"unknown mode {mode!r}")
-        self.mode = mode
         self.b = b
         self.fingerprint = _graph_fingerprint(G)
         self.scheme2 = BlockScheme.cover(G, 1, b)
@@ -113,21 +117,18 @@ class BlockEdgeTable:
         self.h = max(1, -(-n3 // b))
 
         entry_count = self.g * self.h * (1 << b)
-        if mode == "list":
-            entry_count = self.g * self.h * (1 << (2 * b))
         if entry_count * 8 > table_byte_budget():
             raise ResourceLimitError(
                 f"table needs ~{entry_count * 8} bytes, budget is "
                 f"{table_byte_budget()} (set {_ENV_BUDGET} to raise)",
                 required=entry_count * 8, allowed=table_byte_budget())
 
-        start2, start3 = G.part_start[1], G.part_start[2]
-        mask3 = mask_range(0, n3)
+        ids3 = _part_ids(G, 2)
         # Neighbour block-masks: B[u_local, j] = neighbours of u in block j.
         B = np.zeros((max(n2, 1), self.h), dtype=np.uint64)
-        for u_local in range(n2):
-            row = (G.adjacency[start2 + u_local] >> start3) & mask3
-            B[u_local] = _local_block_masks(row, n3, b, self.h)
+        for u_local, u in enumerate(G.part_vertices(1)):
+            B[u_local] = _block_masks(_row_bits(G, G.adjacency[u])[ids3],
+                                      b, self.h)
         pad = self.g * b - n2
         if pad > 0:
             B = np.vstack([B[:n2], np.zeros((pad, self.h), dtype=np.uint64)])
@@ -141,50 +142,14 @@ class BlockEdgeTable:
             reach[:, S, :] = reach[:, S ^ low, :] | Bblocks[:, u, :]
         self.reach = reach
 
-        self._edge_lists: Optional[Dict[Tuple[int, int, int, int],
-                                        Tuple[Tuple[int, int], ...]]] = None
-        if mode == "list":
-            self._build_edge_lists(G)
-
-    def _build_edge_lists(self, G: KPartiteGraph) -> None:
-        b = self.b
-        lists: Dict[Tuple[int, int, int, int], Tuple[Tuple[int, int], ...]] = {}
-        start3 = G.part_start[2]
-        for i, block2 in enumerate(self.scheme2.blocks):
-            # per-vertex neighbour masks of block2's vertices in each block j
-            for j, block3 in enumerate(self.scheme3.blocks):
-                nbr = []
-                for u in block2:
-                    m = 0
-                    for pos, w in enumerate(block3):
-                        if G.has_edge(u, w):
-                            m |= 1 << pos
-                    nbr.append(m)
-                for S in range(1 << b):
-                    members = [pos for pos in range(len(block2)) if (S >> pos) & 1]
-                    if any((S >> pos) & 1 for pos in range(len(block2), b)):
-                        continue  # padded positions of a short block
-                    for T in range(1 << b):
-                        edges = []
-                        for pos in members:
-                            hit = nbr[pos] & T
-                            for wpos in iter_bits(hit):
-                                edges.append((block2[pos], block3[wpos]))
-                        if edges:
-                            lists[(i, j, S, T)] = tuple(sorted(edges))
-        self._edge_lists = lists
-
-    def entry(self, i: int, j: int, S: int, T: int):
-        """Detect mode: bool.  List mode: tuple of (u, w) edges."""
-        if self.mode == "detect":
-            return bool(int(self.reach[i, S, j]) & T)
-        return self._edge_lists.get((i, j, S, T), ())
+    def entry(self, i: int, j: int, S: int, T: int) -> bool:
+        return bool(int(self.reach[i, S, j]) & T)
 
 
-def build_block_edge_table(G: KPartiteGraph, b: int, mode: str = "detect",
+def build_block_edge_table(G: KPartiteGraph, b: int,
                            max_index_bits: int = DEFAULT_MAX_INDEX_BITS
                            ) -> BlockEdgeTable:
-    return BlockEdgeTable(G, b, mode=mode, max_index_bits=max_index_bits)
+    return BlockEdgeTable(G, b, max_index_bits=max_index_bits)
 
 
 # -- detection -------------------------------------------------------------
@@ -221,18 +186,16 @@ def detect_four_russians(G: KPartiteGraph,
     if table.fingerprint != _graph_fingerprint(G):
         raise InvalidParameterError("table was built from a different graph")
     b = table.b
-    n2, n3 = G.part_sizes[1], G.part_sizes[2]
-    start2, start3 = G.part_start[1], G.part_start[2]
-    m2, m3 = mask_range(0, n2), mask_range(0, n3)
+    mask2, mask3 = G.part_masks[1], G.part_masks[2]
+    ids2, ids3 = _part_ids(G, 1), _part_ids(G, 2)
     g_idx = np.arange(table.g)
     for v1 in G.part_vertices(0):
         row = G.adjacency[v1]
-        local2 = (row >> start2) & m2
-        local3 = (row >> start3) & m3
-        if not local2 or not local3:
+        if not row & mask2 or not row & mask3:
             continue
-        masks2 = _local_block_masks(local2, n2, b, table.g)
-        masks3 = _local_block_masks(local3, n3, b, table.h)
+        bits = _row_bits(G, row)
+        masks2 = _block_masks(bits[ids2], b, table.g)
+        masks3 = _block_masks(bits[ids3], b, table.h)
         hit = table.reach[g_idx, masks2, :] & masks3[None, :]
         nz = np.nonzero(hit)
         if nz[0].size:
@@ -343,8 +306,8 @@ def _list_sparse(G: KPartiteGraph, t: Optional[int], params: SparseFRParams,
     scheme_b = BlockScheme.cover(G, pb, s)
     mask_a = G.part_masks[pa]
     mask_b = G.part_masks[pb]
-    block_masks_a = [mask_from_block(r) for r in scheme_a.blocks]
-    block_masks_b = [mask_from_block(r) for r in scheme_b.blocks]
+    block_masks_a = [mask_from_vertices(r) for r in scheme_a.blocks]
+    block_masks_b = [mask_from_vertices(r) for r in scheme_b.blocks]
 
     # Memoised per-(S, T) edge lists; each distinct subset pair is scanned
     # at most once (<= delta^2 probes).
@@ -397,12 +360,6 @@ def _list_sparse(G: KPartiteGraph, t: Optional[int], params: SparseFRParams,
                     canon = tuple(raw[perm.index(slot)] for slot in range(3))
                     result.witnesses.append(canon)
     return result
-
-
-def mask_from_block(block: range) -> int:
-    if len(block) == 0:
-        return 0
-    return mask_range(block.start, block.stop)
 
 
 def list_sparse_four_russians(G: KPartiteGraph, t: Optional[int],

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
 from . import io as graphio
-from .core import KPartiteGraph, UniformHypergraph, VertexSubsetFamily, induced_subgraph
+from .core import KPartiteGraph, UniformHypergraph
 from .errors import InvalidParameterError
 from .generate import GenSpec, generate
 from .hyperclique import detect_hyperclique, list_hypercliques
@@ -74,11 +74,13 @@ class VerifyReport:
 
 
 def _remove_vertex_graph(G: KPartiteGraph, v: int) -> KPartiteGraph:
-    keep = [set(G.part_vertices(i)) for i in range(G.k)]
-    keep[G.part_of(v)].discard(v)
-    sub = induced_subgraph(G, VertexSubsetFamily.of(*keep))
-    sub.origin = None
-    return sub
+    """Standalone copy without v: every id above v moves down by one."""
+    sizes = list(G.part_sizes)
+    sizes[G.part_of(v)] -= 1
+    low = (1 << v) - 1
+    rows = [(row & low) | (row >> (v + 1) << v)
+            for u, row in enumerate(G.adjacency) if u != v]
+    return KPartiteGraph(sizes, rows)
 
 
 def _remove_vertex_hyper(H: UniformHypergraph, v: int) -> UniformHypergraph:

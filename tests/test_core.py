@@ -1,13 +1,12 @@
-"""Graph/hypergraph representation and induced-subgraph behaviour."""
+"""Graph/hypergraph representation and vertex-mask view behaviour."""
 
 import random
 
 import pytest
 
 from cliquelab.bitops import iter_bits, mask_from_vertices, mask_range
-from cliquelab.core import (KPartiteGraph, UniformHypergraph,
-                            VertexSubsetFamily, degree_product,
-                            induced_subgraph, kpartify, neighbors_in_part)
+from cliquelab.core import (KPartiteGraph, UniformHypergraph, degree_product,
+                            kpartify, neighbors_in_part)
 from cliquelab.errors import InvalidParameterError
 
 
@@ -58,31 +57,44 @@ def test_edges_and_count():
     g.validate()
 
 
-def test_induced_subgraph_reindexes_and_maps_back():
+def test_restrict_keeps_global_ids_and_shares_rows():
     rng = random.Random(7)
     g = random_graph(rng, [4, 4, 4], 0.5)
-    keep = VertexSubsetFamily.of({1, 3}, {5, 6}, {9, 11})
-    sub = induced_subgraph(g, keep)
-    assert sub.part_sizes == [2, 2, 2]
-    for u in range(sub.n_total):
-        for v in range(sub.n_total):
-            if u != v and sub.part_of(u) != sub.part_of(v):
-                assert sub.has_edge(u, v) == g.has_edge(sub.to_original(u),
-                                                        sub.to_original(v))
+    keep = [mask_from_vertices(s) for s in ({1, 3}, {5, 6}, {9, 11})]
+    sub = g.restrict(keep)
+    assert sub.adjacency is g.adjacency
+    assert sub.part_sizes == [2, 2, 2] and sub.n_total == 6
+    assert sub.part_start is None
+    assert [list(sub.part_vertices(i)) for i in range(3)] == \
+        [[1, 3], [5, 6], [9, 11]]
+    assert [sub.part_of(v) for v in (1, 3, 5, 6, 9, 11)] == [0, 0, 1, 1, 2, 2]
+    kept = {1, 3, 5, 6, 9, 11}
+    assert sorted(sub.edges()) == [(u, v) for u, v in g.edges()
+                                   if u in kept and v in kept]
+    assert sub.edge_count() == len(list(sub.edges()))
+    sub.validate()
 
 
-def test_induced_subgraph_empty_part():
+def test_restrict_empty_part():
     g = random_graph(random.Random(1), [3, 3, 3], 0.5)
-    sub = induced_subgraph(g, VertexSubsetFamily.of({0, 1}, set(), {6}))
+    sub = g.restrict([0b11, 0, 1 << 6])
     assert sub.part_sizes == [2, 0, 1]
+    assert list(sub.part_vertices(1)) == []
 
 
 def test_subset_family_validation():
     g = KPartiteGraph([2, 2])
     with pytest.raises(InvalidParameterError):
-        VertexSubsetFamily.of({0, 2}).validate(g)     # spans two parts
+        g.restrict([0b101])                 # spans two parts
     with pytest.raises(InvalidParameterError):
-        VertexSubsetFamily.of({0}, {0}).validate(g)   # overlap
+        g.restrict([0b1, 0b1])              # overlap
+    with pytest.raises(InvalidParameterError):
+        g.restrict([1 << 4])                # outside the graph
+    view = g.restrict([0b1000, 0b1])        # parts may come in any order
+    with pytest.raises(InvalidParameterError):
+        view.restrict([0b10])               # inside g, outside the view
+    with pytest.raises(InvalidParameterError):
+        view.part_of(1)
 
 
 def test_neighbors_and_degree_product():

@@ -54,6 +54,8 @@ def test_comments_and_blank_lines_ignored():
     ("kpartite 2\npart 1\npart 1\nedges 2\n0 1\n1 0\n", "duplicate"),
     ("kpartite 2\npart 1\nedges 0\n", "part"),
     ("hypergraph 3 4\npart 1\npart 1\npart 1\npart 1\nedges 1\n0 1\n", "3 vertex ids"),
+    ("kpartite 3\npart 1\npart 1\npart 1\nedges 1\n0 1\n2 0\ngarbage here\n",
+     "after the declared edges"),
 ])
 def test_parse_errors_carry_line_numbers(text, msg):
     with pytest.raises(ParseError) as exc:

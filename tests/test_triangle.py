@@ -70,22 +70,6 @@ def test_block_table_random_queries_vs_scan():
         assert bool(table.entry(bi, bj, S, T)) == want
 
 
-def test_block_table_listing_mode_edge_accounting():
-    g = random_graph(random.Random(9), [2, 10, 9], 0.35)
-    table = build_block_edge_table(g, 3, mode="list")
-    total = 0
-    for bi, block2 in enumerate(table.scheme2.blocks):
-        for bj, block3 in enumerate(table.scheme3.blocks):
-            full_s = (1 << len(block2)) - 1
-            full_t = (1 << len(block3)) - 1
-            edges = table.entry(bi, bj, full_s, full_t)
-            assert len(set(edges)) == len(edges)
-            total += len(edges)
-    e23 = sum((g.adjacency[u] & g.part_masks[2]).bit_count()
-              for u in g.part_vertices(1))
-    assert total == e23
-
-
 def test_block_table_guard():
     g = KPartiteGraph([2, 40, 40])
     with pytest.raises(ResourceLimitError) as exc:

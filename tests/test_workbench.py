@@ -173,6 +173,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_regularity_rejects_two_part_graph(tmp_path, capsys):
+    path = tmp_path / "two.txt"
+    path.write_text("kpartite 2\npart 2\npart 2\nedges 1\n0 2\n")
+    assert main(["regularity", str(path)]) == 2
+    assert "2-part graph" in capsys.readouterr().err
+
+
 def test_cli_verify_mismatch_exit(capsys, monkeypatch):
     # verify exits 1 when a check fails; use a stub check
     from cliquelab import verify as vmod
