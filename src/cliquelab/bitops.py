@@ -7,6 +7,8 @@ popcount without fixing a word width.
 
 from typing import Iterator, List
 
+from .errors import InvalidParameterError
+
 
 def mask_range(lo: int, hi: int) -> int:
     """All-ones mask covering bit positions [lo, hi)."""
@@ -32,3 +34,20 @@ def iter_bits(bits: int) -> Iterator[int]:
 def bits_to_list(bits: int) -> List[int]:
     return list(iter_bits(bits))
 
+
+def split_bits(mask: int, size: int) -> List[int]:
+    """Split a mask into consecutive chunks of ``size`` set bits, lowest
+    bits first; the last chunk may be short.  An empty mask has no chunks."""
+    if size < 1:
+        raise InvalidParameterError("chunk size must be >= 1")
+    out = []
+    while mask.bit_count() > size:
+        chunk = 0
+        for _ in range(size):
+            low = mask & -mask
+            chunk |= low
+            mask ^= low
+        out.append(chunk)
+    if mask:
+        out.append(mask)
+    return out

@@ -15,13 +15,17 @@ Hypergraph format::
     <v1> ... <vr>      (m lines)
 
 Parsers reject intra-part edges, duplicate edges, id overflow and content
-after the declared edges with line-numbered errors.
+after the declared edges with line-numbered errors.  A declared vertex
+total above ``MAX_DECLARED_VERTICES`` is refused with ``ResourceLimitError``
+before any row is allocated.
 """
 
 from typing import List, TextIO, Tuple, Union
 
 from .core import KPartiteGraph, UniformHypergraph
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError, ResourceLimitError
+
+MAX_DECLARED_VERTICES = 1 << 24
 
 
 def _tokens(stream: TextIO):
@@ -63,6 +67,12 @@ def _parse_parts(it, k: int) -> List[int]:
         if size < 0:
             raise ParseError("negative part size", lineno)
         sizes.append(size)
+        total = sum(sizes)
+        if total > MAX_DECLARED_VERTICES:
+            raise ResourceLimitError(
+                f"line {lineno}: parts declare {total} vertices, "
+                f"limit is {MAX_DECLARED_VERTICES}",
+                required=total, allowed=MAX_DECLARED_VERTICES)
     return sizes
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, List, Optional, Tuple
 
-from .bitops import bits_to_list, iter_bits, mask_from_vertices
+from .bitops import iter_bits, mask_from_vertices, split_bits
 from .core import KPartiteGraph, degree_product
 from .errors import InternalInconsistencyError, InvalidParameterError
 from .triangle import detect_naive
@@ -128,13 +128,11 @@ def kclique_via_k1(G: KPartiteGraph, k: int,
     if G.k != k:
         raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
     for v in G.part_vertices(0):
-        nbrs = [bits_to_list(G.adjacency[v] & G.part_masks[i])
-                for i in range(1, k)]
-        d_v = min(len(nb) for nb in nbrs)
+        nbrs = [G.adjacency[v] & G.part_masks[i] for i in range(1, k)]
+        d_v = min(nb.bit_count() for nb in nbrs)
         if d_v == 0:
             continue
-        tiles = [[mask_from_vertices(nb[lo:lo + d_v])
-                  for lo in range(0, len(nb), d_v)] for nb in nbrs]
+        tiles = [split_bits(nb, d_v) for nb in nbrs]
         if any(k1_solver(G.restrict(combo)) for combo in product(*tiles)):
             return True
     return False

@@ -9,10 +9,11 @@ stop early, and a doubling wrapper recovers the list-everything mode.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 from typing import List, Optional, Tuple
 
-from .bitops import iter_bits, mask_from_vertices
+from .bitops import iter_bits, split_bits
 from .core import KPartiteGraph
 from .errors import InvalidParameterError
 from .oracles import UNBOUNDED, ListingResult
@@ -63,12 +64,7 @@ def list_triangles_detailed(G: KPartiteGraph, t: Optional[int],
 
     partition = None
     for attempt in range(PARTITION_ATTEMPTS):
-        attempt_cfg = RegularityConfig(
-            epsilon=cfg.epsilon, fail_prob=cfg.fail_prob,
-            max_pieces=cfg.max_pieces,
-            refinement_budget=cfg.refinement_budget,
-            sample_count=cfg.sample_count,
-            rng_seed=cfg.rng_seed + 1009 * attempt)
+        attempt_cfg = replace(cfg, rng_seed=cfg.rng_seed + 1009 * attempt)
         partition = weak_regular_partition(G, attempt_cfg)
         if partition.verified:
             break
@@ -143,21 +139,16 @@ def list_triangles_threshold(G: KPartiteGraph, t: Optional[int],
         size = G.part_sizes[p]
         g = max(1, math.isqrt(max(size - 1, 0)) + 1) if size else 1
         bsize = max(1, -(-size // g)) if size else 1
-        verts = G.part_vertices(p)
-        blocks_per_part.append(
-            [mask_from_vertices(verts[lo:lo + bsize])
-             for lo in range(0, len(verts), bsize)] or [0])
+        blocks_per_part.append(split_bits(G.part_masks[p], bsize) or [0])
 
     result = ListingResult(requested_t=t)
-    for b1 in blocks_per_part[0]:
-        for b2 in blocks_per_part[1]:
-            for b3 in blocks_per_part[2]:
-                remaining = None if t is UNBOUNDED else t - len(result.witnesses)
-                part = list_triangles(G.restrict([b1, b2, b3]), remaining, cfg)
-                result.witnesses.extend(part.witnesses)
-                if part.truncated:
-                    result.truncated = True
-                    return result
+    for blocks in product(*blocks_per_part):
+        remaining = None if t is UNBOUNDED else t - len(result.witnesses)
+        part = list_triangles(G.restrict(blocks), remaining, cfg)
+        result.witnesses.extend(part.witnesses)
+        if part.truncated:
+            result.truncated = True
+            return result
     return result
 
 

@@ -71,7 +71,6 @@ class RegularityConfig:
     """Knobs for the partitioner and the sampled verifier."""
 
     epsilon: float
-    fail_prob: float = 0.1
     max_pieces: Optional[int] = None
     refinement_budget: int = 12
     sample_count: int = 200
@@ -80,8 +79,6 @@ class RegularityConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise InvalidParameterError("need 0 < epsilon < 1")
-        if not 0 < self.fail_prob < 1:
-            raise InvalidParameterError("need 0 < fail_prob < 1")
         if self.refinement_budget < 1 or self.sample_count < 1:
             raise InvalidParameterError("budgets must be positive")
         if self.max_pieces is None:

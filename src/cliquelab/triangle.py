@@ -3,9 +3,10 @@
 Three engines over 3-part graphs:
 
 * ``detect_naive``   -- word-AND over neighbourhood bit-rows per edge.
-* ``detect_four_russians`` -- block-subset lookup tables: blocks of size b
-  over parts 1 and 2; per block pair a table answering "is there an edge
-  between subset S and subset T" in O(1).
+* ``detect_four_russians`` -- Four-Russians reach masks: part 1 is cut
+  into blocks of b vertices, and every subset of a block maps to the union
+  of its part-2 neighbourhoods, so a part-0 vertex's question "is there an
+  edge under my row?" is one lookup per block, OR'd, plus one AND.
 * ``list_sparse_four_russians`` / ``list_sparse_pivoted`` -- the sparse
   variant: neighbourhoods are chunked into pieces of size <= delta and the
   per-chunk-pair edge lists are served from a memoised table, so listing
@@ -15,11 +16,9 @@ Three engines over 3-part graphs:
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .bitops import iter_bits, mask_from_vertices
+from .bitops import iter_bits, split_bits
 from .core import KPartiteGraph
 from .errors import (InternalInconsistencyError, InvalidParameterError,
                      ResourceLimitError)
@@ -34,25 +33,6 @@ _DEFAULT_TABLE_BYTES = 1 << 28
 
 def table_byte_budget() -> int:
     return int(os.environ.get(_ENV_BUDGET, _DEFAULT_TABLE_BYTES))
-
-
-@dataclass(frozen=True)
-class BlockScheme:
-    """Equal blocks of consecutive part vertices (last block may be short)."""
-
-    part: int
-    block_size: int
-    blocks: Tuple[Sequence[int], ...]
-
-    @classmethod
-    def cover(cls, G: KPartiteGraph, part: int, block_size: int) -> "BlockScheme":
-        if block_size < 1:
-            raise InvalidParameterError("block size must be >= 1")
-        verts = G.part_vertices(part)
-        blocks = tuple(verts[lo:lo + block_size]
-                       for lo in range(0, len(verts), block_size))
-        return cls(part=part, block_size=block_size,
-                   blocks=blocks or (verts[0:0],))
 
 
 def default_block_size(n_total: int, eps: float = DEFAULT_BLOCK_EPS) -> int:
@@ -70,86 +50,47 @@ def _graph_fingerprint(G: KPartiteGraph) -> int:
     return hash((tuple(G.part_masks), rows))
 
 
-def _part_ids(G: KPartiteGraph, part: int) -> np.ndarray:
-    return np.fromiter(G.part_vertices(part), dtype=np.intp,
-                       count=G.part_sizes[part])
-
-
-def _row_bits(G: KPartiteGraph, row: int) -> np.ndarray:
-    """Unpacked row: entry v is bit v."""
-    nbytes = max(1, (len(G.adjacency) + 7) // 8)
-    raw = np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")
-
-
-def _block_masks(bits: np.ndarray, b: int, g: int) -> np.ndarray:
-    """Pack a part's local bits into g masks of b bits each."""
-    if bits.size < g * b:
-        bits = np.pad(bits, (0, g * b - bits.size))
-    weights = (1 << np.arange(b, dtype=np.uint64))
-    return (bits.reshape(g, b).astype(np.uint64) * weights).sum(axis=1)
-
-
 class BlockEdgeTable:
-    """Per-block-pair subset lookup table over parts 1 and 2.
+    """Four-Russians reach masks over parts 1 and 2.
 
-    Stores, for every (block i, subset S), the union of S's
-    neighbourhoods restricted to each block j of part 2 ("reach" masks);
-    entry(S, T) is then a single AND.
+    Part 1 is cut into blocks of b vertices; ``reach[i]`` maps every subset
+    S of block i (a global-id mask) to the union of S's part-2
+    neighbourhoods, so the part-2 reach of any part-1 set is at most one
+    lookup per block, OR'd together.
     """
 
-    def __init__(self, G: KPartiteGraph, b: int,
-                 max_index_bits: int = DEFAULT_MAX_INDEX_BITS):
+    def __init__(self, G: KPartiteGraph, b: int):
         if G.k != 3:
             raise InvalidParameterError(f"expected 3 parts, got {G.k}")
         if b < 1:
             raise InvalidParameterError("block size must be >= 1")
-        if 2 * b > max_index_bits:
+        if 2 * b > DEFAULT_MAX_INDEX_BITS:
             raise ResourceLimitError(
-                f"subset-pair index needs {2 * b} bits, guard is {max_index_bits}",
-                required=2 * b, allowed=max_index_bits)
-        self.b = b
+                f"subset-pair index needs {2 * b} bits, guard is "
+                f"{DEFAULT_MAX_INDEX_BITS}",
+                required=2 * b, allowed=DEFAULT_MAX_INDEX_BITS)
         self.fingerprint = _graph_fingerprint(G)
-        self.scheme2 = BlockScheme.cover(G, 1, b)
-        self.scheme3 = BlockScheme.cover(G, 2, b)
-        n2, n3 = G.part_sizes[1], G.part_sizes[2]
-        self.g = max(1, -(-n2 // b))
-        self.h = max(1, -(-n3 // b))
+        self.blocks = split_bits(G.part_masks[1], b)
 
-        entry_count = self.g * self.h * (1 << b)
-        if entry_count * 8 > table_byte_budget():
+        need = len(self.blocks) * (1 << b) * -(-len(G.adjacency) // 8)
+        if need > table_byte_budget():
             raise ResourceLimitError(
-                f"table needs ~{entry_count * 8} bytes, budget is "
+                f"table needs ~{need} bytes, budget is "
                 f"{table_byte_budget()} (set {_ENV_BUDGET} to raise)",
-                required=entry_count * 8, allowed=table_byte_budget())
+                required=need, allowed=table_byte_budget())
 
-        ids3 = _part_ids(G, 2)
-        # Neighbour block-masks: B[u_local, j] = neighbours of u in block j.
-        B = np.zeros((max(n2, 1), self.h), dtype=np.uint64)
-        for u_local, u in enumerate(G.part_vertices(1)):
-            B[u_local] = _block_masks(_row_bits(G, G.adjacency[u])[ids3],
-                                      b, self.h)
-        pad = self.g * b - n2
-        if pad > 0:
-            B = np.vstack([B[:n2], np.zeros((pad, self.h), dtype=np.uint64)])
-        Bblocks = B[: self.g * b].reshape(self.g, b, self.h)
-
-        # reach[i, S, j] = union over u in S of B[u, j]
-        reach = np.zeros((self.g, 1 << b, self.h), dtype=np.uint64)
-        for S in range(1, 1 << b):
-            low = S & -S
-            u = low.bit_length() - 1
-            reach[:, S, :] = reach[:, S ^ low, :] | Bblocks[:, u, :]
-        self.reach = reach
-
-    def entry(self, i: int, j: int, S: int, T: int) -> bool:
-        return bool(int(self.reach[i, S, j]) & T)
+        mask3 = G.part_masks[2]
+        self.reach: List[Dict[int, int]] = []
+        for block in self.blocks:
+            sub = {0: 0}
+            for u in iter_bits(block):
+                bit, nbrs = 1 << u, G.adjacency[u] & mask3
+                sub.update({S | bit: r | nbrs for S, r in sub.items()})
+            self.reach.append(sub)
 
 
-def build_block_edge_table(G: KPartiteGraph, b: int,
-                           max_index_bits: int = DEFAULT_MAX_INDEX_BITS
-                           ) -> BlockEdgeTable:
-    return BlockEdgeTable(G, b, max_index_bits=max_index_bits)
+def build_block_edge_table(G: KPartiteGraph, b: int) -> BlockEdgeTable:
+    return BlockEdgeTable(G, b)
 
 
 # -- detection -------------------------------------------------------------
@@ -174,40 +115,35 @@ def detect_naive(G: KPartiteGraph) -> Optional[Tuple[int, int, int]]:
 def detect_four_russians(G: KPartiteGraph,
                          table: Optional[BlockEdgeTable] = None
                          ) -> Optional[Tuple[int, int, int]]:
-    """Triangle detection through the block-subset lookup table.
+    """Triangle detection through the block reach masks.
 
     Without a prebuilt table one is constructed at the default block size;
-    a supplied table must have been built from this exact graph.
+    a supplied table must have been built from this exact graph.  On a hit
+    the part-1 neighbours of v1 are rescanned in ascending order, and the
+    witness is (v1, first such u with a common part-2 neighbour, lowest
+    common w).
     """
     if G.k != 3:
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
     if table is None:
         table = build_block_edge_table(G, default_block_size(G.n_total))
-    if table.fingerprint != _graph_fingerprint(G):
+    elif table.fingerprint != _graph_fingerprint(G):
         raise InvalidParameterError("table was built from a different graph")
-    b = table.b
     mask2, mask3 = G.part_masks[1], G.part_masks[2]
-    ids2, ids3 = _part_ids(G, 1), _part_ids(G, 2)
-    g_idx = np.arange(table.g)
+    lookups = list(zip(table.blocks, table.reach))
     for v1 in G.part_vertices(0):
         row = G.adjacency[v1]
-        if not row & mask2 or not row & mask3:
+        row3 = row & mask3
+        if not row & mask2 or not row3:
             continue
-        bits = _row_bits(G, row)
-        masks2 = _block_masks(bits[ids2], b, table.g)
-        masks3 = _block_masks(bits[ids3], b, table.h)
-        hit = table.reach[g_idx, masks2, :] & masks3[None, :]
-        nz = np.nonzero(hit)
-        if nz[0].size:
-            i, j = int(nz[0][0]), int(nz[1][0])
-            block2 = table.scheme2.blocks[i]
-            block3 = table.scheme3.blocks[j]
-            for u in block2:
-                if not G.has_edge(v1, u):
-                    continue
-                for w in block3:
-                    if G.has_edge(v1, w) and G.has_edge(u, w):
-                        return (v1, u, w)
+        reach = 0
+        for block, sub in lookups:
+            reach |= sub[row & block]
+        if reach & row3:
+            for u in iter_bits(row & mask2):
+                common = G.adjacency[u] & row3
+                if common:
+                    return (v1, u, (common & -common).bit_length() - 1)
             raise InternalInconsistencyError(
                 "table reported an edge the rescan could not find")
     return None
@@ -216,8 +152,10 @@ def detect_four_russians(G: KPartiteGraph,
 # -- sparse Four-Russians listing -----------------------------------------
 
 
-def _subset_count(s: int, delta: int) -> int:
-    return sum(math.comb(s, i) for i in range(delta + 1))
+def _index_bits(s: int, delta: int) -> int:
+    """Bits of a subset-pair index over the <= delta-subsets of s items."""
+    count = sum(math.comb(s, i) for i in range(delta + 1))
+    return 2 * max(1, math.ceil(math.log2(count)))
 
 
 @dataclass
@@ -226,32 +164,29 @@ class SparseFRParams:
 
     s: int
     delta: int
-    max_index_bits: int = DEFAULT_MAX_INDEX_BITS
 
     def validate(self) -> None:
         if self.s < 1:
             raise InvalidParameterError("s must be >= 1")
         if not 1 <= self.delta <= self.s:
             raise InvalidParameterError("need 1 <= delta <= s")
-        bits = 2 * max(1, math.ceil(math.log2(_subset_count(self.s, self.delta))))
-        if bits > self.max_index_bits:
+        bits = _index_bits(self.s, self.delta)
+        if bits > DEFAULT_MAX_INDEX_BITS:
             raise ResourceLimitError(
                 f"subset-pair index needs {bits} bits, guard is "
-                f"{self.max_index_bits}",
-                required=bits, allowed=self.max_index_bits)
+                f"{DEFAULT_MAX_INDEX_BITS}",
+                required=bits, allowed=DEFAULT_MAX_INDEX_BITS)
 
     @classmethod
-    def defaults(cls, G: KPartiteGraph,
-                 max_index_bits: int = DEFAULT_MAX_INDEX_BITS) -> "SparseFRParams":
+    def defaults(cls, G: KPartiteGraph) -> "SparseFRParams":
         """Single block per part; delta ~ log2(n)/4, clamped to the guard."""
         n = G.n_total
         s = max(1, max(G.part_sizes))
         delta = max(1, int(math.log2(n) / 4)) if n >= 2 else 1
-        return cls._clamped(s, delta, max_index_bits)
+        return cls._clamped(s, delta)
 
     @classmethod
-    def paper(cls, G: KPartiteGraph,
-              max_index_bits: int = DEFAULT_MAX_INDEX_BITS) -> "SparseFRParams":
+    def paper(cls, G: KPartiteGraph) -> "SparseFRParams":
         """Literal asymptotic formulas s=(log n)^100, delta=log n/(1000 loglog n),
         then clamped to desk scale."""
         n = max(2, G.n_total)
@@ -260,39 +195,20 @@ class SparseFRParams:
         s = min(max(1, s), max(1, max(G.part_sizes)))
         loglog = math.log2(log) if log > 1 else 1.0
         delta = max(1, int(log / (1000 * max(loglog, 1e-9))))
-        return cls._clamped(s, delta, max_index_bits)
+        return cls._clamped(s, delta)
 
     @classmethod
-    def _clamped(cls, s: int, delta: int, max_index_bits: int) -> "SparseFRParams":
+    def _clamped(cls, s: int, delta: int) -> "SparseFRParams":
         delta = min(delta, s)
-        while delta > 1:
-            bits = 2 * max(1, math.ceil(math.log2(_subset_count(s, delta))))
-            if bits <= max_index_bits:
-                break
+        while delta > 1 and _index_bits(s, delta) > DEFAULT_MAX_INDEX_BITS:
             delta -= 1
-        p = cls(s=s, delta=delta, max_index_bits=max_index_bits)
+        p = cls(s=s, delta=delta)
         p.validate()
         return p
 
 
-def _chunks_of(mask: int, delta: int) -> List[int]:
-    """Split a bitmask into disjoint chunks of <= delta set bits each."""
-    out = []
-    while mask:
-        chunk = 0
-        for _ in range(delta):
-            if not mask:
-                break
-            low = mask & -mask
-            chunk |= low
-            mask ^= low
-        out.append(chunk)
-    return out
-
-
 def _list_sparse(G: KPartiteGraph, t: Optional[int], params: SparseFRParams,
-                 pivot: int, pa: int, pb: int,
-                 chunk_audit: Optional[list] = None) -> ListingResult:
+                 pivot: int, pa: int, pb: int) -> ListingResult:
     """Core sparse Four-Russians listing with configurable part roles.
 
     Pivots on part ``pivot``; chunks neighbourhoods in parts ``pa`` and
@@ -302,12 +218,10 @@ def _list_sparse(G: KPartiteGraph, t: Optional[int], params: SparseFRParams,
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
     params.validate()
     s, delta = params.s, params.delta
-    scheme_a = BlockScheme.cover(G, pa, s)
-    scheme_b = BlockScheme.cover(G, pb, s)
     mask_a = G.part_masks[pa]
     mask_b = G.part_masks[pb]
-    block_masks_a = [mask_from_vertices(r) for r in scheme_a.blocks]
-    block_masks_b = [mask_from_vertices(r) for r in scheme_b.blocks]
+    blocks_a = split_bits(mask_a, s)
+    blocks_b = split_bits(mask_b, s)
 
     # Memoised per-(S, T) edge lists; each distinct subset pair is scanned
     # at most once (<= delta^2 probes).
@@ -336,20 +250,8 @@ def _list_sparse(G: KPartiteGraph, t: Optional[int], params: SparseFRParams,
         nb = row & mask_b
         if not na or not nb:
             continue
-        chunks_a: List[int] = []
-        for bm in block_masks_a:
-            block_bits = na & bm
-            got = _chunks_of(block_bits, delta)
-            if chunk_audit is not None and block_bits:
-                chunk_audit.append((block_bits, tuple(got), delta))
-            chunks_a.extend(got)
-        chunks_b: List[int] = []
-        for bm in block_masks_b:
-            block_bits = nb & bm
-            got = _chunks_of(block_bits, delta)
-            if chunk_audit is not None and block_bits:
-                chunk_audit.append((block_bits, tuple(got), delta))
-            chunks_b.extend(got)
+        chunks_a = [c for bm in blocks_a for c in split_bits(na & bm, delta)]
+        chunks_b = [c for bm in blocks_b for c in split_bits(nb & bm, delta)]
         for S in chunks_a:
             for T in chunks_b:
                 for (u, w) in edges_between(S, T):
@@ -363,21 +265,18 @@ def _list_sparse(G: KPartiteGraph, t: Optional[int], params: SparseFRParams,
 
 
 def list_sparse_four_russians(G: KPartiteGraph, t: Optional[int],
-                              params: Optional[SparseFRParams] = None,
-                              chunk_audit: Optional[list] = None
+                              params: Optional[SparseFRParams] = None
                               ) -> ListingResult:
     """List up to t triangles, pivoting on part 0 (vertex-degree driven)."""
     if params is None:
         params = SparseFRParams.defaults(G)
-    return _list_sparse(G, t, params, pivot=0, pa=1, pb=2,
-                        chunk_audit=chunk_audit)
+    return _list_sparse(G, t, params, pivot=0, pa=1, pb=2)
 
 
 def list_sparse_pivoted(G: KPartiteGraph, t: Optional[int],
-                        params: Optional[SparseFRParams] = None,
-                        chunk_audit: Optional[list] = None) -> ListingResult:
+                        params: Optional[SparseFRParams] = None
+                        ) -> ListingResult:
     """List up to t triangles pivoting on part 1, so cost tracks e(V2, V3)."""
     if params is None:
         params = SparseFRParams.defaults(G)
-    return _list_sparse(G, t, params, pivot=1, pa=0, pb=2,
-                        chunk_audit=chunk_audit)
+    return _list_sparse(G, t, params, pivot=1, pa=0, pb=2)

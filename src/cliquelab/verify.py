@@ -21,9 +21,16 @@ from .triangle import detect_four_russians, detect_naive
 
 
 def _triangle_detect_ok(G: KPartiteGraph) -> bool:
+    """FR and naive agree on existence, and FR's witness is a triangle
+    with one vertex in each of parts 0, 1 and 2."""
     got = detect_four_russians(G)
-    want = detect_naive(G)
-    return (got is None) == (want is None)
+    if (got is None) != (detect_naive(G) is None):
+        return False
+    if got is None:
+        return True
+    a, b, c = got
+    return (all((G.part_masks[i] >> v) & 1 for i, v in enumerate(got))
+            and G.has_edge(a, b) and G.has_edge(a, c) and G.has_edge(b, c))
 
 
 def _triangle_list_ok(G: KPartiteGraph) -> bool:

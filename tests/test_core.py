@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cliquelab.bitops import iter_bits, mask_from_vertices, mask_range
+from cliquelab.bitops import (iter_bits, mask_from_vertices, mask_range,
+                              split_bits)
 from cliquelab.core import (KPartiteGraph, UniformHypergraph, degree_product,
                             kpartify, neighbors_in_part)
 from cliquelab.errors import InvalidParameterError
@@ -26,6 +29,28 @@ def test_bitops_basics():
     assert mask_from_vertices([0, 3]) == 0b1001
     assert list(iter_bits(0b10110)) == [1, 2, 4]
     assert list(iter_bits(0)) == []
+
+
+@given(st.integers(min_value=0, max_value=(1 << 200) - 1),
+       st.integers(min_value=1, max_value=12))
+def test_split_bits_property(mask, size):
+    chunks = split_bits(mask, size)
+    union = 0
+    for c in chunks:
+        assert c and union & c == 0
+        assert union.bit_length() <= (c & -c).bit_length() - 1  # ascending
+        union |= c
+    assert union == mask
+    assert all(c.bit_count() == size for c in chunks[:-1])
+    assert all(c.bit_count() <= size for c in chunks)
+    assert len(chunks) == -(-mask.bit_count() // size)
+
+
+def test_split_bits_exact():
+    assert split_bits(0b1011101, 2) == [0b0000101, 0b0011000, 0b1000000]
+    assert split_bits(0, 3) == []
+    with pytest.raises(InvalidParameterError):
+        split_bits(0b11, 0)
 
 
 def test_part_layout():

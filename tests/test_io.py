@@ -6,9 +6,9 @@ import random
 import pytest
 
 from cliquelab.core import KPartiteGraph, UniformHypergraph
-from cliquelab.errors import ParseError
+from cliquelab.errors import ParseError, ResourceLimitError
 from cliquelab.generate import GenSpec, generate
-from cliquelab.io import parse, write
+from cliquelab.io import MAX_DECLARED_VERTICES, parse, write
 
 
 def roundtrip(obj):
@@ -79,3 +79,22 @@ def test_random_text_edge_order_is_canonicalized():
     _, canonical = roundtrip(g)
     _, canonical2 = roundtrip(back)
     assert canonical == canonical2
+
+
+@pytest.mark.parametrize("header", ["kpartite 3", "hypergraph 2 3"])
+def test_declared_vertex_total_is_capped(header):
+    text = f"{header}\npart 1\npart 100000000000\npart 1\nedges 0\n"
+    with pytest.raises(ResourceLimitError) as exc:
+        parse(io.StringIO(text))
+    assert exc.value.allowed == MAX_DECLARED_VERTICES
+    assert exc.value.required > exc.value.allowed
+    assert "line 3" in str(exc.value)
+
+
+def test_declared_vertex_cap_boundary(monkeypatch):
+    from cliquelab import io as graphio
+    monkeypatch.setattr(graphio, "MAX_DECLARED_VERTICES", 5)
+    ok = parse(io.StringIO("kpartite 2\npart 2\npart 3\nedges 0\n"))
+    assert ok.n_total == 5
+    with pytest.raises(ResourceLimitError):
+        parse(io.StringIO("kpartite 2\npart 3\npart 3\nedges 0\n"))

@@ -156,8 +156,6 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         RegularityConfig(epsilon=0.0)
     with pytest.raises(InvalidParameterError):
-        RegularityConfig(epsilon=0.1, fail_prob=1.5)
-    with pytest.raises(InvalidParameterError):
         RegularityConfig(epsilon=0.1, refinement_budget=0)
     cfg = RegularityConfig(epsilon=0.1)
     assert cfg.max_pieces == 1 << 10

@@ -8,8 +8,8 @@ from cliquelab.bitops import iter_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError, ResourceLimitError
 from cliquelab.oracles import brute_triangles
-from cliquelab.triangle import (BlockScheme, SparseFRParams, _chunks_of,
-                                build_block_edge_table, default_block_size,
+from cliquelab.triangle import (SparseFRParams, build_block_edge_table,
+                                default_block_size,
                                 detect_four_russians, detect_naive,
                                 list_sparse_four_russians, list_sparse_pivoted)
 from tests.test_core import random_graph
@@ -35,45 +35,38 @@ def test_detect_naive_wrong_part_count():
         detect_naive(KPartiteGraph([2, 2]))
 
 
-def test_block_scheme_partitions_part():
-    g = KPartiteGraph([3, 7, 5])
-    scheme = BlockScheme.cover(g, 1, 3)
-    assert [list(b) for b in scheme.blocks] == [[3, 4, 5], [6, 7, 8], [9]]
-    scheme0 = BlockScheme.cover(g, 0, 5)
-    assert [list(b) for b in scheme0.blocks] == [[0, 1, 2]]
+def reach_by_scan(g, S):
+    want = 0
+    for u in iter_bits(S):
+        want |= g.adjacency[u] & g.part_masks[2]
+    return want
 
 
 def test_block_table_singleton_entries_match_edges():
     g = random_graph(random.Random(2), [3, 4, 4], 0.5)
     table = build_block_edge_table(g, 1)
-    for bi, block2 in enumerate(table.scheme2.blocks):
-        for bj, block3 in enumerate(table.scheme3.blocks):
-            u, w = block2[0], block3[0]
-            assert bool(table.entry(bi, bj, 1, 1)) == g.has_edge(u, w)
-            assert not table.entry(bi, bj, 0, 1)
-            assert not table.entry(bi, bj, 1, 0)
+    assert table.blocks == [1 << u for u in g.part_vertices(1)]
+    for block, sub in zip(table.blocks, table.reach):
+        assert sub == {0: 0, block: reach_by_scan(g, block)}
 
 
 def test_block_table_random_queries_vs_scan():
     rng = random.Random(5)
-    g = random_graph(rng, [4, 8, 8], 0.4)
-    b = 4
-    table = build_block_edge_table(g, b)
+    g = random_graph(rng, [4, 9, 8], 0.4)
+    table = build_block_edge_table(g, 4)
+    assert [blk.bit_count() for blk in table.blocks] == [4, 4, 1]
     for _ in range(500):
-        bi = rng.randrange(len(table.scheme2.blocks))
-        bj = rng.randrange(len(table.scheme3.blocks))
-        block2, block3 = table.scheme2.blocks[bi], table.scheme3.blocks[bj]
-        S = rng.getrandbits(len(block2))
-        T = rng.getrandbits(len(block3))
-        want = any(g.has_edge(block2[i], block3[j])
-                   for i in iter_bits(S) for j in iter_bits(T))
-        assert bool(table.entry(bi, bj, S, T)) == want
+        i = rng.randrange(len(table.blocks))
+        S = table.blocks[i] & rng.getrandbits(len(g.adjacency))
+        assert table.reach[i][S] == reach_by_scan(g, S)
+    for block, sub in zip(table.blocks, table.reach):
+        assert len(sub) == 1 << block.bit_count()
 
 
 def test_block_table_guard():
     g = KPartiteGraph([2, 40, 40])
     with pytest.raises(ResourceLimitError) as exc:
-        build_block_edge_table(g, 20, max_index_bits=26)
+        build_block_edge_table(g, 20)
     assert exc.value.required > exc.value.allowed
 
 
@@ -119,7 +112,7 @@ def test_sparse_params_validation_and_clamp():
     with pytest.raises(InvalidParameterError):
         SparseFRParams(s=4, delta=5).validate()
     with pytest.raises(ResourceLimitError):
-        SparseFRParams(s=100, delta=50, max_index_bits=26).validate()
+        SparseFRParams(s=100, delta=50).validate()
     g = KPartiteGraph([100, 100, 100])
     p = SparseFRParams.defaults(g)
     p.validate()
@@ -153,28 +146,6 @@ def test_sparse_pivoted_empty_v2v3():
             g.adjacency[u] |= 1 << v
             g.adjacency[v] |= 1 << u
     assert len(list_sparse_pivoted(g, None)) == 0
-
-
-def test_chunk_partition_property():
-    rng = random.Random(4)
-    g = random_graph(rng, [8, 12, 12], 0.6)
-    audit = []
-    params = SparseFRParams(s=12, delta=3)
-    list_sparse_four_russians(g, None, params, chunk_audit=audit)
-    assert audit
-    for block_bits, chunks, delta in audit:
-        union = 0
-        for c in chunks:
-            assert c.bit_count() <= delta
-            assert union & c == 0
-            union |= c
-        assert union == block_bits
-        assert len(chunks) == -(-block_bits.bit_count() // delta)
-
-
-def test_chunks_of_exact():
-    assert _chunks_of(0b1011101, 2) == [0b0000101, 0b0011000, 0b1000000]
-    assert _chunks_of(0, 3) == []
 
 
 def test_listing_witnesses_in_canonical_part_order():

@@ -7,6 +7,7 @@ import pytest
 
 from cliquelab.bench import detect_scalar_reference, run_bench, speedup
 from cliquelab.cli import main
+from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.io import parse
 from cliquelab.triangle import detect_naive
@@ -189,6 +190,37 @@ def test_cli_verify_mismatch_exit(capsys, monkeypatch):
                          "--p", "0.9", "--instances", "2"], capsys)
     assert code == 1
     assert "reproducer" in out
+
+
+def test_cli_oversized_part_exits_resource_limit(tmp_path, capsys):
+    for i, header in enumerate(["kpartite 3", "hypergraph 2 3"]):
+        path = tmp_path / f"huge{i}.txt"
+        path.write_text(f"{header}\npart 1\npart 100000000000\npart 1\n"
+                        "edges 0\n")
+        cmd = ["detect-triangle"] if i == 0 else ["list-hypercliques", "--k", "3"]
+        assert main(cmd + [str(path)]) == 3
+        assert "limit is" in capsys.readouterr().err
+
+
+def test_verify_triangle_detect_rejects_non_triangle_witness(monkeypatch):
+    # an FR that finds "a triangle" exactly when one exists, but reports a
+    # triple with a missing edge, must fail the check
+    def fake_fr(g):
+        if detect_naive(g) is None:
+            return None
+        for a in g.part_vertices(0):
+            for b in g.part_vertices(1):
+                if not g.has_edge(a, b):
+                    return (a, b, g.part_vertices(2)[0])
+        return detect_naive(g)
+
+    from cliquelab import verify as vmod
+    monkeypatch.setattr(vmod, "detect_four_russians", fake_fr)
+    g = KPartiteGraph.from_edges([1, 2, 1], [(0, 1), (0, 3), (1, 3)])
+    assert not CHECKS["triangle-detect"](g)
+    report = run_verify("triangle-detect",
+                        gnp_sweep("gnp-kpartite", 6, 3, [0.6], range(3)))
+    assert not report.ok
 
 
 def test_cli_bench_table(tmp_path, capsys):
