@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cliquelab.bitops import iter_bits
+from cliquelab.bitops import iter_bits, split_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError, ResourceLimitError
 from cliquelab.oracles import brute_triangles
@@ -33,6 +33,14 @@ def test_detect_naive_bipartite_only():
 def test_detect_naive_wrong_part_count():
     with pytest.raises(InvalidParameterError):
         detect_naive(KPartiteGraph([2, 2]))
+
+
+def test_block_scheme_partitions_part():
+    g = KPartiteGraph([3, 7, 5])
+    table = build_block_edge_table(g, 3)
+    assert [list(iter_bits(b)) for b in table.blocks] == [[3, 4, 5], [6, 7, 8], [9]]
+    blocks0 = split_bits(g.part_masks[0], 5)
+    assert [list(iter_bits(b)) for b in blocks0] == [[0, 1, 2]]
 
 
 def reach_by_scan(g, S):
@@ -146,6 +154,32 @@ def test_sparse_pivoted_empty_v2v3():
             g.adjacency[u] |= 1 << v
             g.adjacency[v] |= 1 << u
     assert len(list_sparse_pivoted(g, None)) == 0
+
+
+def test_chunk_partition_property():
+    rng = random.Random(4)
+    g = random_graph(rng, [8, 12, 12], 0.6)
+    params = SparseFRParams(s=12, delta=3)
+    assert list_sparse_four_russians(g, None, params).as_set() == \
+        brute_triangles(g).as_set()
+    # The lister cuts each pivot's neighbourhood, block by block, into
+    # delta-chunks; each cut must partition the block's bits.
+    checked = 0
+    for p in (1, 2):
+        blocks = split_bits(g.part_masks[p], params.s)
+        for v in g.part_vertices(0):
+            for bm in blocks:
+                block_bits = g.adjacency[v] & bm
+                chunks = split_bits(block_bits, params.delta)
+                union = 0
+                for c in chunks:
+                    assert c.bit_count() <= params.delta
+                    assert union & c == 0
+                    union |= c
+                assert union == block_bits
+                assert len(chunks) == -(-block_bits.bit_count() // params.delta)
+                checked += bool(chunks)
+    assert checked
 
 
 def test_listing_witnesses_in_canonical_part_order():
