@@ -83,7 +83,8 @@ def cmd_detect_triangle(args) -> int:
     if args.algo == "naive":
         witness = detect_naive(G)
     else:
-        b = args.block_size or default_block_size(G.n_total)
+        b = (default_block_size(G.n_total) if args.block_size is None
+             else args.block_size)
         table = build_block_edge_table(G, b)
         witness = detect_four_russians(G, table)
     _emit({"found": witness is not None,
@@ -96,7 +97,8 @@ def cmd_list_triangles(args) -> int:
     t = args.t
     if args.algo == "regularity":
         cfg = RegularityConfig(
-            epsilon=args.epsilon or default_epsilon(G.n_total),
+            epsilon=(default_epsilon(G.n_total) if args.epsilon is None
+                     else args.epsilon),
             rng_seed=args.seed)
         detail = list_triangles_detailed(G, t, cfg)
         res = detail.result
@@ -179,7 +181,8 @@ def cmd_list_hypercliques(args) -> int:
 
 def cmd_regularity(args) -> int:
     G = _load_graph(args.file)
-    epsilon = args.epsilon or default_epsilon(G.n_total)
+    epsilon = (default_epsilon(G.n_total) if args.epsilon is None
+               else args.epsilon)
     cfg = RegularityConfig(epsilon=epsilon, sample_count=args.samples,
                            rng_seed=args.seed)
     P = weak_regular_partition(G, cfg)

@@ -302,13 +302,13 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
         raise InvalidParameterError(f"hypergraph has {H.k} parts, expected {k}")
     if not 2 <= H.r < k:
         raise InvalidParameterError("need 2 <= r < k")
+    result = ListingResult(requested_t=t)
     if params is None:
         n = max(2, max(H.part_sizes))
         params = choose_block_size(n, k, H.r)
     tables = build_tables(H, params)
     geo = tables.geometry
     cache = compress_all(H, params)
-    result = ListingResult(requested_t=t)
     for v in H.part_vertices(0):
         for j in sorted(tables.populated_j):
             rep = assemble_rep(cache, geo, v, j)

@@ -17,8 +17,8 @@ from .bitops import iter_bits, split_bits
 from .core import KPartiteGraph
 from .errors import InvalidParameterError
 from .oracles import UNBOUNDED, ListingResult
-from .regularity import (RegularityConfig, default_epsilon,
-                         weak_regular_partition)
+from .regularity import (PseudoregularPartition, RegularityConfig,
+                         default_epsilon, weak_regular_partition)
 from .triangle import (SparseFRParams, list_sparse_four_russians,
                        list_sparse_pivoted)
 
@@ -53,6 +53,19 @@ def _default_cfg(G: KPartiteGraph, seed: int = 0) -> RegularityConfig:
     return RegularityConfig(epsilon=default_epsilon(G.n_total), rng_seed=seed)
 
 
+def _partition(G: KPartiteGraph, cfg: RegularityConfig
+               ) -> PseudoregularPartition:
+    """Weak regularity partition of G[V2 u V3], retried on fresh seeds
+    until one passes the sampled check or the attempts run out."""
+    partition = None
+    for attempt in range(PARTITION_ATTEMPTS):
+        attempt_cfg = replace(cfg, rng_seed=cfg.rng_seed + 1009 * attempt)
+        partition = weak_regular_partition(G, attempt_cfg)
+        if partition.verified:
+            break
+    return partition
+
+
 def list_triangles_detailed(G: KPartiteGraph, t: Optional[int],
                             cfg: Optional[RegularityConfig] = None
                             ) -> RegularityListing:
@@ -61,14 +74,15 @@ def list_triangles_detailed(G: KPartiteGraph, t: Optional[int],
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
     if cfg is None:
         cfg = _default_cfg(G)
+    return _list_with_partition(G, t, cfg, _partition(G, cfg))
 
-    partition = None
-    for attempt in range(PARTITION_ATTEMPTS):
-        attempt_cfg = replace(cfg, rng_seed=cfg.rng_seed + 1009 * attempt)
-        partition = weak_regular_partition(G, attempt_cfg)
-        if partition.verified:
-            break
 
+def _list_with_partition(G: KPartiteGraph, t: Optional[int],
+                         cfg: RegularityConfig,
+                         partition: PseudoregularPartition
+                         ) -> RegularityListing:
+    """Plan and list every piece pair of a given partition of G[V2 u V3]."""
+    result = ListingResult(requested_t=t)
     n = max(2, G.n_total)
     log2sq = math.log2(n) ** 2
     sqrt_eps = math.sqrt(cfg.epsilon)
@@ -100,7 +114,6 @@ def list_triangles_detailed(G: KPartiteGraph, t: Optional[int],
             plans.append(plan)
             jobs.append((plan, s2, s3))
 
-    result = ListingResult(requested_t=t)
     for plan, s2, s3 in jobs:
         remaining = None if t is UNBOUNDED else t - len(result.witnesses)
         sub = G.restrict([G.part_masks[0], s2, s3])
@@ -142,9 +155,17 @@ def list_triangles_threshold(G: KPartiteGraph, t: Optional[int],
         blocks_per_part.append(split_bits(G.part_masks[p], bsize) or [0])
 
     result = ListingResult(requested_t=t)
+    # The partition of G[V2 u V3] reads only the V2 and V3 blocks, so one
+    # partition per (V2-block, V3-block) pair serves every V1 block.
+    partitions = {}
     for blocks in product(*blocks_per_part):
         remaining = None if t is UNBOUNDED else t - len(result.witnesses)
-        part = list_triangles(G.restrict(blocks), remaining, cfg)
+        sub = G.restrict(blocks)
+        key = blocks[1], blocks[2]
+        if key not in partitions:
+            partitions[key] = _partition(sub, cfg)
+        part = _list_with_partition(sub, remaining, cfg,
+                                    partitions[key]).result
         result.witnesses.extend(part.witnesses)
         if part.truncated:
             result.truncated = True

@@ -21,11 +21,17 @@ class ListingResult:
 
     ``requested_t`` is None when the caller asked for everything; in that
     case ``len(witnesses)`` equals the instance's total witness count.
+    A negative ``requested_t`` is rejected here, once for every lister.
     """
 
     witnesses: List[Tuple[int, ...]] = field(default_factory=list)
     truncated: bool = False
     requested_t: Optional[int] = UNBOUNDED
+
+    def __post_init__(self):
+        if self.requested_t is not UNBOUNDED and self.requested_t < 0:
+            raise InvalidParameterError(
+                f"t must be non-negative, got {self.requested_t}")
 
     def __len__(self) -> int:
         return len(self.witnesses)

@@ -1,16 +1,23 @@
 """Regularity-driven triangle listing pipeline and its wrappers."""
 
+import math
 import random
+from itertools import product
 
 import pytest
 
+from cliquelab import listing
+from cliquelab.bitops import split_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
+from cliquelab.hyperclique import list_hypercliques
 from cliquelab.listing import (list_all_triangles, list_triangles,
                                list_triangles_detailed,
                                list_triangles_threshold)
 from cliquelab.oracles import brute_triangles
 from cliquelab.regularity import RegularityConfig
+from cliquelab.triangle import list_sparse_four_russians, list_sparse_pivoted
+from tests.test_hyperclique import complete_hypergraph
 from tests.test_core import random_graph
 from tests.test_oracles import complete_kpartite
 
@@ -118,3 +125,69 @@ def test_planted_disjoint_triangles_truncation():
     res = list_triangles(g, 12, FAST_CFG)
     assert len(res) == 12 and res.truncated
     assert res.as_set() <= want and len(res.as_set()) == 12
+
+
+def _threshold_blocks(G):
+    """The ~sqrt(n) blocks per part that list_triangles_threshold uses."""
+    blocks_per_part = []
+    for p in range(3):
+        size = G.part_sizes[p]
+        g = max(1, math.isqrt(max(size - 1, 0)) + 1) if size else 1
+        bsize = max(1, -(-size // g)) if size else 1
+        blocks_per_part.append(split_bits(G.part_masks[p], bsize) or [0])
+    return blocks_per_part
+
+
+def _threshold_reference(G, t, cfg):
+    """One full list_triangles call per block triple, nothing shared."""
+    out = []
+    for blocks in product(*_threshold_blocks(G)):
+        remaining = None if t is None else t - len(out)
+        part = list_triangles(G.restrict(blocks), remaining, cfg)
+        out.extend(part.witnesses)
+        if part.truncated:
+            return out, True
+    return out, False
+
+
+def test_threshold_partitions_once_per_v2_v3_block_pair(monkeypatch):
+    g = random_graph(random.Random(8), [9, 5, 10], 0.5)
+    g1, g2, g3 = map(len, _threshold_blocks(g))
+    assert (g1, g2, g3) == (3, 3, 4)
+    first_attempts = []
+    real = listing.weak_regular_partition
+
+    def counting(G, cfg, *args):
+        if cfg.rng_seed == FAST_CFG.rng_seed:    # retries use other seeds
+            first_attempts.append((G.part_masks[1], G.part_masks[2]))
+        return real(G, cfg, *args)
+
+    monkeypatch.setattr(listing, "weak_regular_partition", counting)
+    list_triangles_threshold(g, None, FAST_CFG)
+    assert len(first_attempts) == g2 * g3
+    assert len(set(first_attempts)) == g2 * g3
+
+
+def test_threshold_witness_order_matches_per_triple_reference():
+    rng = random.Random(41)
+    for sizes, p, t in [([9, 9, 9], 0.5, None), ([7, 12, 5], 0.7, None),
+                        ([10, 10, 10], 0.6, 40), ([0, 6, 6], 0.5, None),
+                        ([6, 1, 8], 0.9, 3), ([16, 16, 16], 0.3, None)]:
+        g = random_graph(rng, sizes, p)
+        res = list_triangles_threshold(g, t, FAST_CFG)
+        assert (res.witnesses, res.truncated) == _threshold_reference(
+            g, t, FAST_CFG)
+
+
+def test_negative_t_rejected_by_every_lister():
+    g = complete_kpartite([3, 3, 3])
+    for lister in (list_sparse_four_russians, list_sparse_pivoted,
+                   list_triangles, list_triangles_threshold):
+        with pytest.raises(InvalidParameterError):
+            lister(g, -1)
+    with pytest.raises(InvalidParameterError):
+        list_triangles_detailed(g, -1, FAST_CFG)
+    with pytest.raises(InvalidParameterError):
+        list_hypercliques(complete_hypergraph(3, [2, 2, 2, 2]), 4, t=-1)
+    with pytest.raises(InvalidParameterError):
+        brute_triangles(g, -1)

@@ -10,6 +10,7 @@ from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.regularity import (EPSILON_CLAMP, PseudoregularPartition,
                                   RegularityConfig, _density_matrix,
+                                  _pair_count, _sample_disjoint_pair,
                                   check_pseudoregular_sampled, default_epsilon,
                                   density, edge_count_between,
                                   weak_regular_partition)
@@ -159,3 +160,86 @@ def test_config_validation():
         RegularityConfig(epsilon=0.1, refinement_budget=0)
     cfg = RegularityConfig(epsilon=0.1)
     assert cfg.max_pieces == 1 << 10
+
+
+def _loop_check(G, P, epsilon, samples, seed):
+    """Per-sample reference for check_pseudoregular_sampled, with every
+    float sum written out as a left-to-right loop."""
+    universe = P.universe()
+    n = universe.bit_count()
+    rng = random.Random(seed)
+    nbits = max(len(G.adjacency), 1)
+    dens = [[float(d) for d in row] for row in P.densities]
+    violations, max_err, worst = 0, 0.0, None
+    for _ in range(samples):
+        S, T = _sample_disjoint_pair(rng, universe, nbits)
+        exact = _pair_count(G, S, T)
+        s_sizes = [(S & p).bit_count() for p in P.pieces]
+        t_sizes = [(T & p).bit_count() for p in P.pieces]
+        est = 0.0
+        for i, si in enumerate(s_sizes):
+            if not si:
+                continue
+            inner = 0.0
+            for j, tj in enumerate(t_sizes):
+                if tj:
+                    inner += dens[i][j] * tj
+            est += si * inner
+        err = abs(exact - est)
+        if err > max_err:
+            max_err, worst = err, (S, T)
+        if err > epsilon * n * n:
+            violations += 1
+    return violations, max_err / (n * n), worst
+
+
+def _random_pieces(rng, universe, nbits, k):
+    pieces = [0] * k
+    for v in range(nbits):
+        if universe >> v & 1:
+            pieces[rng.randrange(k)] |= 1 << v
+    return [p for p in pieces if p]
+
+
+def test_batched_check_matches_loop_reference():
+    rng = random.Random(12)
+    seen_violations = seen_clean = 0
+    # total ids 13 and 70 are not multiples of 8; 40 is not one of 32;
+    # 70 is wider than one 64-bit word
+    for sizes in ([3, 5, 5], [8, 12, 20], [10, 30, 30], [1, 1, 2]):
+        for trial in range(12):
+            G = random_graph(rng, sizes, rng.choice([0.0, 0.2, 0.5, 0.9]))
+            if trial % 2:
+                G = G.restrict([
+                    sum(1 << v for v in G.part_vertices(i)
+                        if rng.random() < 0.7) for i in range(3)])
+            universe = G.part_masks[1] | G.part_masks[2]
+            if not universe:
+                continue
+            if trial % 3 == 0:
+                cfg = RegularityConfig(epsilon=0.02, rng_seed=trial,
+                                       sample_count=50)
+                pieces = weak_regular_partition(G, cfg).pieces
+            else:
+                pieces = _random_pieces(rng, universe, len(G.adjacency),
+                                        rng.randint(1, 12))
+            P = PseudoregularPartition(pieces, _density_matrix(G, pieces),
+                                       epsilon=0.01)
+            for eps in (0.002, 0.02, 0.2):
+                samples, seed = rng.randint(1, 150), rng.randrange(10 ** 6)
+                rep = check_pseudoregular_sampled(G, P, eps, samples, seed)
+                want = _loop_check(G, P, eps, samples, seed)
+                assert (rep.violations, rep.max_error, rep.worst_pair) == want
+                assert rep.samples == samples
+                seen_violations += rep.violations > 0
+                seen_clean += rep.worst_pair is None
+    assert seen_violations >= 20 and seen_clean >= 5
+
+
+def test_check_rejects_nonpositive_samples():
+    G = complete_bipartite(4)
+    P = PseudoregularPartition([G.part_masks[0], G.part_masks[1]],
+                               _density_matrix(G, G.part_masks), epsilon=0.1)
+    for samples in (0, -3):
+        with pytest.raises(InvalidParameterError):
+            check_pseudoregular_sampled(G, P, 0.1, samples, seed=0)

@@ -181,6 +181,34 @@ def test_cli_regularity_rejects_two_part_graph(tmp_path, capsys):
     assert "2-part graph" in capsys.readouterr().err
 
 
+def test_cli_rejects_negative_t(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    run_cli(["gen", "--kind", "gnp-kpartite", "--n", "3", "--k", "3",
+             "--p", "1", "-o", str(g)], capsys)
+    h = tmp_path / "h.txt"
+    run_cli(["gen", "--kind", "gnp-hypergraph", "--n", "2", "--k", "4",
+             "--r", "3", "--p", "1", "-o", str(h)], capsys)
+    for cmd in (["list-triangles", "--algo", "sparse-fr"],
+                ["list-triangles", "--algo", "sparse-fr-pivot"],
+                ["list-triangles", "--algo", "regularity"]):
+        code, out = run_cli(cmd + ["--t", "-1", str(g)], capsys)
+        assert code == 2 and out == ""
+    code, out = run_cli(["list-hypercliques", "--k", "4", "--t", "-1",
+                         str(h)], capsys)
+    assert code == 2 and out == ""
+
+
+def test_cli_zero_epsilon_and_block_size_reach_validation(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    run_cli(["gen", "--kind", "gnp-kpartite", "--n", "6", "--k", "3",
+             "--p", "0.5", "-o", str(g)], capsys)
+    for cmd in (["list-triangles", "--algo", "regularity", "--epsilon", "0"],
+                ["regularity", "--epsilon", "0"],
+                ["detect-triangle", "--algo", "fr", "--block-size", "0"]):
+        code, out = run_cli(cmd + [str(g)], capsys)
+        assert code == 2 and out == ""
+
+
 def test_cli_verify_mismatch_exit(capsys, monkeypatch):
     # verify exits 1 when a check fails; use a stub check
     from cliquelab import verify as vmod
