@@ -8,9 +8,8 @@ hypercliques against the brute-force count.
 from itertools import islice
 
 from cliquelab import (BlockGeometry, GenSpec, HypercliqueParams,
-                       adjacency_subgraph, brute_hypercliques,
-                       choose_block_size, encode_compact, generate,
-                       list_hypercliques)
+                       brute_hypercliques, choose_block_size, compress_all,
+                       decode_compact, generate, list_hypercliques)
 
 
 def main() -> None:
@@ -29,16 +28,20 @@ def main() -> None:
           f"L={params.L} bits ({len(params.index_sets)} index-set segments "
           f"of {params.segment_length} bits)")
 
+    # G_v, the pairs completing a hyperedge with v, as compressed segments
     v = inst.witnesses[0][0]
-    gv = adjacency_subgraph(H, v)
     geo = BlockGeometry(H, params)
-    j0 = tuple(0 for _ in range(3))
-    shift = H.part_sizes[0]
-    in_block = {tuple(u + shift for u in e) for e in gv.edges
-                if all(geo.block_of(u + shift) == 0 for u in e)}
-    rep = encode_compact(in_block, geo, j0)
-    print(f"adjacency subgraph of vertex {v}: {len(gv.edges)} pair edges; "
-          f"compact rep of its first block tuple: {rep:#x}")
+    segments = {(I, jI): seg
+                for (u, I, jI), seg in compress_all(H, params).items()
+                if u == v}
+    j0 = (0, 0, 0)
+    rep = 0
+    for I in geo.index_sets:
+        rep |= segments.get((I, (0, 0)), 0) << geo.seg_offset[I]
+    print(f"adjacency subgraph of vertex {v}: "
+          f"{sum(seg.bit_count() for seg in segments.values())} pair edges "
+          f"in {len(segments)} segments; compact rep of block tuple {j0}: "
+          f"{rep:#x} = {sorted(decode_compact(rep, geo, j0))}")
 
     res = list_hypercliques(H, 4, params=params)
     truth = brute_hypercliques(H, 4)

@@ -8,13 +8,11 @@ verification harness and a benchmark runner around them.
 """
 
 from .bench import BenchReport, detect_scalar_reference, run_bench
-from .core import (KPartiteGraph, NeighborSet, UniformHypergraph,
-                   degree_product, kpartify, neighbors_in_part)
+from .core import KPartiteGraph, UniformHypergraph, degree_product, kpartify
 from .errors import (CliquelabError, InternalInconsistencyError,
                      InvalidParameterError, ParseError, ResourceLimitError)
 from .generate import GenSpec, GeneratedInstance, generate
-from .hyperclique import (BlockGeometry, HypercliqueParams,
-                          adjacency_subgraph, assemble_rep, build_tables,
+from .hyperclique import (BlockGeometry, HypercliqueParams, build_tables,
                           choose_block_size, compress_all, decode_compact,
                           detect_hyperclique, encode_compact,
                           formula_block_side, list_hypercliques)

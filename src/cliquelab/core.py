@@ -7,7 +7,6 @@ subsets by per-part masks over the same rows.  All structures are treated
 as immutable after construction.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -152,21 +151,6 @@ class KPartiteGraph:
                         raise InvalidParameterError(f"asymmetric edge ({u},{v})")
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    """Neighbours of one vertex inside a single part, as a global-id bitmask."""
-
-    part: int
-    bits: int
-
-    @property
-    def degree(self) -> int:
-        return self.bits.bit_count()
-
-    def vertices(self) -> List[int]:
-        return bits_to_list(self.bits)
-
-
 class UniformHypergraph:
     """k-partite r-uniform hypergraph keyed by sorted cross-part tuples."""
 
@@ -262,17 +246,6 @@ def kpartify(adjacency: Sequence[int], k: int) -> KPartiteGraph:
             for u in range(n):
                 out.adjacency[i * n + u] |= adjacency[u] << shift
     return out
-
-
-def neighbors_in_part(G: KPartiteGraph, v: int, i: int) -> NeighborSet:
-    """N_i(v): the neighbours of v inside part i, as a bitmask."""
-    if not 0 <= v < len(G.adjacency):
-        raise InvalidParameterError(f"vertex id out of range: {v}")
-    if not 0 <= i < G.k:
-        raise InvalidParameterError(f"part index out of range: {i}")
-    if G.part_of(v) == i:
-        raise InvalidParameterError("intra-part neighbourhoods are undefined")
-    return NeighborSet(part=i, bits=G.adjacency[v] & G.part_masks[i])
 
 
 def degree_product(G: KPartiteGraph, v: int) -> int:

@@ -2,16 +2,18 @@
 
 Strategy: for each vertex v of part 0, the adjacency subgraph G_v (tuples
 completing a hyperedge with v) is compared block-tuple by block-tuple
-against precomputed lookup tables.  Small (r-1)-uniform hypergraphs on a
-block tuple are keyed by a fixed-order L-bit compact representation, so
-each comparison is one table lookup.
+against precomputed lookup tables.  G_v on a block tuple is a fixed-order
+L-bit compact representation; the table of a block tuple lists its
+(k-1)-hypercliques with the bits each requires, found by a DFS over link
+masks, so each comparison tests a few masks.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .bitops import iter_bits, mask_range
 from .core import UniformHypergraph
 from .errors import InvalidParameterError, ResourceLimitError
 from .oracles import UNBOUNDED, ListingResult
@@ -81,25 +83,6 @@ def choose_block_size(n: int, k: int, r: int,
     return params
 
 
-# -- adjacency subgraph ----------------------------------------------------
-
-
-def adjacency_subgraph(H: UniformHypergraph, v: int) -> UniformHypergraph:
-    """G_v: the (k-1)-partite (r-1)-uniform hypergraph of tuples that
-    complete a hyperedge with v.  Vertex ids are shifted down by part 0."""
-    if H.part_of(v) != 0:
-        raise InvalidParameterError("adjacency subgraph expects a part-0 vertex")
-    if H.r < 2:
-        raise InvalidParameterError("uniformity must be >= 2")
-    shift = H.part_sizes[0]
-    G_v = UniformHypergraph(H.r - 1, H.part_sizes[1:])
-    for e in H.edges:
-        if v in e:
-            rest = tuple(u - shift for u in e if u != v)
-            G_v.add_edge(rest)
-    return G_v
-
-
 # -- compact representation ------------------------------------------------
 
 
@@ -112,14 +95,18 @@ def _blocks_of_part(H: UniformHypergraph, part: int, s: int) -> List[range]:
 
 
 class BlockGeometry:
-    """Block decomposition of parts 1..k-1 plus segment offsets."""
+    """Block decomposition of parts 1..k-1 plus segment offsets.
+
+    ``vertex_slot[u]``, ``vertex_block[u]`` and ``vertex_local[u]`` are the
+    slot (part - 1), the block index and the position inside the block of
+    vertex u; part-0 vertices have slot -1.
+    """
 
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
         params.validate()
         if H.k != params.k or H.r != params.r:
             raise InvalidParameterError("params do not match hypergraph shape")
         self.params = params
-        self.H = H
         self.s = params.s
         self.blocks = [_blocks_of_part(H, p, params.s)
                        for p in range(1, H.k)]          # slot -> block list
@@ -127,28 +114,22 @@ class BlockGeometry:
         self.index_sets = params.index_sets
         self.seg_offset = {I: idx * params.segment_length
                            for idx, I in enumerate(self.index_sets)}
-
-    def slot_of(self, u: int) -> int:
-        return self.H.part_of(u) - 1
-
-    def block_of(self, u: int) -> int:
-        slot = self.slot_of(u)
-        return (u - self.H.part_start[slot + 1]) // self.s
-
-    def local_of(self, u: int) -> int:
-        slot = self.slot_of(u)
-        return (u - self.H.part_start[slot + 1]) % self.s
+        parts = [H.part_of(u) for u in range(H.n_total)]
+        offsets = [u - H.part_start[p] for u, p in enumerate(parts)]
+        self.vertex_slot = [p - 1 for p in parts]
+        self.vertex_block = [i // self.s for i in offsets]
+        self.vertex_local = [i % self.s for i in offsets]
 
     def tuple_bit(self, verts: Sequence[int]) -> Tuple[Tuple[int, ...],
                                                        Tuple[int, ...], int]:
         """For a cross-slot (r-1)-tuple: (I, block indices, bit position)."""
-        pairs = sorted((self.slot_of(u), u) for u in verts)
-        I = tuple(slot for slot, _ in pairs)
-        jI = tuple(self.block_of(u) for _, u in pairs)
+        us = sorted(verts)
+        I = tuple(map(self.vertex_slot.__getitem__, us))
         pos = 0
-        for _, u in pairs:
-            pos = pos * self.s + self.local_of(u)
-        return I, jI, self.seg_offset[I] + pos
+        for u in us:
+            pos = pos * self.s + self.vertex_local[u]
+        return (I, tuple(map(self.vertex_block.__getitem__, us)),
+                self.seg_offset[I] + pos)
 
 
 def encode_compact(edges: Iterable[Tuple[int, ...]], geometry: BlockGeometry,
@@ -200,57 +181,72 @@ def decode_compact(rep: int, geometry: BlockGeometry,
 # -- lookup tables ---------------------------------------------------------
 
 
-class HypercliqueTables:
-    """Per block tuple j, entries keyed by compact representation.
+def _link_masks(H: UniformHypergraph) -> Dict[Tuple[int, ...], int]:
+    """Sorted (r-1)-tuple -> mask of the vertices completing it to a
+    hyperedge.  Built from ``H.edges`` on every call, which callers may
+    reassign or mutate."""
+    links: Dict[Tuple[int, ...], int] = {}
+    for e in H.edges:
+        for i, w in enumerate(e):
+            key = e[:i] + e[i + 1:]
+            links[key] = links.get(key, 0) | (1 << w)
+    return links
 
-    entry(j, rep) lists the tuples (v_2..v_k) in the block tuple that are
+
+class HypercliqueTables:
+    """Per populated block tuple j, the (k-1)-hypercliques of parts 1..k-1
+    inside j with their required bits.
+
+    ``entries[j]`` lists (required, cand) in lexicographic order of cand;
+    required has the bit of every (r-1)-subset of cand.  ``links`` are the
+    link masks of H the entries were found from.  entry(j, rep)
+    lists the tuples (v_2..v_k) in the block tuple that are
     (k-1)-hypercliques both in the induced subgraph G^j of the input and
-    in the rep-encoded hypergraph.  Entries are filled by enumerating,
-    for each qualifying candidate tuple, every representation containing
-    its required bits.
+    in the rep-encoded hypergraph: those whose required bits lie in rep.
+    A list holds at most s^(k-1) candidates.
     """
 
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
         self.geometry = BlockGeometry(H, params)
         geo = self.geometry
-        L = params.L
-        j_total = 1
-        for c in geo.block_counts:
-            j_total *= c
-        entry_bytes = j_total * (1 << L) * 8
-        if entry_bytes > table_byte_budget():
+        # at most s^(k-1) entries per block tuple, each one word for the
+        # required bits and one per candidate vertex
+        table_bytes = (math.prod(geo.block_counts) * params.s ** (H.k - 1)
+                       * 8 * H.k)
+        if table_bytes > table_byte_budget():
             raise ResourceLimitError(
-                f"tables need ~{entry_bytes} bytes, budget is "
+                f"tables need ~{table_bytes} bytes, budget is "
                 f"{table_byte_budget()}",
-                required=entry_bytes, allowed=table_byte_budget())
-        self.entries: Dict[Tuple[Tuple[int, ...], int], List[Tuple[int, ...]]] = {}
-        self.populated_j: Set[Tuple[int, ...]] = set()
-        full = (1 << L) - 1
-        for j in product(*[range(c) for c in geo.block_counts]):
-            block_ranges = [geo.blocks[slot][j[slot]]
-                            for slot in range(H.k - 1)]
-            if any(len(b) == 0 for b in block_ranges):
-                continue
-            for cand in product(*block_ranges):
-                if not H.is_hyperclique(cand):
-                    continue
+                required=table_bytes, allowed=table_byte_budget())
+        self.entries: Dict[Tuple[int, ...],
+                           List[Tuple[int, Tuple[int, ...]]]] = {}
+        self.links = links = _link_masks(H)
+        rm1 = H.r - 1
+        part_masks = [mask_range(H.part_start[p],
+                                 H.part_start[p] + H.part_sizes[p])
+                      for p in range(1, H.k)]
+
+        def extend(prefix: Tuple[int, ...]) -> None:
+            """Link-row DFS: a vertex of the next slot must complete every
+            (r-1)-subset of the prefix, so it lies in all their links."""
+            if len(prefix) == len(part_masks):
                 required = 0
-                for sub in combinations(cand, H.r - 1):
-                    _, _, bit = geo.tuple_bit(sub)
-                    required |= 1 << bit
-                self.populated_j.add(j)
-                free = full & ~required
-                # enumerate rep supersets of the required bits
-                sub_mask = free
-                while True:
-                    key = (j, required | sub_mask)
-                    self.entries.setdefault(key, []).append(cand)
-                    if sub_mask == 0:
-                        break
-                    sub_mask = (sub_mask - 1) & free
+                for sub in combinations(prefix, rm1):
+                    required |= 1 << geo.tuple_bit(sub)[2]
+                j = tuple(map(geo.vertex_block.__getitem__, prefix))
+                self.entries.setdefault(j, []).append((required, prefix))
+                return
+            cands = part_masks[len(prefix)]
+            for sub in combinations(prefix, rm1):
+                cands &= links.get(sub, 0)
+            for u in iter_bits(cands):
+                extend(prefix + (u,))
+
+        extend(())
 
     def entry(self, j: Tuple[int, ...], rep: int) -> List[Tuple[int, ...]]:
-        return self.entries.get((j, rep), [])
+        return [cand for required, cand in self.entries.get(j, ())
+                if not required & ~rep]
 
 
 def build_tables(H: UniformHypergraph, params: HypercliqueParams
@@ -258,37 +254,31 @@ def build_tables(H: UniformHypergraph, params: HypercliqueParams
     return HypercliqueTables(H, params)
 
 
-def compress_all(H: UniformHypergraph, params: HypercliqueParams
+def compress_all(H: UniformHypergraph, params: HypercliqueParams,
+                 links: Optional[Dict[Tuple[int, ...], int]] = None
                  ) -> Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int]:
     """Segment cache: (v, I, j_I) -> segment bits of G_v^j restricted to I.
 
     A full representation for any (v, j) is then assembled by concatenating
-    C(k-1, r-1) cached segments.
+    C(k-1, r-1) cached segments.  ``links`` are H's link masks, built here
+    when not given.
     """
     geo = BlockGeometry(H, params)
+    if links is None:
+        links = _link_masks(H)
+    part0 = mask_range(0, H.part_sizes[0])
     cache: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int] = {}
-    part0 = set(H.part_vertices(0))
-    off = geo.seg_offset
-    for e in H.edges:
-        for v in e:
-            if v not in part0:
-                continue
-            rest = tuple(u for u in e if u != v)
-            I, jI, bit = geo.tuple_bit(rest)
+    for rest, mask in links.items():
+        # edges are cross-part, so part-0 completions imply a part-0-free rest
+        completions = mask & part0
+        if not completions:
+            continue
+        I, jI, bit = geo.tuple_bit(rest)
+        seg_bit = 1 << (bit - geo.seg_offset[I])
+        for v in iter_bits(completions):
             key = (v, I, jI)
-            cache[key] = cache.get(key, 0) | (1 << (bit - off[I]))
+            cache[key] = cache.get(key, 0) | seg_bit
     return cache
-
-
-def assemble_rep(cache, geo: BlockGeometry, v: int,
-                 j: Tuple[int, ...]) -> int:
-    rep = 0
-    for I in geo.index_sets:
-        jI = tuple(j[slot] for slot in I)
-        seg = cache.get((v, I, jI))
-        if seg:
-            rep |= seg << geo.seg_offset[I]
-    return rep
 
 
 # -- listing / detection ---------------------------------------------------
@@ -308,15 +298,26 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
         params = choose_block_size(n, k, H.r)
     tables = build_tables(H, params)
     geo = tables.geometry
-    cache = compress_all(H, params)
+    cache = compress_all(H, params, tables.links)
+    # Segment keys and offsets of each populated j.  Every candidate has a
+    # required bit in every segment, so one empty segment rules (v, j) out.
+    plan = [(j, [(I, tuple(j[slot] for slot in I), geo.seg_offset[I])
+                 for I in geo.index_sets])
+            for j in sorted(tables.entries)]
     for v in H.part_vertices(0):
-        for j in sorted(tables.populated_j):
-            rep = assemble_rep(cache, geo, v, j)
-            for cand in tables.entry(j, rep):
-                if t is not UNBOUNDED and len(result.witnesses) == t:
-                    result.truncated = True
-                    return result
-                result.witnesses.append((v,) + tuple(cand))
+        for j, keys in plan:
+            rep = 0
+            for I, jI, offset in keys:
+                seg = cache.get((v, I, jI))
+                if not seg:
+                    break
+                rep |= seg << offset
+            else:
+                for cand in tables.entry(j, rep):
+                    if t is not UNBOUNDED and len(result.witnesses) == t:
+                        result.truncated = True
+                        return result
+                    result.witnesses.append((v,) + cand)
     return result
 
 

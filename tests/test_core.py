@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cliquelab.bitops import (iter_bits, mask_from_vertices, mask_range,
                               split_bits)
 from cliquelab.core import (KPartiteGraph, UniformHypergraph, degree_product,
-                            kpartify, neighbors_in_part)
+                            kpartify)
 from cliquelab.errors import InvalidParameterError
 
 
@@ -122,10 +122,8 @@ def test_subset_family_validation():
         view.part_of(1)
 
 
-def test_neighbors_and_degree_product():
+def test_degree_product():
     g = KPartiteGraph.from_edges([1, 2, 2], [(0, 1), (0, 2), (0, 3)])
-    assert neighbors_in_part(g, 0, 1).degree == 2
-    assert neighbors_in_part(g, 0, 2).vertices() == [3]
     assert degree_product(g, 0) == 2
 
 

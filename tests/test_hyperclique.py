@@ -5,16 +5,18 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cliquelab.core import KPartiteGraph, UniformHypergraph
 from cliquelab.errors import InvalidParameterError, ResourceLimitError
 from cliquelab.generate import GenSpec, generate
 from cliquelab.hyperclique import (BlockGeometry, HypercliqueParams,
-                                   adjacency_subgraph, assemble_rep,
-                                   build_tables, choose_block_size,
-                                   compress_all, decode_compact,
-                                   detect_hyperclique, encode_compact,
-                                   formula_block_side, list_hypercliques)
+                                   _link_masks, build_tables,
+                                   choose_block_size, compress_all,
+                                   decode_compact, detect_hyperclique,
+                                   encode_compact, formula_block_side,
+                                   list_hypercliques)
 from cliquelab.kclique import detect_kclique
 from cliquelab.oracles import brute_hypercliques, brute_kclique
 
@@ -28,23 +30,32 @@ def complete_hypergraph(r, sizes):
     return h
 
 
+def link_subgraph(links, v):
+    """G_v read off the link masks: the (r-1)-tuples that v completes."""
+    return {sub for sub, mask in links.items() if (mask >> v) & 1}
+
+
 def test_adjacency_subgraph_single_edge():
     h = UniformHypergraph(3, [2, 2, 2, 2])
     h.add_edge((0, 2, 4))
-    gv = adjacency_subgraph(h, 0)
-    assert gv.r == 2 and gv.part_sizes == [2, 2, 2]
-    assert gv.edges == {(0, 2)}      # ids shifted down by part 0
-    assert adjacency_subgraph(h, 1).edges == set()
+    links = _link_masks(h)
+    assert links == {(2, 4): 1 << 0, (0, 4): 1 << 2, (0, 2): 1 << 4}
+    assert link_subgraph(links, 0) == {(2, 4)}
+    assert link_subgraph(links, 1) == set()
 
 
 def test_adjacency_subgraph_matches_filter_scan():
     for seed in range(5):
         h = generate(GenSpec("gnp-hypergraph", 5, 4, 0.4, seed, r=3)).graph
+        links = _link_masks(h)
+        assert set(links) == {e[:i] + e[i + 1:] for e in h.edges
+                              for i in range(3)}
+        for sub, mask in links.items():
+            assert mask == sum(1 << w for w in range(h.n_total)
+                               if tuple(sorted(sub + (w,))) in h.edges)
         for v in h.part_vertices(0):
-            gv = adjacency_subgraph(h, v)
-            want = {tuple(u - h.part_sizes[0] for u in e if u != v)
-                    for e in h.edges if v in e}
-            assert gv.edges == want
+            want = {tuple(u for u in e if u != v) for e in h.edges if v in e}
+            assert link_subgraph(links, v) == want
 
 
 def test_choose_block_size_arithmetic():
@@ -126,7 +137,7 @@ def test_tables_edgeless_and_complete():
     params = HypercliqueParams(s=1, k=4, r=3)
     empty = UniformHypergraph(3, [2, 2, 2, 2])
     tables = build_tables(empty, params)
-    assert not tables.entries and not tables.populated_j
+    assert not tables.entries
 
     full = complete_hypergraph(3, [2, 2, 2, 2])
     tables = build_tables(full, params)
@@ -191,8 +202,11 @@ def test_compress_all_matches_direct_encoding():
                 direct = [e for e in gv_edges
                           if geo.tuple_bit(e)[1] ==
                           tuple(j[slot] for slot in geo.tuple_bit(e)[0])]
-                assert assemble_rep(cache, geo, v, j) == \
-                    encode_compact(direct, geo, j)
+                rep = 0
+                for I in geo.index_sets:
+                    jI = tuple(j[slot] for slot in I)
+                    rep |= cache.get((v, I, jI), 0) << geo.seg_offset[I]
+                assert rep == encode_compact(direct, geo, j)
 
 
 def test_listing_complete_16_and_truncated():
@@ -226,14 +240,15 @@ def test_observation_subgraph_equivalence():
     rng = random.Random(30)
     for seed in range(5):
         h = generate(GenSpec("gnp-hypergraph", 4, 4, 0.6, seed, r=3)).graph
-        shift = h.part_sizes[0]
+        links = _link_masks(h)
         for _ in range(200):
             verts = tuple(h.part_vertices(i)[rng.randrange(h.part_sizes[i])]
                           for i in range(4))
             lhs = h.is_hyperclique(verts)
-            gv = adjacency_subgraph(h, verts[0])
-            rest = tuple(v - shift for v in verts[1:])
-            rhs = gv.is_hyperclique(rest) and h.is_hyperclique(verts[1:])
+            gv = link_subgraph(links, verts[0])
+            rest = verts[1:]
+            rhs = (set(combinations(rest, 2)) <= gv
+                   and h.is_hyperclique(rest))
             assert lhs == rhs
 
 
@@ -249,3 +264,44 @@ def test_r2_cross_checks_kclique_module():
 def test_detect_trivial_cases():
     assert detect_hyperclique(complete_hypergraph(3, [2, 2, 2, 2]), 4)
     assert not detect_hyperclique(UniformHypergraph(3, [2, 2, 2, 2]), 4)
+
+
+@st.composite
+def hyper_cases(draw):
+    """Random hypergraph with empty, single-vertex and short-block parts,
+    a block side s and a threshold t."""
+    k = draw(st.sampled_from([3, 4, 5]))
+    r = draw(st.integers(2, k - 1))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    p = draw(st.sampled_from([0.0, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    h = UniformHypergraph(r, sizes)
+    for pc in combinations(range(k), r):
+        for verts in product(*[h.part_vertices(i) for i in pc]):
+            if rng.random() < p:
+                h.add_edge(verts)
+    return h, draw(st.sampled_from([1, 2, 3])), draw(
+        st.sampled_from([None, 1, 2]))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hyper_cases())
+def test_listing_order_matches_sorted_oracle(case):
+    h, s, t = case
+    k = h.k
+    # a wide guard lets s = 3 run at every (k, r)
+    params = HypercliqueParams(s=s, k=k, r=h.r, max_table_bits=128)
+
+    def order(w):
+        rest = w[1:]
+        blocks = tuple((u - h.part_start[i + 1]) // s
+                       for i, u in enumerate(rest))
+        return (w[0], blocks, rest)
+
+    want = sorted(brute_hypercliques(h, k).as_set(), key=order)
+    res = list_hypercliques(h, k, t=t, params=params)
+    assert res.witnesses == want[:t]
+    assert res.truncated == (t is not None and len(want) > t)
+    tables = build_tables(h, params)
+    assert all(len(lst) <= s ** (k - 1) for lst in tables.entries.values())

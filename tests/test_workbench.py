@@ -209,6 +209,41 @@ def test_cli_zero_epsilon_and_block_size_reach_validation(tmp_path, capsys):
         assert code == 2 and out == ""
 
 
+HYPER_FILES = {
+    "graph": "kpartite 4\npart 2\npart 2\npart 2\npart 2\nedges 1\n0 2\n",
+    "hyper": "hypergraph 3 4\npart 2\npart 2\npart 2\npart 2\nedges 1\n"
+             "0 2 4\n",
+}
+HYPER_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "10"}
+
+
+# (subcommand and flags, input file, environment, exit code)
+@pytest.mark.parametrize("cmd, fname, env, code", [
+    (["detect-hyperclique", "--k", "4"], "hyper", {}, 0),
+    (["list-hypercliques", "--k", "4"], "hyper", {}, 0),
+    (["detect-hyperclique", "--k", "4"], "graph", {}, 2),
+    (["list-hypercliques", "--k", "4"], "graph", {}, 2),
+    (["detect-hyperclique", "--k", "5"], "hyper", {}, 2),
+    (["list-hypercliques", "--k", "3"], "hyper", {}, 2),
+    (["list-hypercliques", "--k", "4", "--t", "-1"], "hyper", {}, 2),
+    (["detect-hyperclique", "--k", "4", "--max-table-bits", "2"], "hyper",
+     {}, 3),
+    (["list-hypercliques", "--k", "4", "--max-table-bits", "2"], "hyper",
+     {}, 3),
+    (["detect-hyperclique", "--k", "4"], "hyper", HYPER_BUDGET, 3),
+    (["list-hypercliques", "--k", "4"], "hyper", HYPER_BUDGET, 3),
+])
+def test_cli_hyperclique_exit_codes(tmp_path, capsys, monkeypatch, cmd, fname,
+                                    env, code):
+    path = tmp_path / f"{fname}.txt"
+    path.write_text(HYPER_FILES[fname])
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    got, out = run_cli(cmd + [str(path)], capsys)
+    assert got == code
+    assert (out == "") == (code != 0)
+
+
 def test_cli_verify_mismatch_exit(capsys, monkeypatch):
     # verify exits 1 when a check fails; use a stub check
     from cliquelab import verify as vmod
