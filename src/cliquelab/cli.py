@@ -23,9 +23,9 @@ from .kclique import (RecursionParams, TraceNode, choose_params,
 from .listing import list_triangles_detailed
 from .regularity import (RegularityConfig, check_pseudoregular_sampled,
                          default_epsilon, weak_regular_partition)
-from .triangle import (SparseFRParams, build_block_edge_table,
-                       default_block_size, detect_four_russians, detect_naive,
-                       list_sparse_four_russians, list_sparse_pivoted)
+from .triangle import (build_block_edge_table, detect_four_russians,
+                       detect_naive, list_sparse_four_russians,
+                       list_sparse_pivoted)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -82,11 +82,11 @@ def cmd_detect_triangle(args) -> int:
     G = _load_graph(args.file)
     if args.algo == "naive":
         witness = detect_naive(G)
+    elif args.block_size is None:
+        witness = detect_four_russians(G)
     else:
-        b = (default_block_size(G.n_total) if args.block_size is None
-             else args.block_size)
-        table = build_block_edge_table(G, b)
-        witness = detect_four_russians(G, table)
+        witness = detect_four_russians(
+            G, build_block_edge_table(G, args.block_size))
     _emit({"found": witness is not None,
            "witness": list(witness) if witness else None}, args.json)
     return EXIT_OK
@@ -111,11 +111,9 @@ def cmd_list_triangles(args) -> int:
             "plans": [asdict(p) for p in detail.plans],
         }
     else:
-        params = (SparseFRParams.paper(G) if args.paper_params
-                  else SparseFRParams.defaults(G))
         lister = (list_sparse_pivoted if args.algo == "sparse-fr-pivot"
                   else list_sparse_four_russians)
-        res = lister(G, t, params)
+        res = lister(G, t)
         payload = {
             "count": len(res.witnesses),
             "truncated": res.truncated,
@@ -269,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after t triangles (default: list all)")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paper-params", action="store_true",
-                   help="literal formula parameters, clamped to the guards")
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=cmd_list_triangles)

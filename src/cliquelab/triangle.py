@@ -6,7 +6,8 @@ Three engines over 3-part graphs:
 * ``detect_four_russians`` -- Four-Russians reach masks: part 1 is cut
   into blocks of b vertices, and every subset of a block maps to the union
   of its part-2 neighbourhoods, so a part-0 vertex's question "is there an
-  edge under my row?" is one lookup per block, OR'd, plus one AND.
+  edge under my row?" is one lookup per block, OR'd, plus one AND.  Tables
+  are keyed by block-local masks; b defaults to floor(log2(n) / 2).
 * ``list_sparse_four_russians`` / ``list_sparse_pivoted`` -- the sparse
   variant: neighbourhoods are chunked into pieces of size <= delta and the
   per-chunk-pair edge lists are served from a memoised table, so listing
@@ -25,7 +26,6 @@ from .errors import (InternalInconsistencyError, InvalidParameterError,
 from .oracles import UNBOUNDED, ListingResult
 
 DEFAULT_MAX_INDEX_BITS = 26
-DEFAULT_BLOCK_EPS = 0.25
 
 _ENV_BUDGET = "CLIQUELAB_MAX_TABLE_BYTES"
 _DEFAULT_TABLE_BYTES = 1 << 28
@@ -35,12 +35,22 @@ def table_byte_budget() -> int:
     return int(os.environ.get(_ENV_BUDGET, _DEFAULT_TABLE_BYTES))
 
 
-def default_block_size(n_total: int, eps: float = DEFAULT_BLOCK_EPS) -> int:
-    """b = max(1, floor(eps * log2 n)): logarithmic block side so the
-    per-block subset tables stay word-sized."""
-    if n_total < 2:
-        return 1
-    return max(1, int(eps * math.log2(n_total)))
+def block_table_bytes(G: KPartiteGraph, b: int) -> int:
+    """Estimated reach-table bytes at block size b: 2^b masks of
+    ``len(adjacency)`` bits per part-1 block."""
+    blocks = -(-G.part_sizes[1] // b)
+    return blocks * (1 << b) * -(-len(G.adjacency) // 8)
+
+
+def default_block_size(G: KPartiteGraph) -> int:
+    """b = max(1, floor(log2 n_total / 2)), within about 10% of the best
+    build + query time on dense triangle-free graphs (96-1024 per part),
+    stepped down while ``block_table_bytes`` exceeds the byte budget; at
+    b = 1 ``BlockEdgeTable`` raises if the table still does not fit."""
+    b = max(1, (G.n_total.bit_length() - 1) // 2)
+    while b > 1 and block_table_bytes(G, b) > table_byte_budget():
+        b -= 1
+    return b
 
 
 def _graph_fingerprint(G: KPartiteGraph) -> int:
@@ -53,10 +63,11 @@ def _graph_fingerprint(G: KPartiteGraph) -> int:
 class BlockEdgeTable:
     """Four-Russians reach masks over parts 1 and 2.
 
-    Part 1 is cut into blocks of b vertices; ``reach[i]`` maps every subset
-    S of block i (a global-id mask) to the union of S's part-2
-    neighbourhoods, so the part-2 reach of any part-1 set is at most one
-    lookup per block, OR'd together.
+    Part 1 is cut into blocks of b vertices (``split_bits``; a view's
+    blocks may have gaps).  ``reach[i]`` maps every subset S of block i,
+    keyed by the block-local mask ``S >> shifts[i]`` (``shifts[i]`` is the
+    block's lowest bit), to the union of S's part-2 neighbourhoods, so the
+    part-2 reach of a part-1 set is one short-key lookup per block, OR'd.
     """
 
     def __init__(self, G: KPartiteGraph, b: int):
@@ -69,22 +80,22 @@ class BlockEdgeTable:
                 f"subset-pair index needs {2 * b} bits, guard is "
                 f"{DEFAULT_MAX_INDEX_BITS}",
                 required=2 * b, allowed=DEFAULT_MAX_INDEX_BITS)
-        self.fingerprint = _graph_fingerprint(G)
-        self.blocks = split_bits(G.part_masks[1], b)
-
-        need = len(self.blocks) * (1 << b) * -(-len(G.adjacency) // 8)
+        need = block_table_bytes(G, b)
         if need > table_byte_budget():
             raise ResourceLimitError(
                 f"table needs ~{need} bytes, budget is "
                 f"{table_byte_budget()} (set {_ENV_BUDGET} to raise)",
                 required=need, allowed=table_byte_budget())
+        self.fingerprint = _graph_fingerprint(G)
+        self.blocks = split_bits(G.part_masks[1], b)
+        self.shifts = [(bl & -bl).bit_length() - 1 for bl in self.blocks]
 
         mask3 = G.part_masks[2]
         self.reach: List[Dict[int, int]] = []
-        for block in self.blocks:
+        for block, lo in zip(self.blocks, self.shifts):
             sub = {0: 0}
             for u in iter_bits(block):
-                bit, nbrs = 1 << u, G.adjacency[u] & mask3
+                bit, nbrs = 1 << (u - lo), G.adjacency[u] & mask3
                 sub.update({S | bit: r | nbrs for S, r in sub.items()})
             self.reach.append(sub)
 
@@ -126,19 +137,20 @@ def detect_four_russians(G: KPartiteGraph,
     if G.k != 3:
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
     if table is None:
-        table = build_block_edge_table(G, default_block_size(G.n_total))
+        table = build_block_edge_table(G, default_block_size(G))
     elif table.fingerprint != _graph_fingerprint(G):
         raise InvalidParameterError("table was built from a different graph")
     mask2, mask3 = G.part_masks[1], G.part_masks[2]
-    lookups = list(zip(table.blocks, table.reach))
+    lookups = [(lo, block >> lo, sub) for block, lo, sub
+               in zip(table.blocks, table.shifts, table.reach)]
     for v1 in G.part_vertices(0):
         row = G.adjacency[v1]
         row3 = row & mask3
         if not row & mask2 or not row3:
             continue
         reach = 0
-        for block, sub in lookups:
-            reach |= sub[row & block]
+        for lo, local, sub in lookups:
+            reach |= sub[(row >> lo) & local]
         if reach & row3:
             for u in iter_bits(row & mask2):
                 common = G.adjacency[u] & row3
@@ -183,18 +195,6 @@ class SparseFRParams:
         n = G.n_total
         s = max(1, max(G.part_sizes))
         delta = max(1, int(math.log2(n) / 4)) if n >= 2 else 1
-        return cls._clamped(s, delta)
-
-    @classmethod
-    def paper(cls, G: KPartiteGraph) -> "SparseFRParams":
-        """Literal asymptotic formulas s=(log n)^100, delta=log n/(1000 loglog n),
-        then clamped to desk scale."""
-        n = max(2, G.n_total)
-        log = math.log2(n)
-        s = int(log ** 100) if log ** 100 < 2 ** 62 else 2 ** 62
-        s = min(max(1, s), max(1, max(G.part_sizes)))
-        loglog = math.log2(log) if log > 1 else 1.0
-        delta = max(1, int(log / (1000 * max(loglog, 1e-9))))
         return cls._clamped(s, delta)
 
     @classmethod

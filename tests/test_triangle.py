@@ -8,8 +8,8 @@ from cliquelab.bitops import iter_bits, split_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError, ResourceLimitError
 from cliquelab.oracles import brute_triangles
-from cliquelab.triangle import (SparseFRParams, build_block_edge_table,
-                                default_block_size,
+from cliquelab.triangle import (SparseFRParams, block_table_bytes,
+                                build_block_edge_table, default_block_size,
                                 detect_four_russians, detect_naive,
                                 list_sparse_four_russians, list_sparse_pivoted)
 from tests.test_core import random_graph
@@ -54,8 +54,9 @@ def test_block_table_singleton_entries_match_edges():
     g = random_graph(random.Random(2), [3, 4, 4], 0.5)
     table = build_block_edge_table(g, 1)
     assert table.blocks == [1 << u for u in g.part_vertices(1)]
+    assert table.shifts == list(g.part_vertices(1))
     for block, sub in zip(table.blocks, table.reach):
-        assert sub == {0: 0, block: reach_by_scan(g, block)}
+        assert sub == {0: 0, 1: reach_by_scan(g, block)}
 
 
 def test_block_table_random_queries_vs_scan():
@@ -66,7 +67,7 @@ def test_block_table_random_queries_vs_scan():
     for _ in range(500):
         i = rng.randrange(len(table.blocks))
         S = table.blocks[i] & rng.getrandbits(len(g.adjacency))
-        assert table.reach[i][S] == reach_by_scan(g, S)
+        assert table.reach[i][S >> table.shifts[i]] == reach_by_scan(g, S)
     for block, sub in zip(table.blocks, table.reach):
         assert len(sub) == 1 << block.bit_count()
 
@@ -111,9 +112,73 @@ def test_detect_four_russians_rejects_foreign_table():
         detect_four_russians(g2, table)
 
 
-def test_default_block_size_quarter_log():
-    assert default_block_size(2 ** 16) == 4
-    assert default_block_size(2) == 1
+def test_default_block_size_half_log():
+    # b = floor(log2(n_total) / 2) while the tables fit the budget
+    assert default_block_size(KPartiteGraph([1, 1, 2 ** 16 - 2])) == 8
+    assert default_block_size(KPartiteGraph([384] * 3)) == 5
+    assert default_block_size(KPartiteGraph([96] * 3)) == 4
+    assert default_block_size(KPartiteGraph([1, 1, 0])) == 1
+    assert default_block_size(KPartiteGraph([0, 0, 0])) == 1
+    # 8192 per part: b = 7 and b = 6 exceed the 256 MB default budget
+    g = KPartiteGraph([8192] * 3)
+    assert block_table_bytes(g, 6) > 1 << 28 >= block_table_bytes(g, 5)
+    assert default_block_size(g) == 5
+
+
+def test_default_block_size_steps_down_to_budget(monkeypatch):
+    g = random_graph(random.Random(9), [20, 24, 20], 0.3)
+    b = default_block_size(g)
+    want = detect_four_russians(g)
+    assert want is not None and detect_naive(g) is not None
+    low, high = block_table_bytes(g, 1), block_table_bytes(g, b)
+    assert b > 1 and low < high
+    monkeypatch.setenv("CLIQUELAB_MAX_TABLE_BYTES", str((low + high) // 2))
+    assert 1 <= default_block_size(g) < b
+    assert detect_four_russians(g) == want
+    monkeypatch.setenv("CLIQUELAB_MAX_TABLE_BYTES", "10")
+    with pytest.raises(ResourceLimitError):
+        detect_four_russians(g)
+
+
+def dense_triangle_free(n):
+    """Parts 0-1 and 0-(lower half of 2) complete, 1-(upper half of 2)
+    complete: every pair of parts is dense, yet no triangle exists."""
+    g = KPartiteGraph([n, n, n])
+    lower = g.part_vertices(2)[:n // 2]
+    upper = g.part_vertices(2)[n // 2:]
+    for a, b in ([(u, v) for u in g.part_vertices(0) for v in g.part_vertices(1)]
+                 + [(u, w) for u in g.part_vertices(0) for w in lower]
+                 + [(v, w) for v in g.part_vertices(1) for w in upper]):
+        g.adjacency[a] |= 1 << b
+        g.adjacency[b] |= 1 << a
+    return g
+
+
+def fr_cases():
+    rng = random.Random(17)
+    for sizes in ([0, 5, 5], [5, 0, 5], [5, 5, 0], [1, 1, 1], [7, 11, 13],
+                  [12, 17, 9]):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            yield random_graph(rng, sizes, p)
+    yield dense_triangle_free(10)
+    # one added part-1 edge into the lower half of part 2 closes a
+    # triangle with every part-0 vertex
+    planted = dense_triangle_free(10)
+    v, w = planted.part_vertices(1)[7], planted.part_vertices(2)[3]
+    planted.adjacency[v] |= 1 << w
+    planted.adjacency[w] |= 1 << v
+    yield planted
+
+
+def test_four_russians_witness_independent_of_block_size():
+    for g in fr_cases():
+        want = detect_four_russians(g)
+        assert (want is None) == (detect_naive(g) is None)
+        if want is not None:
+            v1, v2, v3 = want
+            assert g.has_edge(v1, v2) and g.has_edge(v1, v3) and g.has_edge(v2, v3)
+        for b in range(1, 9):
+            assert detect_four_russians(g, build_block_edge_table(g, b)) == want
 
 
 def test_sparse_params_validation_and_clamp():
@@ -124,8 +189,6 @@ def test_sparse_params_validation_and_clamp():
     g = KPartiteGraph([100, 100, 100])
     p = SparseFRParams.defaults(g)
     p.validate()
-    pp = SparseFRParams.paper(g)
-    pp.validate()
 
 
 def test_sparse_listing_complete():

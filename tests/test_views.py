@@ -63,8 +63,8 @@ def test_triangle_engines_on_views_match_oracle(case):
     truth = _global(ids, brute_triangles(copy).witnesses)
     assert brute_triangles(view).as_set() == truth
 
-    found = [detect_naive(view)]
-    for b in (1, 2, 3):
+    found = [detect_naive(view), detect_four_russians(view)]
+    for b in (1, 2, 3, 5, 8):
         found.append(detect_four_russians(view, build_block_edge_table(view, b)))
     for w in found:
         assert (w is None) == (not truth)

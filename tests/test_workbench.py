@@ -214,7 +214,7 @@ HYPER_FILES = {
     "hyper": "hypergraph 3 4\npart 2\npart 2\npart 2\npart 2\nedges 1\n"
              "0 2 4\n",
 }
-HYPER_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "10"}
+TINY_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "10"}
 
 
 # (subcommand and flags, input file, environment, exit code)
@@ -230,8 +230,8 @@ HYPER_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "10"}
      {}, 3),
     (["list-hypercliques", "--k", "4", "--max-table-bits", "2"], "hyper",
      {}, 3),
-    (["detect-hyperclique", "--k", "4"], "hyper", HYPER_BUDGET, 3),
-    (["list-hypercliques", "--k", "4"], "hyper", HYPER_BUDGET, 3),
+    (["detect-hyperclique", "--k", "4"], "hyper", TINY_BUDGET, 3),
+    (["list-hypercliques", "--k", "4"], "hyper", TINY_BUDGET, 3),
 ])
 def test_cli_hyperclique_exit_codes(tmp_path, capsys, monkeypatch, cmd, fname,
                                     env, code):
@@ -242,6 +242,50 @@ def test_cli_hyperclique_exit_codes(tmp_path, capsys, monkeypatch, cmd, fname,
     got, out = run_cli(cmd + [str(path)], capsys)
     assert got == code
     assert (out == "") == (code != 0)
+
+
+TRIANGLE_FILES = {
+    # 3 vertices per part, one triangle (0, 3, 6); the FR table needs
+    # 12 bytes even at b = 1
+    "tri": "kpartite 3\npart 3\npart 3\npart 3\nedges 3\n0 3\n0 6\n3 6\n",
+    "two": "kpartite 2\npart 2\npart 2\nedges 1\n0 2\n",
+    "trailing": "kpartite 3\npart 3\npart 3\npart 3\nedges 3\n0 3\n0 6\n"
+                "3 6\nextra\n",
+}
+
+
+# (subcommand and flags, input file, environment, exit code)
+@pytest.mark.parametrize("cmd, fname, env, code", [
+    (["detect-triangle"], "tri", {}, 0),
+    (["detect-triangle", "--algo", "fr"], "tri", {}, 0),
+    (["detect-triangle", "--algo", "fr", "--block-size", "3"], "tri", {}, 0),
+    (["detect-triangle", "--algo", "fr", "--block-size", "0"], "tri", {}, 2),
+    (["detect-triangle", "--algo", "fr", "--block-size", "14"], "tri", {},
+     3),
+    (["detect-triangle", "--algo", "fr"], "tri", TINY_BUDGET, 3),
+    (["detect-triangle", "--algo", "fr", "--block-size", "1"], "tri",
+     TINY_BUDGET, 3),
+    (["detect-triangle", "--algo", "naive"], "tri", TINY_BUDGET, 0),
+    (["detect-triangle"], "two", {}, 2),
+    (["detect-triangle", "--algo", "fr"], "two", {}, 2),
+    (["detect-triangle"], "trailing", {}, 2),
+    (["detect-triangle", "--algo", "fr"], "trailing", {}, 2),
+    (["detect-triangle"], "missing", {}, 2),
+    (["detect-triangle", "--algo", "fr"], "missing", {}, 2),
+])
+def test_cli_detect_triangle_exit_codes(tmp_path, capsys, monkeypatch, cmd,
+                                        fname, env, code):
+    path = tmp_path / f"{fname}.txt"
+    if fname in TRIANGLE_FILES:
+        path.write_text(TRIANGLE_FILES[fname])
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    got, out = run_cli(cmd + ["--json", str(path)], capsys)
+    assert got == code
+    if code:
+        assert out == ""
+    else:
+        assert json.loads(out) == {"found": True, "witness": [0, 3, 6]}
 
 
 def test_cli_verify_mismatch_exit(capsys, monkeypatch):
