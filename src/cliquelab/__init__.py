@@ -8,7 +8,7 @@ verification harness and a benchmark runner around them.
 """
 
 from .bench import BenchReport, detect_scalar_reference, run_bench
-from .core import KPartiteGraph, UniformHypergraph, degree_product, kpartify
+from .core import KPartiteGraph, UniformHypergraph, kpartify
 from .errors import (CliquelabError, InternalInconsistencyError,
                      InvalidParameterError, ParseError, ResourceLimitError)
 from .generate import GenSpec, GeneratedInstance, generate

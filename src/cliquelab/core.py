@@ -66,9 +66,13 @@ class KPartiteGraph:
         for m in masks:
             if m & seen:
                 raise InvalidParameterError("vertex masks overlap")
-            if m and not any((m & ~p) == 0 for p in self.part_masks):
-                raise InvalidParameterError(
-                    "vertex mask does not lie inside one part")
+            if m:
+                for p in self.part_masks:
+                    if not m & ~p:
+                        break
+                else:
+                    raise InvalidParameterError(
+                        "vertex mask does not lie inside one part")
             seen |= m
         view = object.__new__(KPartiteGraph)
         view.adjacency = self.adjacency
@@ -247,15 +251,3 @@ def kpartify(adjacency: Sequence[int], k: int) -> KPartiteGraph:
                 out.adjacency[i * n + u] |= adjacency[u] << shift
     return out
 
-
-def degree_product(G: KPartiteGraph, v: int) -> int:
-    """Product of v's degrees into parts 1..k-1; v must lie in part 0."""
-    if G.part_of(v) != 0:
-        raise InvalidParameterError("degree_product expects a part-0 vertex")
-    prod = 1
-    row = G.adjacency[v]
-    for i in range(1, G.k):
-        prod *= (row & G.part_masks[i]).bit_count()
-        if prod == 0:
-            return 0
-    return prod

@@ -1,20 +1,20 @@
 """Divide-and-conquer reduction from k-clique to triangle detection.
 
-The recursion: at depth cap D fall back to exhaustive search; while a
-heavy vertex exists (cross-part degree product >= alpha * product of part
-sizes), test its neighbourhood exhaustively and recurse on the 2^(k-1) - 1
-split combinations that exclude the all-neighbour one; otherwise reduce to
-(k-1)-clique via the per-vertex block tiling, bottoming out at a pluggable
-triangle detector.
+The recursion: at depth cap D hand the graph to the leaf; while a heavy
+vertex exists (cross-part degree product >= alpha * product of part
+sizes), give its neighbourhood to the leaf at k-1 and recurse on the
+2^(k-1) - 1 split combinations that exclude the all-neighbour one;
+otherwise reduce to (k-1)-clique on every part-0 vertex's neighbourhood.
+The leaf applies that per-vertex reduction down to k = 3, where it calls
+the pluggable triangle detector, so every path ends in the detector.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, List, Optional, Tuple
 
-from .bitops import iter_bits, mask_from_vertices, split_bits
-from .core import KPartiteGraph, degree_product
+from .bitops import iter_bits, mask_from_vertices
+from .core import KPartiteGraph
 from .errors import InternalInconsistencyError, InvalidParameterError
 from .triangle import detect_naive
 
@@ -67,7 +67,7 @@ def choose_params(n: int, k: int, profile: CostProfile = CostProfile()
 
     The raw alpha exceeds 1 for all desk-scale n, so it is clamped to at
     most 1/2; this preserves the branch structure rather than degenerating
-    every call into exhaustive search.
+    every call into the sparse base.
     """
     if n < 2 or k < 3:
         raise InvalidParameterError("need n >= 2 and k >= 3")
@@ -90,50 +90,46 @@ def find_heavy_vertex(G: KPartiteGraph, alpha: float) -> Optional[int]:
         cap *= s
     if cap == 0:
         return None
+    rest = G.part_masks[1:]
     best_v, best_prod = None, -1
-    for v in G.part_vertices(0):
-        prod = degree_product(G, v)
+    for v in iter_bits(G.part_masks[0]):
+        row = G.adjacency[v]
+        prod = 1
+        for m in rest:
+            prod *= (row & m).bit_count()
+            if prod == 0:
+                break
         if prod * 1.0 >= alpha * cap and prod > best_prod:
             best_v, best_prod = v, prod
     return best_v
 
 
-def _exhaustive_kclique(G: KPartiteGraph) -> Optional[Tuple[int, ...]]:
-    """Engine-side exhaustive search using bit-row candidate narrowing."""
-    k = G.k
-
-    def extend(prefix: List[int], part: int, cand: int) -> Optional[Tuple[int, ...]]:
-        if part == k:
-            return tuple(prefix)
-        for v in iter_bits(cand & G.part_masks[part]):
-            found = extend(prefix + [v], part + 1, cand & G.adjacency[v])
-            if found is not None:
-                return found
-        return None
-
-    full = (1 << len(G.adjacency)) - 1
-    return extend([], 0, full)
+def _leaf(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector
+          ) -> bool:
+    """Per-vertex reduction from k-clique down to the triangle detector."""
+    if k == 3:
+        return triangle_detector(G) is not None
+    return kclique_via_k1(
+        G, k, lambda sub: _leaf(sub, k - 1, triangle_detector))
 
 
 def kclique_via_k1(G: KPartiteGraph, k: int,
                    k1_solver: Callable[[KPartiteGraph], bool]) -> bool:
-    """Reduce k-clique to (k-1)-clique by per-vertex neighbourhood tiling.
+    """Reduce k-clique to (k-1)-clique on per-vertex neighbourhoods.
 
-    For each v in part 0, the neighbourhood of v in parts 1..k-1 is tiled
-    into blocks of side d_v = min degree, and the (k-1)-solver runs on the
-    (k-1)-part view of every block combination.
+    A clique through v lies in v's neighbourhood, so for each v in part 0
+    whose neighbourhood meets every other part, the (k-1)-solver runs once
+    on the (k-1)-part view of that whole neighbourhood.
     """
     if k < 4:
         raise InvalidParameterError("kclique_via_k1 requires k >= 4")
     if G.k != k:
         raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
-    for v in G.part_vertices(0):
-        nbrs = [G.adjacency[v] & G.part_masks[i] for i in range(1, k)]
-        d_v = min(nb.bit_count() for nb in nbrs)
-        if d_v == 0:
-            continue
-        tiles = [split_bits(nb, d_v) for nb in nbrs]
-        if any(k1_solver(G.restrict(combo)) for combo in product(*tiles)):
+    masks = G.part_masks[1:]
+    for v in iter_bits(G.part_masks[0]):
+        row = G.adjacency[v]
+        nbrs = [row & m for m in masks]
+        if all(nbrs) and k1_solver(G.restrict(nbrs)):
             return True
     return False
 
@@ -154,20 +150,20 @@ def detect_kclique(G: KPartiteGraph, k: int,
     if params is None:
         params = choose_params(max(2, G.n_total), k)
 
-    # Step 1: depth cap reached -> exhaustive search.
+    # Step 1: depth cap reached -> the per-vertex leaf.
     if params.depth >= params.depth_cap:
         if trace is not None:
             trace.append(TraceNode(depth=params.depth,
                                    part_sizes=list(G.part_sizes),
                                    branch="depth-cap"))
-        return _exhaustive_kclique(G) is not None
+        return _leaf(G, k, triangle_detector)
 
     # Step 2: heavy vertex.
     v = find_heavy_vertex(G, params.alpha)
     if v is not None:
-        # 2a: exhaustive (k-1)-clique test inside v's neighbourhood.
+        # 2a: leaf (k-1)-clique test inside v's neighbourhood.
         nbr = [G.adjacency[v] & G.part_masks[i] for i in range(1, k)]
-        if _exhaustive_kclique(G.restrict(nbr)) is not None:
+        if _leaf(G.restrict(nbr), k - 1, triangle_detector):
             if trace is not None:
                 trace.append(TraceNode(depth=params.depth,
                                        part_sizes=list(G.part_sizes),

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from cliquelab.bitops import (iter_bits, mask_from_vertices, mask_range,
                               split_bits)
-from cliquelab.core import (KPartiteGraph, UniformHypergraph, degree_product,
-                            kpartify)
+from cliquelab.core import KPartiteGraph, UniformHypergraph, kpartify
 from cliquelab.errors import InvalidParameterError
+from cliquelab.kclique import find_heavy_vertex
 
 
 def random_graph(rng, sizes, p):
@@ -122,9 +122,24 @@ def test_subset_family_validation():
         view.part_of(1)
 
 
-def test_degree_product():
-    g = KPartiteGraph.from_edges([1, 2, 2], [(0, 1), (0, 2), (0, 3)])
-    assert degree_product(g, 0) == 2
+def test_find_heavy_vertex_products():
+    # Part 0 is 0..3, part 1 is {4, 5}, part 2 is {6, 7}.  Degree
+    # products into parts 1 and 2: 1, 2, 4, 4; the cap is 2 * 2 = 4.
+    g = KPartiteGraph.from_edges([4, 2, 2], [
+        (0, 4), (0, 6),
+        (1, 4), (1, 5), (1, 6),
+        (2, 4), (2, 5), (2, 6), (2, 7),
+        (3, 4), (3, 5), (3, 6), (3, 7)])
+    p0, p1, p2 = g.part_masks
+    for a, b in ((p1, p2), (p2, p1)):       # either order of parts 1 and 2
+        whole = g.restrict([p0, a, b])
+        assert find_heavy_vertex(whole, 0.2) == 2      # tie: lowest id
+        no_two = g.restrict([p0 & ~(1 << 2), a, b])
+        assert find_heavy_vertex(no_two, 0.2) == 3     # maximum product
+        light = g.restrict([0b0011, a, b])
+        assert find_heavy_vertex(light, 0.4) == 1      # 2 >= 0.4 * 4
+        assert find_heavy_vertex(light, 0.6) is None   # 2 < 0.6 * 4
+    assert find_heavy_vertex(g, 0.2) == 2
 
 
 def test_kpartify_has_cross_clique_iff_clique():

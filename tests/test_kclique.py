@@ -1,11 +1,14 @@
 """Divide-and-conquer k-clique detection, parameters, and witnesses."""
 
+import hashlib
 import random
+from dataclasses import astuple
 from itertools import combinations
 
 import pytest
 
-from cliquelab.core import KPartiteGraph, degree_product
+from cliquelab.bitops import iter_bits
+from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InternalInconsistencyError, InvalidParameterError
 from cliquelab.generate import GenSpec, generate
 from cliquelab.kclique import (ALPHA_MAX, CostProfile, RecursionParams,
@@ -68,7 +71,9 @@ def test_find_heavy_vertex_matches_scan():
         best = None
         best_prod = -1
         for v in g.part_vertices(0):
-            prod = degree_product(g, v)
+            prod = 1
+            for i in range(1, 4):
+                prod *= (g.adjacency[v] & g.part_masks[i]).bit_count()
             if prod >= alpha * cap and prod > best_prod:
                 best, best_prod = v, prod
         assert find_heavy_vertex(g, alpha) == best
@@ -182,3 +187,98 @@ def test_find_witness_flags_inconsistent_detector():
 
     with pytest.raises(InternalInconsistencyError):
         find_witness(bad_detector, g, 3)
+
+
+def test_kclique_via_k1_one_call_per_vertex_on_whole_neighbourhood():
+    rng = random.Random(12)
+    for _ in range(20):
+        g = random_graph(rng, [5, 3, 7, 4], rng.choice([0.3, 0.6, 0.9]))
+        calls = []
+
+        def solver(sub):
+            calls.append(sub.part_masks)
+            return False
+
+        assert not kclique_via_k1(g, 4, solver)
+        want = []
+        for v in g.part_vertices(0):
+            nbrs = [g.adjacency[v] & g.part_masks[i] for i in range(1, 4)]
+            if all(nbrs):
+                want.append(nbrs)
+        assert calls == want
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_default_params_reach_triangle_detector(k):
+    # Complete k-partite graph without the edges between its last two
+    # parts: no k-clique, yet the per-vertex reduction reaches k = 3.
+    g = complete_kpartite([3] * k)
+    a, b = g.part_masks[-2:]
+    for u in iter_bits(a):
+        g.adjacency[u] &= ~b
+    for u in iter_bits(b):
+        g.adjacency[u] &= ~a
+    calls = []
+
+    def counting(sub):
+        calls.append(sub.part_sizes)
+        return detect_naive(sub)
+
+    assert brute_kclique(g, k) is None
+    assert not detect_kclique(g, k, triangle_detector=counting)
+    assert calls
+
+
+def _pin_specs(k):
+    rng = random.Random(80 + k)
+    hi = 12 if k == 4 else 8
+    specs = [GenSpec("gnp-kpartite", rng.randint(3, hi), k,
+                     rng.choice([0.3, 0.5, 0.7, 0.9]), seed=100 * k + i)
+             for i in range(30)]
+    specs += [GenSpec("planted-clique", rng.randint(4, hi), k,
+                      rng.choice([0.1, 0.3]), seed=100 * k + 50 + i,
+                      plant_count=1) for i in range(10)]
+    return specs
+
+
+def _pin_digest(k, det, params):
+    """sha256 prefix over decisions, trace nodes, witnesses and the
+    (view, answer, trace) sequence of find_witness's detector calls."""
+    record = []
+    for spec in _pin_specs(k):
+        G = generate(spec).graph
+        trace = []
+        found = detect_kclique(G, k, det, params, trace)
+        calls = []
+
+        def detector(sub, kk):
+            sub_trace = []
+            got = detect_kclique(sub, kk, det, params, sub_trace)
+            calls.append((tuple(sub.part_masks), got,
+                          [astuple(n) for n in sub_trace]))
+            return got
+
+        witness = find_witness(detector, G, k)
+        record.append((found, [astuple(n) for n in trace], witness, calls))
+    return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+
+
+# Recorded before the per-vertex leaf replaced exhaustive search and the
+# neighbourhood tiling, which must not change any decision, trace,
+# witness or witness-detector call.  Both detectors give the same digest,
+# since only detector booleans reach the record.
+PINNED_DIGESTS = {
+    (4, None): "eb48deab008c10c9",
+    (4, (2, 0.05)): "116de63f2e5ab4b1",
+    (4, (2, 0.3)): "6f1ab94275051571",
+    (5, None): "9cf519ca113572a4",
+    (5, (2, 0.05)): "e9a1e641bd02a3a5",
+    (5, (2, 0.3)): "6cbfae683961ecda",
+}
+
+
+@pytest.mark.parametrize("k, manual", list(PINNED_DIGESTS))
+@pytest.mark.parametrize("det", [detect_naive, detect_four_russians])
+def test_decisions_traces_and_witnesses_pinned(k, manual, det):
+    params = None if manual is None else RecursionParams(*manual)
+    assert _pin_digest(k, det, params) == PINNED_DIGESTS[k, manual]

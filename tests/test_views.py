@@ -83,22 +83,44 @@ def test_triangle_engines_on_views_match_oracle(case):
         assert len(got) == len(set(got)) and set(got) == truth
 
 
-@SETTINGS
-@given(views(4))
-def test_kclique_engines_on_views_match_oracle(case):
-    g, view = case
+def _check_kclique_view(g, view, k):
     copy, ids = standalone(g, view)
-    want = brute_kclique(copy, 4)
-    assert brute_kclique(view, 4) == (want and tuple(ids[x] for x in want))
+    want = brute_kclique(copy, k)
+    assert brute_kclique(view, k) == (want and tuple(ids[x] for x in want))
     for base in (detect_naive, detect_four_russians):
-        got = detect_kclique(view, 4, base, params=RecursionParams(2, 0.3))
-        assert got == (want is not None)
+        for params in (None, RecursionParams(2, 0.05), RecursionParams(2, 0.3)):
+            got = detect_kclique(view, k, base, params=params)
+            assert got == (want is not None)
 
-    w = find_witness(detect_kclique, view, 4)
+    w = find_witness(detect_kclique, view, k)
     assert (w is None) == (want is None)
     if w is not None:
         assert all((view.part_masks[i] >> v) & 1 for i, v in enumerate(w))
         assert all(g.has_edge(a, b) for a, b in combinations(w, 2))
+
+
+@SETTINGS
+@given(views(4))
+def test_kclique_engines_on_views_match_oracle(case):
+    _check_kclique_view(*case, 4)
+
+
+@SETTINGS
+@given(views(5))
+def test_kclique_engines_on_k5_views_match_oracle(case):
+    _check_kclique_view(*case, 5)
+
+
+# Part sizes and p that random draws reach only now and then: empty and
+# single-vertex parts, edgeless and complete graphs.
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("sizes, p", [
+    ([1, 1, 1, 1, 1], 1.0), ([1, 3, 3, 3, 3], 1.0), ([4, 4, 4, 4, 1], 1.0),
+    ([0, 3, 3, 3, 3], 1.0), ([3, 3, 0, 3, 3], 1.0), ([4, 4, 4, 4, 4], 0.0),
+    ([2, 1, 2, 1, 2], 1.0), ([4, 1, 4, 1, 4], 0.5)])
+def test_kclique_engines_on_edge_case_views(k, sizes, p):
+    g = random_graph(random.Random(sum(sizes)), sizes[:k], p)
+    _check_kclique_view(g, g.restrict(g.part_masks), k)
 
 
 def test_block_table_rejected_on_other_view_of_equal_sizes():

@@ -288,6 +288,43 @@ def test_cli_detect_triangle_exit_codes(tmp_path, capsys, monkeypatch, cmd,
         assert json.loads(out) == {"found": True, "witness": [0, 3, 6]}
 
 
+# 2 vertices per part, one K4 (0, 2, 4, 6) and a stray edge 1-3
+K4_FILE = ("kpartite 4\npart 2\npart 2\npart 2\npart 2\nedges 7\n0 2\n0 4\n"
+           "0 6\n2 4\n2 6\n4 6\n1 3\n")
+CLIQUE_FILES = {"k4": K4_FILE, "trailing": K4_FILE + "extra\n"}
+
+
+# (subcommand and flags, input file, exit code)
+@pytest.mark.parametrize("cmd, fname, code", [
+    (["--k", "4", "--base", "naive"], "k4", 0),
+    (["--k", "4", "--base", "naive", "--witness"], "k4", 0),
+    (["--k", "4", "--base", "fr"], "k4", 0),
+    (["--k", "4", "--base", "fr", "--witness"], "k4", 0),
+    (["--k", "4", "--alpha", "0.3"], "k4", 2),
+    (["--k", "4", "--witness", "--alpha", "0.3"], "k4", 2),
+    (["--k", "5"], "k4", 2),
+    (["--k", "5", "--witness"], "k4", 2),
+    (["--k", "3", "--base", "fr"], "k4", 2),
+    (["--k", "4"], "missing", 2),
+    (["--k", "4", "--witness"], "missing", 2),
+    (["--k", "4"], "trailing", 2),
+    (["--k", "4", "--base", "fr", "--witness"], "trailing", 2),
+])
+def test_cli_detect_clique_exit_codes(tmp_path, capsys, cmd, fname, code):
+    path = tmp_path / f"{fname}.txt"
+    if fname in CLIQUE_FILES:
+        path.write_text(CLIQUE_FILES[fname])
+    got, out = run_cli(["detect-clique"] + cmd + ["--json", str(path)],
+                       capsys)
+    assert got == code
+    if code:
+        assert out == ""
+    elif "--witness" in cmd:
+        assert json.loads(out) == {"found": True, "witness": [0, 2, 4, 6]}
+    else:
+        assert json.loads(out) == {"found": True}
+
+
 def test_cli_verify_mismatch_exit(capsys, monkeypatch):
     # verify exits 1 when a check fails; use a stub check
     from cliquelab import verify as vmod
