@@ -2,10 +2,14 @@
 sampled pseudoregularity checker.
 
 The partitioner works on the bipartite view G[V2 u V3] of a 3-part graph.
-It starts from the one-piece partition and iteratively refines by the worst
-violating sampled subset pair until the sampled check passes or the budget
-runs out.  Verification is by sampling: exhaustive subset enumeration is
-exponential and out of scope.
+It starts from one piece per side and iteratively refines by the worst
+violating sampled subset pair until the partition is verified or the budget
+runs out.  Each round first tries an exact certificate, a bound on the error
+of every disjoint subset pair from the densities alone; only where it does
+not hold is the round verified by sampling (exhaustive subset enumeration is
+exponential and out of scope).  At the default epsilon (0.25 below 2^16
+vertices) the starting partition of any side pair with two or more vertices
+is certified, so the default paths never sample.
 """
 
 import math
@@ -207,6 +211,26 @@ def check_pseudoregular_sampled(G: KPartiteGraph, P: PseudoregularPartition,
                               max_error=max_err / (n * n), worst_pair=worst)
 
 
+def _certified(P: PseudoregularPartition, epsilon: float) -> bool:
+    """True when no disjoint S, T in the universe of n vertices can make
+    ``check_pseudoregular_sampled(G, P, epsilon, ...)`` report a violation.
+
+    A pair with density 0 or 1 has e(S_i, T_j) = d_ij |S_i| |T_j| on every
+    S_i, T_j inside its pieces; otherwise the two differ by at most
+    max(d_ij, 1 - d_ij) |S_i| |T_j|.  With m the largest such factor over
+    the pairs with 0 < d_ij < 1, and sum_ij |S_i| |T_j| = |S| |T| <=
+    floor(n^2 / 4), every error is at most B = m floor(n^2 / 4).  The check
+    computes its estimate in float64: with pieces <= n and n < 2^17 the
+    rounding of the products and sums stays below (2n + 3) n^2 2^-55 < 1/4,
+    so B + 1 <= epsilon n^2, compared exactly against the same float
+    threshold the check uses, rules out every violation.
+    """
+    n = P.universe().bit_count()
+    m = max((max(d, 1 - d) for row in P.densities for d in row if 0 < d < 1),
+            default=0)
+    return n < 1 << 17 and m * (n * n // 4) + 1 <= epsilon * n * n
+
+
 def _refine(pieces: List[int], S: int, T: int, universe: int,
             max_pieces: int) -> List[int]:
     """Split every piece by S/T membership, then fold undersized pieces
@@ -236,9 +260,10 @@ def _refine(pieces: List[int], S: int, T: int, universe: int,
 def weak_regular_partition(G: KPartiteGraph, cfg: RegularityConfig,
                            parts: Tuple[int, int] = (1, 2)
                            ) -> PseudoregularPartition:
-    """Construct a partition of U = V2 u V3 passing the sampled eps-check.
+    """Construct a partition of U = V2 u V3 passing the eps-check.
 
-    Iterative refinement: run the sampled check; on violation, refine every
+    Iterative refinement: a round whose partition is ``_certified`` returns
+    it; otherwise run the sampled check and, on violation, refine every
     piece by the worst sampled pair's S/T membership.  Deterministic given
     cfg.rng_seed.  If the budget runs out the best partition so far is
     returned flagged unverified.
@@ -259,6 +284,8 @@ def weak_regular_partition(G: KPartiteGraph, cfg: RegularityConfig,
         P = PseudoregularPartition(pieces=pieces,
                                    densities=_density_matrix(G, pieces),
                                    epsilon=cfg.epsilon)
+        if _certified(P, cfg.epsilon):
+            return P
         report = check_pseudoregular_sampled(
             G, P, cfg.epsilon, cfg.sample_count,
             seed=cfg.rng_seed + 7919 * round_no)

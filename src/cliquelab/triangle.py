@@ -240,8 +240,9 @@ def _list_sparse(G: KPartiteGraph, t: Optional[int], params: SparseFRParams,
         memo[key] = tuple(found)
         return memo[key]
 
-    order = sorted([pivot, pa, pb])
-    perm = [order.index(p) for p in (pivot, pa, pb)]
+    # Canonical witness slots 0, 1, 2 take entries ia, ib, ic of (v, u, w).
+    roles = (pivot, pa, pb)
+    ia, ib, ic = (roles.index(part) for part in sorted(roles))
 
     result = ListingResult(requested_t=t)
     for v in G.part_vertices(pivot):
@@ -259,8 +260,7 @@ def _list_sparse(G: KPartiteGraph, t: Optional[int], params: SparseFRParams,
                         result.truncated = True
                         return result
                     raw = (v, u, w)
-                    canon = tuple(raw[perm.index(slot)] for slot in range(3))
-                    result.witnesses.append(canon)
+                    result.witnesses.append((raw[ia], raw[ib], raw[ic]))
     return result
 
 

@@ -34,9 +34,12 @@ def _triangle_detect_ok(G: KPartiteGraph) -> bool:
 
 
 def _triangle_list_ok(G: KPartiteGraph) -> bool:
-    got = list_all_triangles(G).as_set()
+    """Complete, untruncated and duplicate-free: equal sets alone would
+    pass a lister that emits a triangle twice."""
+    got = list_all_triangles(G)
     want = brute_triangles(G).as_set()
-    return got == want
+    return (not got.truncated and len(got.witnesses) == len(want)
+            and got.as_set() == want)
 
 
 def _kclique_ok(G: KPartiteGraph) -> bool:

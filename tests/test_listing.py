@@ -1,5 +1,6 @@
 """Regularity-driven triangle listing pipeline and its wrappers."""
 
+import hashlib
 import math
 import random
 from itertools import product
@@ -10,12 +11,14 @@ from cliquelab import listing
 from cliquelab.bitops import split_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
+from cliquelab.generate import GenSpec, generate
 from cliquelab.hyperclique import list_hypercliques
 from cliquelab.listing import (list_all_triangles, list_triangles,
                                list_triangles_detailed,
                                list_triangles_threshold)
 from cliquelab.oracles import brute_triangles
-from cliquelab.regularity import RegularityConfig
+from cliquelab.regularity import (RegularityConfig, default_epsilon,
+                                  weak_regular_partition)
 from cliquelab.triangle import list_sparse_four_russians, list_sparse_pivoted
 from tests.test_hyperclique import complete_hypergraph
 from tests.test_core import random_graph
@@ -191,3 +194,58 @@ def test_negative_t_rejected_by_every_lister():
         list_hypercliques(complete_hypergraph(3, [2, 2, 2, 2]), 4, t=-1)
     with pytest.raises(InvalidParameterError):
         brute_triangles(g, -1)
+
+
+def _pin_graphs():
+    """AC-style G(n, p) specs: every (n/part, p) pair, one seed each."""
+    return [generate(GenSpec("gnp-kpartite", n, 3, p, seed=10 * i + j)).graph
+            for i, n in enumerate((3, 5, 8, 12, 22))
+            for j, p in enumerate((0.0, 0.1, 0.3, 0.5, 1.0))]
+
+
+def _pin_cfg(G, eps):
+    return (RegularityConfig(epsilon=default_epsilon(G.n_total)) if eps is None
+            else RegularityConfig(epsilon=eps))
+
+
+def _pin_digest(key):
+    """sha256 prefix over the pinned outputs of one pipeline entry point."""
+    record = []
+    for G in _pin_graphs():
+        if key[0] == "all":
+            record.append(list_all_triangles(G).witnesses)
+        elif key[0] == "partition":
+            P = weak_regular_partition(G, _pin_cfg(G, key[1]))
+            record.append((P.pieces, P.verified))
+        else:
+            _, eps, t = key
+            d = list_triangles_detailed(G, t, _pin_cfg(G, eps))
+            record.append((d.result.witnesses, d.result.truncated,
+                           d.partition_verified, d.piece_count,
+                           [(p.piece_pair, p.strategy) for p in d.plans]))
+    return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+
+
+# Recorded before weak_regular_partition tried the exact certificate
+# before sampling, which must not change any partition, verified flag,
+# plan or witness order.
+PINNED_DIGESTS = {
+    ("all",): "865cb444b2755918",
+    ("partition", None): "de302bd57bb285d6",
+    ("partition", 0.02): "a7fbcf85873fe8a6",
+    ("partition", 0.05): "de302bd57bb285d6",
+    ("partition", 0.25): "de302bd57bb285d6",
+    ("detailed", None, None): "5a7932bdcbc821dc",
+    ("detailed", None, 7): "3d03f74d10119a7c",
+    ("detailed", 0.02, None): "3b6f9dd07c218deb",
+    ("detailed", 0.02, 7): "170ad1a200381922",
+    ("detailed", 0.05, None): "5a7932bdcbc821dc",
+    ("detailed", 0.05, 7): "3d03f74d10119a7c",
+    ("detailed", 0.25, None): "5a7932bdcbc821dc",
+    ("detailed", 0.25, 7): "3d03f74d10119a7c",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_DIGESTS))
+def test_listing_and_partitions_pinned(key):
+    assert _pin_digest(key) == PINNED_DIGESTS[key]

@@ -2,15 +2,23 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from cliquelab.bitops import mask_range
+from cliquelab import regularity
+from cliquelab.bitops import iter_bits, mask_range
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
+from cliquelab.generate import GenSpec, generate
+from cliquelab.listing import list_all_triangles
+from cliquelab.oracles import brute_triangles
 from cliquelab.regularity import (EPSILON_CLAMP, PseudoregularPartition,
-                                  RegularityConfig, _density_matrix,
-                                  _pair_count, _sample_disjoint_pair,
+                                  RegularityConfig, _certified,
+                                  _density_matrix, _pair_count, _refine,
+                                  _sample_disjoint_pair,
                                   check_pseudoregular_sampled, default_epsilon,
                                   density, edge_count_between,
                                   weak_regular_partition)
@@ -243,3 +251,86 @@ def test_check_rejects_nonpositive_samples():
     for samples in (0, -3):
         with pytest.raises(InvalidParameterError):
             check_pseudoregular_sampled(G, P, 0.1, samples, seed=0)
+
+
+CERT_EPSILONS = (0.02, 0.1, 0.2, 0.25, 0.3, 0.25 - 1e-10)
+
+
+@st.composite
+def certificate_cases(draw):
+    """A 3-part graph or a view of it, a side pair, and a partition of the
+    pair's vertices: one piece per side, then refined by random (S, T)."""
+    sizes = draw(st.lists(st.integers(0, 6), min_size=3, max_size=3))
+    p = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    G = random_graph(rng, sizes, p)
+    if draw(st.booleans()):
+        G = G.restrict([draw(st.integers(0, (1 << s) - 1)) << G.part_start[i]
+                        for i, s in enumerate(sizes)])
+    parts = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    universe = G.part_masks[parts[0]] | G.part_masks[parts[1]]
+    assume(universe)
+    pieces = [G.part_masks[i] for i in parts if G.part_masks[i]]
+    rounds = draw(st.integers(0, 3))
+    for _ in range(rounds):
+        S, T = _sample_disjoint_pair(rng, universe, len(G.adjacency))
+        pieces = _refine(pieces, S, T, universe, draw(st.integers(1, 12)))
+    P = PseudoregularPartition(pieces, _density_matrix(G, pieces), 0.25)
+    return G, P, rounds, draw(st.sampled_from(CERT_EPSILONS))
+
+
+def _exhaustive_max_error(G, P):
+    """max |e(S,T) - sum_ij d_ij |S_i| |T_j|| over every disjoint S, T."""
+    verts = list(iter_bits(P.universe()))
+    worst = Fraction(0)
+    for roles in product((0, 1, 2), repeat=len(verts)):
+        S = sum(1 << v for v, r in zip(verts, roles) if r == 1)
+        T = sum(1 << v for v, r in zip(verts, roles) if r == 2)
+        est = sum(P.densities[i][j] * (a & S).bit_count() * (b & T).bit_count()
+                  for i, a in enumerate(P.pieces)
+                  for j, b in enumerate(P.pieces))
+        worst = max(worst, abs(_pair_count(G, S, T) - est))
+    return worst
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(certificate_cases(), st.integers(0, 10 ** 6))
+def test_certificate_sound(case, seed):
+    G, P, rounds, eps = case
+    n = P.universe().bit_count()
+    if rounds == 0 and eps == 0.25:
+        # The starting partition is certified at the default epsilon
+        # exactly when the two sides hold two or more vertices.
+        assert _certified(P, eps) == (n >= 2)
+    if not _certified(P, eps):
+        return
+    assert check_pseudoregular_sampled(G, P, eps, 300, seed).violations == 0
+    if n <= 6:
+        assert _exhaustive_max_error(G, P) <= eps * n * n
+
+
+def test_default_listing_never_samples(monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampled check ran on a default path")
+
+    monkeypatch.setattr(regularity, "check_pseudoregular_sampled", sampled)
+    for n, p in ((1, 0.5), (5, 0.3), (22, 0.5), (40, 0.1)):
+        G = generate(GenSpec("gnp-kpartite", n, 3, p, seed=n)).graph
+        assert list_all_triangles(G).as_set() == brute_triangles(G).as_set()
+        assert weak_regular_partition(
+            G, RegularityConfig(epsilon=default_epsilon(G.n_total))).verified
+
+
+def test_single_vertex_universe_still_samples(monkeypatch):
+    calls = []
+    real = regularity.check_pseudoregular_sampled
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "check_pseudoregular_sampled", counting)
+    G = KPartiteGraph([2, 1, 0])
+    P = weak_regular_partition(G, RegularityConfig(epsilon=0.25))
+    assert P.verified and P.pieces == [G.part_masks[1]] and len(calls) == 1

@@ -23,6 +23,10 @@ from tests.test_core import random_graph
 
 LEAN_CFG = RegularityConfig(epsilon=0.2, rng_seed=0, sample_count=40,
                             refinement_budget=3, max_pieces=6)
+# Below epsilon 0.25 the exact certificate rarely holds, so these run the
+# sampled check and its refinement.
+SAMPLED_CFGS = [RegularityConfig(epsilon=eps, rng_seed=1, sample_count=60,
+                                 refinement_budget=4) for eps in (0.05, 0.1)]
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -74,13 +78,32 @@ def test_triangle_engines_on_views_match_oracle(case):
         got = lister(view, None).witnesses
         assert len(got) == len(set(got)) and set(got) == truth
 
+    _check_regularity_listers(view, truth)
+
+
+def _check_regularity_listers(view, truth):
     for lister in (list_triangles, list_triangles_threshold):
-        if not view.part_sizes[1] and not view.part_sizes[2]:
-            with pytest.raises(InvalidParameterError):
-                lister(view, None, LEAN_CFG)
-            continue
-        got = lister(view, None, LEAN_CFG).witnesses
-        assert len(got) == len(set(got)) and set(got) == truth
+        for cfg in (LEAN_CFG, *SAMPLED_CFGS):
+            if not view.part_sizes[1] and not view.part_sizes[2]:
+                with pytest.raises(InvalidParameterError):
+                    lister(view, None, cfg)
+                continue
+            res = lister(view, None, cfg)
+            got = res.witnesses
+            assert not res.truncated
+            assert len(got) == len(set(got)) and set(got) == truth
+
+
+# Empty and single-vertex parts, p in {0, 1}, and part sizes whose last
+# threshold block is short (5 -> 2, 2, 1; 7 -> 3, 3, 1; 10 -> 3, 3, 3, 1).
+@pytest.mark.parametrize("sizes, p", [
+    ([0, 4, 4], 1.0), ([4, 0, 4], 1.0), ([4, 4, 0], 1.0), ([1, 1, 1], 1.0),
+    ([1, 5, 1], 1.0), ([5, 7, 10], 1.0), ([5, 7, 10], 0.0), ([5, 7, 10], 0.5),
+    ([10, 1, 7], 0.6), ([0, 1, 0], 1.0)])
+def test_regularity_listers_on_edge_case_views(sizes, p):
+    g = random_graph(random.Random(sum(sizes)), sizes, p)
+    view = g.restrict(g.part_masks)
+    _check_regularity_listers(view, brute_triangles(view).as_set())
 
 
 def _check_kclique_view(g, view, k):

@@ -367,6 +367,28 @@ def test_verify_triangle_detect_rejects_non_triangle_witness(monkeypatch):
     assert not report.ok
 
 
+@pytest.mark.parametrize("fault", ["duplicate", "truncated"])
+def test_verify_triangle_list_rejects_duplicates_and_truncation(
+        monkeypatch, fault):
+    # a lister whose witness set is right but which emits a triangle twice,
+    # or flags a complete list as truncated, must fail the check
+    from cliquelab import verify as vmod
+    from cliquelab.oracles import brute_triangles
+
+    def faulty(g, cfg=None):
+        res = brute_triangles(g)
+        if fault == "duplicate":
+            res.witnesses.append(res.witnesses[0])
+        else:
+            res.truncated = True
+        return res
+
+    g = complete_kpartite([2, 2, 2])
+    assert CHECKS["triangle-list"](g)
+    monkeypatch.setattr(vmod, "list_all_triangles", faulty)
+    assert not CHECKS["triangle-list"](g)
+
+
 def test_cli_bench_table(tmp_path, capsys):
     out_path = tmp_path / "bench.json"
     code, out = run_cli(["bench", "--sizes", "16", "--engines", "naive",
