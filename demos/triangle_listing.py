@@ -2,7 +2,7 @@
 
 Generates a seeded G(n, p) tripartite graph, runs the bit-parallel and
 block-table detectors, then lists triangles three ways: brute force, the
-sparse block-subset lister, and the regularity-partition pipeline.
+row-AND lister, and the regularity-partition pipeline.
 """
 
 from cliquelab import (GenSpec, RegularityConfig, brute_triangles,
@@ -25,7 +25,7 @@ def main() -> None:
     print(f"brute force: {len(truth)} triangles total")
 
     sparse = list_sparse_four_russians(G, None)
-    print(f"sparse block-subset lister: {len(sparse)} triangles, "
+    print(f"row-AND lister: {len(sparse)} triangles, "
           f"set match = {sparse.as_set() == truth.as_set()}")
 
     cfg = RegularityConfig(epsilon=0.15, rng_seed=0, sample_count=60,

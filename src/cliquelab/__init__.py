@@ -1,7 +1,7 @@
 """Bit-parallel triangle, k-clique and hyperclique workbench.
 
 Core pieces: k-partite bit-row graphs, Four-Russians style triangle
-detection and sparse listing, weak regularity partitions driving a
+detection and row-AND triangle listing, weak regularity partitions driving a
 triangle-listing pipeline, a divide-and-conquer k-clique reduction, and a
 compressed-table hyperclique lister, with generators, oracles, a
 verification harness and a benchmark runner around them.
@@ -27,7 +27,7 @@ from .oracles import (UNBOUNDED, ListingResult, brute_hypercliques,
 from .regularity import (PseudoregularPartition, RegularityConfig,
                          check_pseudoregular_sampled, default_epsilon,
                          density, edge_count_between, weak_regular_partition)
-from .triangle import (BlockEdgeTable, SparseFRParams, build_block_edge_table,
+from .triangle import (BlockEdgeTable, build_block_edge_table,
                        default_block_size, detect_four_russians, detect_naive,
                        list_sparse_four_russians, list_sparse_pivoted)
 from .verify import run_verify

@@ -16,8 +16,7 @@ from .bitops import bits_to_list
 from .core import KPartiteGraph, UniformHypergraph
 from .errors import (InvalidParameterError, ParseError, ResourceLimitError)
 from .generate import KINDS, GenSpec, generate
-from .hyperclique import (HypercliqueParams, choose_block_size,
-                          detect_hyperclique, list_hypercliques)
+from .hyperclique import detect_hyperclique, list_hypercliques
 from .kclique import (RecursionParams, TraceNode, choose_params,
                       detect_kclique, find_witness)
 from .listing import list_triangles_detailed
@@ -155,23 +154,14 @@ def cmd_detect_clique(args) -> int:
 
 def cmd_detect_hyperclique(args) -> int:
     H = _load_hypergraph(args.file)
-    params = _hyper_params(H, args)
-    found = detect_hyperclique(H, args.k, params=params)
+    found = detect_hyperclique(H, args.k)
     _emit({"found": found}, args.json)
     return EXIT_OK
 
 
-def _hyper_params(H: UniformHypergraph, args) -> Optional[HypercliqueParams]:
-    if args.max_table_bits is None:
-        return None
-    n = max(2, max(H.part_sizes))
-    return choose_block_size(n, args.k, H.r, max_table_bits=args.max_table_bits)
-
-
 def cmd_list_hypercliques(args) -> int:
     H = _load_hypergraph(args.file)
-    params = _hyper_params(H, args)
-    res = list_hypercliques(H, args.k, t=args.t, params=params)
+    res = list_hypercliques(H, args.k, t=args.t)
     _emit({"count": len(res.witnesses), "truncated": res.truncated,
            "witnesses": [list(w) for w in res.witnesses]}, args.json)
     return EXIT_OK
@@ -286,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect-hyperclique")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-table-bits", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=cmd_detect_hyperclique)
@@ -294,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list-hypercliques")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--max-table-bits", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=cmd_list_hypercliques)

@@ -19,8 +19,6 @@ from .errors import InvalidParameterError, ResourceLimitError
 from .oracles import UNBOUNDED, ListingResult
 from .triangle import table_byte_budget
 
-DEFAULT_MAX_TABLE_BITS = 22
-
 
 @dataclass(frozen=True)
 class HypercliqueParams:
@@ -29,7 +27,6 @@ class HypercliqueParams:
     s: int
     k: int
     r: int
-    max_table_bits: int = DEFAULT_MAX_TABLE_BITS
 
     @property
     def segment_length(self) -> int:
@@ -49,11 +46,6 @@ class HypercliqueParams:
             raise InvalidParameterError("s must be >= 1")
         if not 2 <= self.r < self.k:
             raise InvalidParameterError("need 2 <= r < k")
-        if self.L > self.max_table_bits:
-            raise ResourceLimitError(
-                f"compact representation needs {self.L} bits, guard is "
-                f"{self.max_table_bits}",
-                required=self.L, allowed=self.max_table_bits)
 
 
 def formula_block_side(n: int, k: int, r: int) -> float:
@@ -61,24 +53,21 @@ def formula_block_side(n: int, k: int, r: int) -> float:
     return (math.log2(n) / (2 * math.comb(k - 1, r - 1))) ** (1.0 / (r - 1))
 
 
-def choose_block_size(n: int, k: int, r: int,
-                      max_table_bits: int = DEFAULT_MAX_TABLE_BITS
-                      ) -> HypercliqueParams:
-    """Floor the formula block side, then shrink until L fits the guards.
+def choose_block_size(n: int, k: int, r: int) -> HypercliqueParams:
+    """Floor the formula block side, then shrink until L <= ceil(log2 n / 2).
 
     At desk scale the formula often lands below 1; s is floored at 1, in
-    which case L = C(k-1, r-1) is the smallest representation possible and
-    only the max_table_bits guard applies.
+    which case L = C(k-1, r-1) is the smallest representation possible.
     """
     if n < 2:
         raise InvalidParameterError("n must be >= 2")
     if not 2 <= r < k:
         raise InvalidParameterError("need 2 <= r < k")
-    target = min(math.ceil(math.log2(n) / 2), max_table_bits)
+    target = math.ceil(math.log2(n) / 2)
     s = max(1, int(formula_block_side(n, k, r)))
     while s > 1 and math.comb(k - 1, r - 1) * s ** (r - 1) > target:
         s -= 1
-    params = HypercliqueParams(s=s, k=k, r=r, max_table_bits=max_table_bits)
+    params = HypercliqueParams(s=s, k=k, r=r)
     params.validate()
     return params
 

@@ -1,9 +1,9 @@
 """Regularity-partition triangle listing.
 
 Pipeline: compute a weak regularity partition of G[V2 u V3]; for every
-piece pair (i, j) take the tripartite view (V1, V2_i, V3_j) and run
-whichever sparse Four-Russians variant has the smaller exactly evaluated
-cost estimate; a shared t-cutoff spans all sub-instances.  A
+piece pair (i, j) take the tripartite view (V1, V2_i, V3_j) and run the
+row-AND lister pivoting on V1 or on V2, whichever has the smaller exactly
+evaluated cost estimate; a shared t-cutoff spans all sub-instances.  A
 thresholding wrapper splits every part into ~sqrt(n) blocks so listing can
 stop early, and a doubling wrapper recovers the list-everything mode.
 """
@@ -19,15 +19,20 @@ from .errors import InvalidParameterError
 from .oracles import UNBOUNDED, ListingResult
 from .regularity import (PseudoregularPartition, RegularityConfig,
                          default_epsilon, weak_regular_partition)
-from .triangle import (SparseFRParams, list_sparse_four_russians,
-                       list_sparse_pivoted)
+from .triangle import list_sparse_four_russians, list_sparse_pivoted
 
 PARTITION_ATTEMPTS = 3
 
 
 @dataclass
 class PairPlan:
-    """Strategy decision for one piece pair of the regularity partition."""
+    """Strategy decision for one piece pair of the regularity partition.
+
+    The two costs are the paper's sparse Four-Russians estimates,
+    sum_v d_2(v) d_3(v) / log^2 n for the V1 pivot and n e(V2_i, V3_j) /
+    log^2 n for the V2 pivot.  They are kept as the strategy rule; they do
+    not model the work of the row-AND listers that run the pair.
+    """
 
     piece_pair: Tuple[int, int]
     density: float
@@ -117,11 +122,10 @@ def _list_with_partition(G: KPartiteGraph, t: Optional[int],
     for plan, s2, s3 in jobs:
         remaining = None if t is UNBOUNDED else t - len(result.witnesses)
         sub = G.restrict([G.part_masks[0], s2, s3])
-        params = SparseFRParams.defaults(sub)
         if plan.strategy == "pivot-v1":
-            part = list_sparse_four_russians(sub, remaining, params)
+            part = list_sparse_four_russians(sub, remaining)
         else:
-            part = list_sparse_pivoted(sub, remaining, params)
+            part = list_sparse_pivoted(sub, remaining)
         result.witnesses.extend(part.witnesses)
         if part.truncated:
             result.truncated = True

@@ -8,15 +8,14 @@ Three engines over 3-part graphs:
   of its part-2 neighbourhoods, so a part-0 vertex's question "is there an
   edge under my row?" is one lookup per block, OR'd, plus one AND.  Tables
   are keyed by block-local masks; b defaults to floor(log2(n) / 2).
-* ``list_sparse_four_russians`` / ``list_sparse_pivoted`` -- the sparse
-  variant: neighbourhoods are chunked into pieces of size <= delta and the
-  per-chunk-pair edge lists are served from a memoised table, so listing
-  cost tracks sum d_a(v) * d_b(v) plus the output size.
+* ``list_sparse_four_russians`` / ``list_sparse_pivoted`` -- output-
+  sensitive listing by row ANDs: for each pivot vertex v and each
+  neighbour u in a second part, one AND of u's row with v's neighbourhood
+  in the third part yields every w closing a triangle, so listing cost
+  tracks sum_v d_a(v) big-int ANDs plus the output size.
 """
 
-import math
 import os
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .bitops import iter_bits, split_bits
@@ -25,7 +24,7 @@ from .errors import (InternalInconsistencyError, InvalidParameterError,
                      ResourceLimitError)
 from .oracles import UNBOUNDED, ListingResult
 
-DEFAULT_MAX_INDEX_BITS = 26
+MAX_BLOCK_SIZE = 13
 
 _ENV_BUDGET = "CLIQUELAB_MAX_TABLE_BYTES"
 _DEFAULT_TABLE_BYTES = 1 << 28
@@ -75,11 +74,11 @@ class BlockEdgeTable:
             raise InvalidParameterError(f"expected 3 parts, got {G.k}")
         if b < 1:
             raise InvalidParameterError("block size must be >= 1")
-        if 2 * b > DEFAULT_MAX_INDEX_BITS:
+        if b > MAX_BLOCK_SIZE:
             raise ResourceLimitError(
-                f"subset-pair index needs {2 * b} bits, guard is "
-                f"{DEFAULT_MAX_INDEX_BITS}",
-                required=2 * b, allowed=DEFAULT_MAX_INDEX_BITS)
+                f"block size {b} needs 2^{b} reach entries per block, cap is "
+                f"2^{MAX_BLOCK_SIZE}",
+                required=b, allowed=MAX_BLOCK_SIZE)
         need = block_table_bytes(G, b)
         if need > table_byte_budget():
             raise ResourceLimitError(
@@ -161,85 +160,21 @@ def detect_four_russians(G: KPartiteGraph,
     return None
 
 
-# -- sparse Four-Russians listing -----------------------------------------
+# -- listing ---------------------------------------------------------------
 
 
-def _index_bits(s: int, delta: int) -> int:
-    """Bits of a subset-pair index over the <= delta-subsets of s items."""
-    count = sum(math.comb(s, i) for i in range(delta + 1))
-    return 2 * max(1, math.ceil(math.log2(count)))
-
-
-@dataclass
-class SparseFRParams:
-    """Block size s and chunk size delta for the sparse listing variant."""
-
-    s: int
-    delta: int
-
-    def validate(self) -> None:
-        if self.s < 1:
-            raise InvalidParameterError("s must be >= 1")
-        if not 1 <= self.delta <= self.s:
-            raise InvalidParameterError("need 1 <= delta <= s")
-        bits = _index_bits(self.s, self.delta)
-        if bits > DEFAULT_MAX_INDEX_BITS:
-            raise ResourceLimitError(
-                f"subset-pair index needs {bits} bits, guard is "
-                f"{DEFAULT_MAX_INDEX_BITS}",
-                required=bits, allowed=DEFAULT_MAX_INDEX_BITS)
-
-    @classmethod
-    def defaults(cls, G: KPartiteGraph) -> "SparseFRParams":
-        """Single block per part; delta ~ log2(n)/4, clamped to the guard."""
-        n = G.n_total
-        s = max(1, max(G.part_sizes))
-        delta = max(1, int(math.log2(n) / 4)) if n >= 2 else 1
-        return cls._clamped(s, delta)
-
-    @classmethod
-    def _clamped(cls, s: int, delta: int) -> "SparseFRParams":
-        delta = min(delta, s)
-        while delta > 1 and _index_bits(s, delta) > DEFAULT_MAX_INDEX_BITS:
-            delta -= 1
-        p = cls(s=s, delta=delta)
-        p.validate()
-        return p
-
-
-def _list_sparse(G: KPartiteGraph, t: Optional[int], params: SparseFRParams,
+def _list_sparse(G: KPartiteGraph, t: Optional[int],
                  pivot: int, pa: int, pb: int) -> ListingResult:
-    """Core sparse Four-Russians listing with configurable part roles.
+    """Row-AND listing with configurable part roles.
 
-    Pivots on part ``pivot``; chunks neighbourhoods in parts ``pa`` and
-    ``pb``.  Witnesses are emitted in canonical part order.
+    For each vertex v of part ``pivot``, each part-``pa`` neighbour u and
+    each w in N(u) & N(v) & part ``pb``, all in ascending order, emit the
+    triangle in canonical part order; the list is lexicographic in (v, u, w).
     """
     if G.k != 3:
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
-    params.validate()
-    s, delta = params.s, params.delta
     mask_a = G.part_masks[pa]
     mask_b = G.part_masks[pb]
-    blocks_a = split_bits(mask_a, s)
-    blocks_b = split_bits(mask_b, s)
-
-    # Memoised per-(S, T) edge lists; each distinct subset pair is scanned
-    # at most once (<= delta^2 probes).
-    memo: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
-
-    def edges_between(S: int, T: int) -> Tuple[Tuple[int, int], ...]:
-        key = (S, T)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        found = []
-        for u in iter_bits(S):
-            hit = G.adjacency[u] & T
-            for w in iter_bits(hit):
-                found.append((u, w))
-        memo[key] = tuple(found)
-        return memo[key]
-
     # Canonical witness slots 0, 1, 2 take entries ia, ib, ic of (v, u, w).
     roles = (pivot, pa, pb)
     ia, ib, ic = (roles.index(part) for part in sorted(roles))
@@ -247,36 +182,25 @@ def _list_sparse(G: KPartiteGraph, t: Optional[int], params: SparseFRParams,
     result = ListingResult(requested_t=t)
     for v in G.part_vertices(pivot):
         row = G.adjacency[v]
-        na = row & mask_a
         nb = row & mask_b
-        if not na or not nb:
+        if not nb:
             continue
-        chunks_a = [c for bm in blocks_a for c in split_bits(na & bm, delta)]
-        chunks_b = [c for bm in blocks_b for c in split_bits(nb & bm, delta)]
-        for S in chunks_a:
-            for T in chunks_b:
-                for (u, w) in edges_between(S, T):
-                    if t is not UNBOUNDED and len(result.witnesses) == t:
-                        result.truncated = True
-                        return result
-                    raw = (v, u, w)
-                    result.witnesses.append((raw[ia], raw[ib], raw[ic]))
+        for u in iter_bits(row & mask_a):
+            for w in iter_bits(G.adjacency[u] & nb):
+                if t is not UNBOUNDED and len(result.witnesses) == t:
+                    result.truncated = True
+                    return result
+                raw = (v, u, w)
+                result.witnesses.append((raw[ia], raw[ib], raw[ic]))
     return result
 
 
-def list_sparse_four_russians(G: KPartiteGraph, t: Optional[int],
-                              params: Optional[SparseFRParams] = None
+def list_sparse_four_russians(G: KPartiteGraph, t: Optional[int]
                               ) -> ListingResult:
     """List up to t triangles, pivoting on part 0 (vertex-degree driven)."""
-    if params is None:
-        params = SparseFRParams.defaults(G)
-    return _list_sparse(G, t, params, pivot=0, pa=1, pb=2)
+    return _list_sparse(G, t, pivot=0, pa=1, pb=2)
 
 
-def list_sparse_pivoted(G: KPartiteGraph, t: Optional[int],
-                        params: Optional[SparseFRParams] = None
-                        ) -> ListingResult:
+def list_sparse_pivoted(G: KPartiteGraph, t: Optional[int]) -> ListingResult:
     """List up to t triangles pivoting on part 1, so cost tracks e(V2, V3)."""
-    if params is None:
-        params = SparseFRParams.defaults(G)
-    return _list_sparse(G, t, params, pivot=1, pa=0, pb=2)
+    return _list_sparse(G, t, pivot=1, pa=0, pb=2)

@@ -60,10 +60,10 @@ def test_adjacency_subgraph_matches_filter_scan():
 
 def test_choose_block_size_arithmetic():
     # log2 n = 96, k=4, r=3: s = sqrt(96/6) = 4, L = 3*16 = 48 = 96/2
-    p = choose_block_size(2 ** 96, 4, 3, max_table_bits=48)
+    p = choose_block_size(2 ** 96, 4, 3)
     assert p.s == 4 and p.L == 48
     # k=4, r=2: s = log2 n / 6 and L = 3 s = half of log2 n
-    p = choose_block_size(2 ** 36, 4, 2, max_table_bits=22)
+    p = choose_block_size(2 ** 36, 4, 2)
     assert p.s == 6 and p.L == 18
     # floor at 1
     p = choose_block_size(256, 4, 3)
@@ -80,8 +80,6 @@ def test_choose_block_size_halving_identity():
 
 
 def test_choose_block_size_guard():
-    with pytest.raises(ResourceLimitError):
-        choose_block_size(2 ** 30, 6, 3, max_table_bits=8)   # C(5,2)=10 > 8
     with pytest.raises(InvalidParameterError):
         choose_block_size(100, 4, 4)
 
@@ -179,7 +177,7 @@ def _settable_mask(geo, j, params):
 
 def test_table_memory_guard():
     h = complete_hypergraph(3, [40, 40, 40, 40])
-    params = HypercliqueParams(s=2, k=4, r=3, max_table_bits=22)
+    params = HypercliqueParams(s=2, k=4, r=3)
     import os
     os.environ["CLIQUELAB_MAX_TABLE_BYTES"] = "1000"
     try:
@@ -290,8 +288,7 @@ def hyper_cases(draw):
 def test_listing_order_matches_sorted_oracle(case):
     h, s, t = case
     k = h.k
-    # a wide guard lets s = 3 run at every (k, r)
-    params = HypercliqueParams(s=s, k=k, r=h.r, max_table_bits=128)
+    params = HypercliqueParams(s=s, k=k, r=h.r)
 
     def order(w):
         rest = w[1:]

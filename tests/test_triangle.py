@@ -8,10 +8,10 @@ from cliquelab.bitops import iter_bits, split_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError, ResourceLimitError
 from cliquelab.oracles import brute_triangles
-from cliquelab.triangle import (SparseFRParams, block_table_bytes,
-                                build_block_edge_table, default_block_size,
-                                detect_four_russians, detect_naive,
-                                list_sparse_four_russians, list_sparse_pivoted)
+from cliquelab.triangle import (block_table_bytes, build_block_edge_table,
+                                default_block_size, detect_four_russians,
+                                detect_naive, list_sparse_four_russians,
+                                list_sparse_pivoted)
 from tests.test_core import random_graph
 from tests.test_oracles import complete_kpartite
 
@@ -181,16 +181,6 @@ def test_four_russians_witness_independent_of_block_size():
             assert detect_four_russians(g, build_block_edge_table(g, b)) == want
 
 
-def test_sparse_params_validation_and_clamp():
-    with pytest.raises(InvalidParameterError):
-        SparseFRParams(s=4, delta=5).validate()
-    with pytest.raises(ResourceLimitError):
-        SparseFRParams(s=100, delta=50).validate()
-    g = KPartiteGraph([100, 100, 100])
-    p = SparseFRParams.defaults(g)
-    p.validate()
-
-
 def test_sparse_listing_complete():
     g = complete_kpartite([3, 3, 3])
     res = list_sparse_four_russians(g, None)
@@ -219,30 +209,32 @@ def test_sparse_pivoted_empty_v2v3():
     assert len(list_sparse_pivoted(g, None)) == 0
 
 
-def test_chunk_partition_property():
-    rng = random.Random(4)
-    g = random_graph(rng, [8, 12, 12], 0.6)
-    params = SparseFRParams(s=12, delta=3)
-    assert list_sparse_four_russians(g, None, params).as_set() == \
-        brute_triangles(g).as_set()
-    # The lister cuts each pivot's neighbourhood, block by block, into
-    # delta-chunks; each cut must partition the block's bits.
-    checked = 0
-    for p in (1, 2):
-        blocks = split_bits(g.part_masks[p], params.s)
-        for v in g.part_vertices(0):
-            for bm in blocks:
-                block_bits = g.adjacency[v] & bm
-                chunks = split_bits(block_bits, params.delta)
-                union = 0
-                for c in chunks:
-                    assert c.bit_count() <= params.delta
-                    assert union & c == 0
-                    union |= c
-                assert union == block_bits
-                assert len(chunks) == -(-block_bits.bit_count() // params.delta)
-                checked += bool(chunks)
-    assert checked
+def test_sparse_listing_order_and_prefix():
+    # Both listers emit lexicographically in (pivot, a, b); a t-cutoff
+    # returns the first t of the full list.
+    rng = random.Random(86)
+    for g in (random_graph(rng, [86, 86, 86], 0.3),
+              random_graph(rng, [7, 9, 6], 0.5)):
+        full = list_sparse_four_russians(g, None).witnesses
+        assert full == sorted(full)
+        pivoted = list_sparse_pivoted(g, None).witnesses
+        assert pivoted == sorted(pivoted, key=lambda w: (w[1], w[0], w[2]))
+        assert set(pivoted) == set(full) == brute_triangles(g).as_set()
+        for lister, want in ((list_sparse_four_russians, full),
+                             (list_sparse_pivoted, pivoted)):
+            for t in (0, 1, 7, len(want) // 2, len(want) - 1):
+                res = lister(g, t)
+                assert res.witnesses == want[:t] and res.truncated
+            assert not lister(g, len(want)).truncated
+
+
+def test_sparse_listing_large_part():
+    # one part of 8192 vertices, one triangle
+    g = KPartiteGraph.from_edges([1, 8192, 1],
+                                 [(0, 77), (0, 8193), (77, 8193)])
+    for lister in (list_sparse_four_russians, list_sparse_pivoted):
+        res = lister(g, None)
+        assert res.witnesses == [(0, 77, 8193)] and not res.truncated
 
 
 def test_listing_witnesses_in_canonical_part_order():

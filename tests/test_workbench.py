@@ -226,10 +226,6 @@ TINY_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "10"}
     (["detect-hyperclique", "--k", "5"], "hyper", {}, 2),
     (["list-hypercliques", "--k", "3"], "hyper", {}, 2),
     (["list-hypercliques", "--k", "4", "--t", "-1"], "hyper", {}, 2),
-    (["detect-hyperclique", "--k", "4", "--max-table-bits", "2"], "hyper",
-     {}, 3),
-    (["list-hypercliques", "--k", "4", "--max-table-bits", "2"], "hyper",
-     {}, 3),
     (["detect-hyperclique", "--k", "4"], "hyper", TINY_BUDGET, 3),
     (["list-hypercliques", "--k", "4"], "hyper", TINY_BUDGET, 3),
 ])
