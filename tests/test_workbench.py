@@ -215,6 +215,9 @@ HYPER_FILES = {
              "0 2 4\n",
 }
 TINY_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "10"}
+# the hyperclique tables for HYPER_FILES["hyper"] need exactly 256 bytes
+SHORT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "255"}
+EXACT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "256"}
 
 
 # (subcommand and flags, input file, environment, exit code)
@@ -226,8 +229,12 @@ TINY_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "10"}
     (["detect-hyperclique", "--k", "5"], "hyper", {}, 2),
     (["list-hypercliques", "--k", "3"], "hyper", {}, 2),
     (["list-hypercliques", "--k", "4", "--t", "-1"], "hyper", {}, 2),
+    (["detect-hyperclique", "--k", "4"], "hyper", SHORT_BUDGET, 3),
+    (["list-hypercliques", "--k", "4"], "hyper", SHORT_BUDGET, 3),
     (["detect-hyperclique", "--k", "4"], "hyper", TINY_BUDGET, 3),
     (["list-hypercliques", "--k", "4"], "hyper", TINY_BUDGET, 3),
+    (["detect-hyperclique", "--k", "4"], "hyper", EXACT_BUDGET, 0),
+    (["list-hypercliques", "--k", "4"], "hyper", EXACT_BUDGET, 0),
 ])
 def test_cli_hyperclique_exit_codes(tmp_path, capsys, monkeypatch, cmd, fname,
                                     env, code):
