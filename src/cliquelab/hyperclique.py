@@ -83,18 +83,39 @@ def _blocks_of_part(H: UniformHypergraph, part: int, s: int) -> List[range]:
     return out or [range(start, start)]
 
 
+def table_bytes(H: UniformHypergraph, params: HypercliqueParams) -> int:
+    """Estimated bytes (8 per word) of the geometry, tables and probe plan,
+    from the sizes alone: C(k-1, r-1) index sets and segment offsets, and
+    per block tuple C(k-1, r-1) probe keys plus at most s^(k-1) entries of
+    ceil(L/64) required-bit words and k-1 candidate vertices."""
+    n_sets = math.comb(params.k - 1, params.r - 1)
+    block_tuples = math.prod(-(-H.part_sizes[p] // params.s) or 1
+                             for p in range(1, H.k))
+    entry_words = -(-params.L // 64) + H.k - 1
+    return 8 * (2 * n_sets + block_tuples
+                * (n_sets + params.s ** (H.k - 1) * entry_words))
+
+
 class BlockGeometry:
     """Block decomposition of parts 1..k-1 plus segment offsets.
 
     ``vertex_slot[u]``, ``vertex_block[u]`` and ``vertex_local[u]`` are the
     slot (part - 1), the block index and the position inside the block of
-    vertex u; part-0 vertices have slot -1.
+    vertex u; part-0 vertices have slot -1.  Raises ResourceLimitError
+    when ``table_bytes`` exceeds the table byte budget, before anything of
+    size C(k-1, r-1) is built.
     """
 
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
         params.validate()
         if H.k != params.k or H.r != params.r:
             raise InvalidParameterError("params do not match hypergraph shape")
+        need = table_bytes(H, params)
+        if need > table_byte_budget():
+            raise ResourceLimitError(
+                f"tables need ~{need} bytes, budget is "
+                f"{table_byte_budget()}",
+                required=need, allowed=table_byte_budget())
         self.params = params
         self.s = params.s
         self.blocks = [_blocks_of_part(H, p, params.s)
@@ -198,15 +219,6 @@ class HypercliqueTables:
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
         self.geometry = BlockGeometry(H, params)
         geo = self.geometry
-        # at most s^(k-1) entries per block tuple, each one word for the
-        # required bits and one per candidate vertex
-        table_bytes = (math.prod(geo.block_counts) * params.s ** (H.k - 1)
-                       * 8 * H.k)
-        if table_bytes > table_byte_budget():
-            raise ResourceLimitError(
-                f"tables need ~{table_bytes} bytes, budget is "
-                f"{table_byte_budget()}",
-                required=table_bytes, allowed=table_byte_budget())
         self.entries: Dict[Tuple[int, ...],
                            List[Tuple[int, Tuple[int, ...]]]] = {}
         self.links = links = _link_masks(H)

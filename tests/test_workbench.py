@@ -213,11 +213,13 @@ HYPER_FILES = {
     "graph": "kpartite 4\npart 2\npart 2\npart 2\npart 2\nedges 1\n0 2\n",
     "hyper": "hypergraph 3 4\npart 2\npart 2\npart 2\npart 2\nedges 1\n"
              "0 2 4\n",
+    # 40 one-vertex parts: C(39, 19) index sets, refused before any is built
+    "wide": "hypergraph 20 40\n" + "part 1\n" * 40 + "edges 0\n",
 }
 TINY_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "10"}
-# the hyperclique tables for HYPER_FILES["hyper"] need exactly 256 bytes
-SHORT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "255"}
-EXACT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "256"}
+# the hyperclique tables for HYPER_FILES["hyper"] need exactly 496 bytes
+SHORT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "495"}
+EXACT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "496"}
 
 
 # (subcommand and flags, input file, environment, exit code)
@@ -235,6 +237,8 @@ EXACT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "256"}
     (["list-hypercliques", "--k", "4"], "hyper", TINY_BUDGET, 3),
     (["detect-hyperclique", "--k", "4"], "hyper", EXACT_BUDGET, 0),
     (["list-hypercliques", "--k", "4"], "hyper", EXACT_BUDGET, 0),
+    (["list-hypercliques", "--k", "40"], "wide", {}, 3),
+    (["detect-hyperclique", "--k", "40"], "wide", {}, 3),
 ])
 def test_cli_hyperclique_exit_codes(tmp_path, capsys, monkeypatch, cmd, fname,
                                     env, code):
