@@ -1,11 +1,12 @@
 """Regularity-partition triangle listing.
 
 Pipeline: compute a weak regularity partition of G[V2 u V3]; for every
-piece pair (i, j) take the tripartite view (V1, V2_i, V3_j) and run the
-row-AND lister pivoting on V1 or on V2, whichever has the smaller exactly
-evaluated cost estimate; a shared t-cutoff spans all sub-instances.  A
+piece pair (i, j) list the triangles of (V1, V2_i, V3_j) with the row-AND
+lister pivoting on V1 or on V2, whichever has the smaller exactly
+evaluated cost estimate; a shared t-cutoff spans all piece pairs.  A
 thresholding wrapper splits every part into ~sqrt(n) blocks so listing can
-stop early, and a doubling wrapper recovers the list-everything mode.
+stop early; its untruncated pass lists everything.  Block triples and
+piece pairs are vertex masks of the one graph, not views.
 """
 
 import math
@@ -16,10 +17,11 @@ from typing import List, Optional, Tuple
 from .bitops import iter_bits, split_bits
 from .core import KPartiteGraph
 from .errors import InvalidParameterError
-from .oracles import UNBOUNDED, ListingResult
+from .oracles import ListingResult
 from .regularity import (PseudoregularPartition, RegularityConfig,
-                         default_epsilon, weak_regular_partition)
-from .triangle import list_sparse_four_russians, list_sparse_pivoted
+                         default_epsilon, edge_count_between,
+                         weak_regular_partition)
+from .triangle import _list_sparse
 
 PARTITION_ATTEMPTS = 3
 
@@ -58,81 +60,77 @@ def _default_cfg(G: KPartiteGraph, seed: int = 0) -> RegularityConfig:
     return RegularityConfig(epsilon=default_epsilon(G.n_total), rng_seed=seed)
 
 
-def _partition(G: KPartiteGraph, cfg: RegularityConfig
-               ) -> PseudoregularPartition:
-    """Weak regularity partition of G[V2 u V3], retried on fresh seeds
-    until one passes the sampled check or the attempts run out."""
-    partition = None
+def _piece_pairs(G: KPartiteGraph, b2: int, b3: int, cfg: RegularityConfig
+                 ) -> Tuple[Optional[PseudoregularPartition], List[tuple]]:
+    """Weak regularity partition of G[b2 u b3], retried on fresh seeds until
+    one passes the sampled check or the attempts run out, and its piece
+    pairs ((i, j), s2, s3, e(s2, s3)) with s2 = piece_i & b2 and s3 =
+    piece_j & b3 non-empty, in (i, j) order.  With b2 or b3 empty there is
+    no pair to list, and nothing is partitioned."""
+    if not (b2 and b3):
+        return None, []
+    view = G.restrict([0, b2, b3])
     for attempt in range(PARTITION_ATTEMPTS):
-        attempt_cfg = replace(cfg, rng_seed=cfg.rng_seed + 1009 * attempt)
-        partition = weak_regular_partition(G, attempt_cfg)
+        partition = weak_regular_partition(
+            view, replace(cfg, rng_seed=cfg.rng_seed + 1009 * attempt))
         if partition.verified:
             break
-    return partition
+    sides = [(i, p & b2, p & b3) for i, p in enumerate(partition.pieces)]
+    return partition, [((i, j), s2, s3, edge_count_between(G, s2, s3))
+                       for i, s2, _ in sides if s2 for j, _, s3 in sides if s3]
+
+
+def _list_triple(G: KPartiteGraph, t: Optional[int], cfg: RegularityConfig,
+                 b1: int, v1: List[int], b2: int, b3: int, pairs: List[tuple],
+                 out: List[tuple], plans: Optional[List[PairPlan]]) -> bool:
+    """Plan every piece pair of block triple (b1, b2, b3), with n its vertex
+    count, then list the pairs in order into ``out`` up to t; True when the
+    listing was truncated.  Plans are recorded when ``plans`` is a list."""
+    adj = G.adjacency
+    n = max(2, len(v1) + b2.bit_count() + b3.bit_count())
+    log2sq = math.log2(n) ** 2
+    rows1 = [adj[v] for v in v1]
+    jobs = []
+    for pair, s2, s3, e_ij in pairs:
+        cost2 = n * e_ij / log2sq
+        cost1 = sum((row & s2).bit_count() * (row & s3).bit_count()
+                    for row in rows1) / log2sq
+        pivot_v1 = cost1 <= cost2
+        if plans is not None:
+            dens = e_ij / (s2.bit_count() * s3.bit_count())
+            plans.append(PairPlan(
+                piece_pair=pair, density=dens,
+                low_density=dens <= math.sqrt(cfg.epsilon),
+                strategy="pivot-v1" if pivot_v1 else "pivot-v2",
+                cost_pivot_v1=cost1, cost_pivot_v2=cost2))
+        jobs.append((pivot_v1, s2, s3))
+    for pivot_v1, s2, s3 in jobs:
+        if (_list_sparse(adj, v1, s2, s3, False, out, t) if pivot_v1 else
+                _list_sparse(adj, iter_bits(s2), b1, s3, True, out, t)):
+            return True
+    return False
 
 
 def list_triangles_detailed(G: KPartiteGraph, t: Optional[int],
                             cfg: Optional[RegularityConfig] = None
                             ) -> RegularityListing:
-    """Full regularity-listing pipeline with per-pair diagnostics."""
+    """Full regularity-listing pipeline with per-pair diagnostics, on the
+    whole graph as one block triple.  With V2 or V3 empty nothing is
+    partitioned: no pieces, no plans."""
     if G.k != 3:
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
     if cfg is None:
         cfg = _default_cfg(G)
-    return _list_with_partition(G, t, cfg, _partition(G, cfg))
-
-
-def _list_with_partition(G: KPartiteGraph, t: Optional[int],
-                         cfg: RegularityConfig,
-                         partition: PseudoregularPartition
-                         ) -> RegularityListing:
-    """Plan and list every piece pair of a given partition of G[V2 u V3]."""
     result = ListingResult(requested_t=t)
-    n = max(2, G.n_total)
-    log2sq = math.log2(n) ** 2
-    sqrt_eps = math.sqrt(cfg.epsilon)
-    mask2, mask3 = G.part_masks[1], G.part_masks[2]
-    v1 = list(G.part_vertices(0))
-
+    b1, b2, b3 = G.part_masks
+    partition, pairs = _piece_pairs(G, b2, b3, cfg)
     plans: List[PairPlan] = []
-    jobs: List[Tuple[PairPlan, int, int]] = []
-    for i, pi in enumerate(partition.pieces):
-        s2 = pi & mask2
-        if not s2:
-            continue
-        for j, pj in enumerate(partition.pieces):
-            s3 = pj & mask3
-            if not s3:
-                continue
-            e_ij = sum((G.adjacency[u] & s3).bit_count()
-                       for u in iter_bits(s2))
-            cost2 = n * e_ij / log2sq
-            cost1 = sum((G.adjacency[v] & s2).bit_count()
-                        * (G.adjacency[v] & s3).bit_count()
-                        for v in v1) / log2sq
-            dens = e_ij / (s2.bit_count() * s3.bit_count())
-            plan = PairPlan(
-                piece_pair=(i, j), density=dens,
-                low_density=dens <= sqrt_eps,
-                strategy="pivot-v1" if cost1 <= cost2 else "pivot-v2",
-                cost_pivot_v1=cost1, cost_pivot_v2=cost2)
-            plans.append(plan)
-            jobs.append((plan, s2, s3))
-
-    for plan, s2, s3 in jobs:
-        remaining = None if t is UNBOUNDED else t - len(result.witnesses)
-        sub = G.restrict([G.part_masks[0], s2, s3])
-        if plan.strategy == "pivot-v1":
-            part = list_sparse_four_russians(sub, remaining)
-        else:
-            part = list_sparse_pivoted(sub, remaining)
-        result.witnesses.extend(part.witnesses)
-        if part.truncated:
-            result.truncated = True
-            break
-    return RegularityListing(result=result, plans=plans,
-                             partition_verified=partition.verified,
-                             piece_count=partition.piece_count)
+    result.truncated = _list_triple(G, t, cfg, b1, list(iter_bits(b1)), b2,
+                                    b3, pairs, result.witnesses, plans)
+    return RegularityListing(
+        result=result, plans=plans,
+        partition_verified=partition is None or partition.verified,
+        piece_count=partition.piece_count if partition else 0)
 
 
 def list_triangles(G: KPartiteGraph, t: Optional[int],
@@ -160,31 +158,22 @@ def list_triangles_threshold(G: KPartiteGraph, t: Optional[int],
 
     result = ListingResult(requested_t=t)
     # The partition of G[V2 u V3] reads only the V2 and V3 blocks, so one
-    # partition per (V2-block, V3-block) pair serves every V1 block.
-    partitions = {}
-    for blocks in product(*blocks_per_part):
-        remaining = None if t is UNBOUNDED else t - len(result.witnesses)
-        sub = G.restrict(blocks)
-        key = blocks[1], blocks[2]
-        if key not in partitions:
-            partitions[key] = _partition(sub, cfg)
-        part = _list_with_partition(sub, remaining, cfg,
-                                    partitions[key]).result
-        result.witnesses.extend(part.witnesses)
-        if part.truncated:
-            result.truncated = True
-            return result
+    # partition and its piece pairs per (V2-block, V3-block) pair serve
+    # every V1 block.
+    pairs = {}
+    for b1 in blocks_per_part[0]:
+        v1 = list(iter_bits(b1))
+        for b2, b3 in product(*blocks_per_part[1:]):
+            if (b2, b3) not in pairs:
+                pairs[b2, b3] = _piece_pairs(G, b2, b3, cfg)[1]
+            if _list_triple(G, t, cfg, b1, v1, b2, b3, pairs[b2, b3],
+                            result.witnesses, None):
+                result.truncated = True
+                return result
     return result
 
 
 def list_all_triangles(G: KPartiteGraph,
                        cfg: Optional[RegularityConfig] = None) -> ListingResult:
-    """Doubling wrapper returning every triangle in the graph."""
-    n = max(2, G.n_total)
-    t = max(1, int(n ** 3 / math.log2(n) ** 2.25))
-    while True:
-        res = list_triangles_threshold(G, t, cfg)
-        if not res.truncated:
-            res.requested_t = UNBOUNDED
-            return res
-        t *= 2
+    """Every triangle in the graph: one untruncated threshold pass."""
+    return list_triangles_threshold(G, None, cfg)

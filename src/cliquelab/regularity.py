@@ -223,12 +223,20 @@ def _certified(P: PseudoregularPartition, epsilon: float) -> bool:
     computes its estimate in float64: with pieces <= n and n < 2^17 the
     rounding of the products and sums stays below (2n + 3) n^2 2^-55 < 1/4,
     so B + 1 <= epsilon n^2, compared exactly against the same float
-    threshold the check uses, rules out every violation.
+    threshold the check uses, rules out every violation.  The comparison
+    runs on integers: m = c / b as a pair, the threshold as its
+    ``as_integer_ratio()``.
     """
     n = P.universe().bit_count()
-    m = max((max(d, 1 - d) for row in P.densities for d in row if 0 < d < 1),
-            default=0)
-    return n < 1 << 17 and m * (n * n // 4) + 1 <= epsilon * n * n
+    c, b = 0, 1
+    for row in P.densities:
+        for d in row:
+            # max(a, b - a) < b exactly when 0 < a / b < 1
+            top = max(d.numerator, d.denominator - d.numerator)
+            if top < d.denominator and top * b > c * d.denominator:
+                c, b = top, d.denominator
+    num, den = (epsilon * n * n).as_integer_ratio()
+    return n < 1 << 17 and (c * (n * n // 4) + b) * den <= num * b
 
 
 def _refine(pieces: List[int], S: int, T: int, universe: int,

@@ -16,7 +16,7 @@ Three engines over 3-part graphs:
 """
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bitops import iter_bits, split_bits
 from .core import KPartiteGraph
@@ -163,44 +163,48 @@ def detect_four_russians(G: KPartiteGraph,
 # -- listing ---------------------------------------------------------------
 
 
-def _list_sparse(G: KPartiteGraph, t: Optional[int],
-                 pivot: int, pa: int, pb: int) -> ListingResult:
-    """Row-AND listing with configurable part roles.
+def _list_sparse(adj: List[int], pivots: Iterable[int], mask_a: int,
+                 mask_b: int, swap: bool, out: List[Tuple[int, int, int]],
+                 t: Optional[int]) -> bool:
+    """Row-AND listing into a shared witness list.
 
-    For each vertex v of part ``pivot``, each part-``pa`` neighbour u and
-    each w in N(u) & N(v) & part ``pb``, all in ascending order, emit the
-    triangle in canonical part order; the list is lexicographic in (v, u, w).
+    For each vertex v of ``pivots`` (ascending), each neighbour u in
+    ``mask_a`` and each w in N(u) & N(v) & ``mask_b``, all in ascending
+    order, append (v, u, w), or (u, v, w) when ``swap``; the appended run is
+    lexicographic in (v, u, w).  ``t`` bounds ``len(out)``: return True
+    (truncated) when one more triangle exists once ``out`` holds t.
     """
-    if G.k != 3:
-        raise InvalidParameterError(f"expected 3 parts, got {G.k}")
-    mask_a = G.part_masks[pa]
-    mask_b = G.part_masks[pb]
-    # Canonical witness slots 0, 1, 2 take entries ia, ib, ic of (v, u, w).
-    roles = (pivot, pa, pb)
-    ia, ib, ic = (roles.index(part) for part in sorted(roles))
-
-    result = ListingResult(requested_t=t)
-    for v in G.part_vertices(pivot):
-        row = G.adjacency[v]
+    for v in pivots:
+        row = adj[v]
         nb = row & mask_b
         if not nb:
             continue
         for u in iter_bits(row & mask_a):
-            for w in iter_bits(G.adjacency[u] & nb):
-                if t is not UNBOUNDED and len(result.witnesses) == t:
-                    result.truncated = True
-                    return result
-                raw = (v, u, w)
-                result.witnesses.append((raw[ia], raw[ib], raw[ic]))
+            for w in iter_bits(adj[u] & nb):
+                if t is not UNBOUNDED and len(out) == t:
+                    return True
+                out.append((u, v, w) if swap else (v, u, w))
+    return False
+
+
+def _list_parts(G: KPartiteGraph, t: Optional[int], pivot: int, pa: int
+                ) -> ListingResult:
+    """Pivot on part ``pivot``, u in part ``pa``, w in part 2."""
+    if G.k != 3:
+        raise InvalidParameterError(f"expected 3 parts, got {G.k}")
+    result = ListingResult(requested_t=t)
+    result.truncated = _list_sparse(
+        G.adjacency, G.part_vertices(pivot), G.part_masks[pa],
+        G.part_masks[2], pivot == 1, result.witnesses, t)
     return result
 
 
 def list_sparse_four_russians(G: KPartiteGraph, t: Optional[int]
                               ) -> ListingResult:
     """List up to t triangles, pivoting on part 0 (vertex-degree driven)."""
-    return _list_sparse(G, t, pivot=0, pa=1, pb=2)
+    return _list_parts(G, t, 0, 1)
 
 
 def list_sparse_pivoted(G: KPartiteGraph, t: Optional[int]) -> ListingResult:
     """List up to t triangles pivoting on part 1, so cost tracks e(V2, V3)."""
-    return _list_sparse(G, t, pivot=1, pa=0, pb=2)
+    return _list_parts(G, t, 1, 0)

@@ -130,7 +130,8 @@ def shrink(instance, failing: Callable) -> object:
 
 def run_verify(check: str, specs: Iterable[GenSpec],
                max_failures: int = 5) -> VerifyReport:
-    """Run one named check over many generated instances."""
+    """Run one named check over many generated instances; specs that
+    yield no instance are rejected, since such a run checks nothing."""
     if check not in CHECKS:
         raise InvalidParameterError(
             f"unknown check {check!r}; known: {sorted(CHECKS)}")
@@ -147,6 +148,8 @@ def run_verify(check: str, specs: Iterable[GenSpec],
         report.failures.append(Mismatch(spec=spec, reproducer=buf.getvalue()))
         if len(report.failures) >= max_failures:
             break
+    if not report.instances:
+        raise InvalidParameterError(f"{check}: no instances to check")
     return report
 
 

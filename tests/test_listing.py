@@ -3,12 +3,13 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from cliquelab import listing
-from cliquelab.bitops import split_bits
+from cliquelab.bitops import iter_bits, split_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.generate import GenSpec, generate
@@ -18,7 +19,7 @@ from cliquelab.listing import (list_all_triangles, list_triangles,
                                list_triangles_threshold)
 from cliquelab.oracles import brute_triangles
 from cliquelab.regularity import (RegularityConfig, default_epsilon,
-                                  weak_regular_partition)
+                                  edge_count_between, weak_regular_partition)
 from cliquelab.triangle import list_sparse_four_russians, list_sparse_pivoted
 from tests.test_hyperclique import complete_hypergraph
 from tests.test_core import random_graph
@@ -180,6 +181,111 @@ def test_threshold_witness_order_matches_per_triple_reference():
         res = list_triangles_threshold(g, t, FAST_CFG)
         assert (res.witnesses, res.truncated) == _threshold_reference(
             g, t, FAST_CFG)
+
+
+def _reference_partition(view, cfg):
+    """Weak regularity partition of the view, retried on fresh seeds."""
+    for attempt in range(listing.PARTITION_ATTEMPTS):
+        P = weak_regular_partition(
+            view, replace(cfg, rng_seed=cfg.rng_seed + 1009 * attempt))
+        if P.verified:
+            break
+    return P
+
+
+def _view_reference(G, t, cfg, blocks_per_part):
+    """Witnesses, truncation and (piece pair, strategy, V1 cost, V2 cost)
+    plans from a restrict view per block triple and per piece pair, the
+    cost formulas recomputed here and the public listers; no partition or
+    piece pair is shared between block triples."""
+    out, plans = [], []
+    for blocks in product(*blocks_per_part):
+        b1, b2, b3 = blocks
+        if not (b2 and b3):
+            continue
+        sub = G.restrict(blocks)
+        pieces = _reference_partition(sub, cfg).pieces
+        n = max(2, sub.n_total)
+        log2sq = math.log2(n) ** 2
+        jobs = []
+        for (i, pi), (j, pj) in product(enumerate(pieces), repeat=2):
+            s2, s3 = pi & b2, pj & b3
+            if not (s2 and s3):
+                continue
+            cost1 = sum((G.adjacency[v] & s2).bit_count()
+                        * (G.adjacency[v] & s3).bit_count()
+                        for v in sub.part_vertices(0)) / log2sq
+            cost2 = n * edge_count_between(G, s2, s3) / log2sq
+            strategy = "pivot-v1" if cost1 <= cost2 else "pivot-v2"
+            plans.append(((i, j), strategy, cost1, cost2))
+            jobs.append((strategy, G.restrict([b1, s2, s3])))
+        for strategy, view in jobs:
+            lister = (list_sparse_four_russians if strategy == "pivot-v1"
+                      else list_sparse_pivoted)
+            part = lister(view, None if t is None else t - len(out))
+            out.extend(part.witnesses)
+            if part.truncated:
+                return out, True, plans
+    return out, False, plans
+
+
+# Sizes with empty and single-vertex parts and short last threshold blocks
+# (10 per part -> 3, 3, 3, 1); epsilon below 0.25 with a small piece cap
+# refines into multi-piece partitions with mixed-side residual pieces.  With
+# ``hub`` V1 is joined to all of V2 u V3 and V2-V3 is sparse, so most plans
+# pivot on V2.
+VIEW_REF_CFGS = [RegularityConfig(epsilon=0.02, rng_seed=3, sample_count=60,
+                                  refinement_budget=4, max_pieces=4),
+                 RegularityConfig(epsilon=0.05, rng_seed=5, sample_count=60,
+                                  refinement_budget=4)]
+
+
+@pytest.mark.parametrize("sizes, hub", [
+    ([0, 6, 6], False), ([6, 1, 8], False), ([1, 1, 1], False),
+    ([10, 10, 10], False), ([10, 10, 10], True)])
+def test_threshold_and_detailed_match_view_reference(sizes, hub):
+    rng = random.Random(sum(sizes))
+    mixed = pivot_v2 = 0
+    for p, cfg in product((0.0, 0.15 if hub else 0.5, 1.0), VIEW_REF_CFGS):
+        g = random_graph(rng, sizes, p)
+        if hub:
+            for v in g.part_vertices(0):
+                g.adjacency[v] |= g.part_masks[1] | g.part_masks[2]
+                for u in iter_bits(g.part_masks[1] | g.part_masks[2]):
+                    g.adjacency[u] |= 1 << v
+        total = len(brute_triangles(g))
+        whole = [[m] for m in g.part_masks]
+        for t in sorted({0, 1, max(total - 1, 0), total}) + [None]:
+            res = list_triangles_threshold(g, t, cfg)
+            want, cut, _ = _view_reference(g, t, cfg, _threshold_blocks(g))
+            assert (res.witnesses, res.truncated) == (want, cut)
+
+            d = list_triangles_detailed(g, t, cfg)
+            want, cut, plans = _view_reference(g, t, cfg, whole)
+            assert (d.result.witnesses, d.result.truncated) == (want, cut)
+            assert [(q.piece_pair, q.strategy, q.cost_pivot_v1,
+                     q.cost_pivot_v2) for q in d.plans] == plans
+            pivot_v2 += sum(q.strategy == "pivot-v2" for q in d.plans)
+        blocks = _threshold_blocks(g)
+        for b2, b3 in product(blocks[1], blocks[2]):
+            if b2 and b3:
+                P = _reference_partition(g.restrict([0, b2, b3]), cfg)
+                mixed += sum(bool(q & b2 and q & b3) for q in P.pieces)
+    assert mixed or sizes != [10, 10, 10]
+    assert pivot_v2 or not hub
+
+
+@pytest.mark.parametrize("sizes", [[3, 0, 0], [0, 0, 0]])
+def test_empty_v2_v3_lists_nothing(sizes):
+    g = KPartiteGraph(sizes)
+    for t in (None, 0, 2):
+        for lister in (list_triangles, list_triangles_threshold):
+            res = lister(g, t, FAST_CFG)
+            assert res.witnesses == [] and not res.truncated
+        d = list_triangles_detailed(g, t)
+        assert d.plans == [] and d.piece_count == 0 and d.partition_verified
+    res = list_all_triangles(g)
+    assert res.witnesses == [] and not res.truncated
 
 
 def test_negative_t_rejected_by_every_lister():

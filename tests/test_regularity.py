@@ -1,5 +1,6 @@
 """Densities, weak regularity partitioning, and the sampled checker."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -308,6 +309,76 @@ def test_certificate_sound(case, seed):
     assert check_pseudoregular_sampled(G, P, eps, 300, seed).violations == 0
     if n <= 6:
         assert _exhaustive_max_error(G, P) <= eps * n * n
+
+
+def _fraction_certified(P, epsilon):
+    """The certificate in exact Fraction arithmetic, the reference form."""
+    n = P.universe().bit_count()
+    m = max((max(d, 1 - d) for row in P.densities for d in row if 0 < d < 1),
+            default=0)
+    return n < 1 << 17 and m * (n * n // 4) + 1 <= epsilon * n * n
+
+
+def _boundary_epsilons(P):
+    """The float nearest the certificate's boundary (m floor(n^2/4) + 1) /
+    n^2 and its two neighbours on each side, plus 0.25 +- 1e-10."""
+    n = P.universe().bit_count()
+    m = max((max(d, 1 - d) for row in P.densities for d in row if 0 < d < 1),
+            default=0)
+    eps = [float((m * (n * n // 4) + 1) / Fraction(n * n))]
+    for direction in (0.0, 2.0):
+        x = eps[0]
+        for _ in range(2):
+            x = math.nextafter(x, direction)
+            eps.append(x)
+    return eps + [0.25 - 1e-10, 0.25 + 1e-10]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(certificate_cases())
+def test_integer_certificate_matches_fraction_form(case):
+    _, P, _, eps = case
+    for e in (eps, *_boundary_epsilons(P)):
+        assert _certified(P, e) == _fraction_certified(P, e)
+
+
+def _set_partitions(verts):
+    if not verts:
+        yield []
+        return
+    first, rest = verts[0], verts[1:]
+    for part in _set_partitions(rest):
+        yield [1 << first] + part
+        for i in range(len(part)):
+            yield part[:i] + [part[i] | 1 << first] + part[i + 1:]
+
+
+@pytest.mark.parametrize("sides", [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1),
+                                   (1, 2), (3, 0), (0, 3)])
+def test_integer_certificate_matches_on_tiny_universes(sides):
+    """n in {1, 2, 3}: every graph of the side pair, every partition."""
+    a, b = sides
+    cross = [(u, a + v) for u in range(a) for v in range(b)]
+    seen = set()
+    for chosen in range(1 << len(cross)):
+        G = KPartiteGraph.from_edges(
+            [a, b], [e for i, e in enumerate(cross) if chosen >> i & 1])
+        for pieces in _set_partitions(list(range(a + b))):
+            P = PseudoregularPartition(pieces, _density_matrix(G, pieces),
+                                       0.25)
+            for e in (*_boundary_epsilons(P), *CERT_EPSILONS):
+                got = _certified(P, e)
+                assert got == _fraction_certified(P, e)
+                seen.add(got)
+    assert seen == {True, False}
+
+
+def test_certificate_needs_universe_below_2_17():
+    # the check's float rounding bound holds only for n < 2^17
+    for n, want in ((1 << 17, False), ((1 << 17) - 1, True)):
+        P = PseudoregularPartition([(1 << n) - 1], [[Fraction(0)]], 0.25)
+        assert _certified(P, 0.25) == _fraction_certified(P, 0.25) == want
 
 
 def test_default_listing_never_samples(monkeypatch):

@@ -203,6 +203,7 @@ def test_cli_zero_epsilon_and_block_size_reach_validation(tmp_path, capsys):
     run_cli(["gen", "--kind", "gnp-kpartite", "--n", "6", "--k", "3",
              "--p", "0.5", "-o", str(g)], capsys)
     for cmd in (["list-triangles", "--algo", "regularity", "--epsilon", "0"],
+                ["list-triangles", "--algo", "regularity", "--epsilon", "1"],
                 ["regularity", "--epsilon", "0"],
                 ["detect-triangle", "--algo", "fr", "--block-size", "0"]):
         code, out = run_cli(cmd + [str(g)], capsys)
@@ -293,6 +294,59 @@ def test_cli_detect_triangle_exit_codes(tmp_path, capsys, monkeypatch, cmd,
         assert out == ""
     else:
         assert json.loads(out) == {"found": True, "witness": [0, 3, 6]}
+
+
+LIST_FILES = {
+    **TRIANGLE_FILES,
+    # V2 and V3 empty: valid, and there is no triangle to list
+    "empty23": "kpartite 3\npart 3\npart 0\npart 0\nedges 0\n",
+    "malformed": "kpartite 3\npart 3\npart 3\npart 3\nedges 1\n0 x\n",
+}
+
+
+# (list-triangles flags, input file, exit code, count printed on success)
+@pytest.mark.parametrize("algo", ["regularity", "sparse-fr", "sparse-fr-pivot"])
+@pytest.mark.parametrize("flags, fname, code, count", [
+    ([], "tri", 0, 1),
+    ([], "empty23", 0, 0),
+    ([], "malformed", 2, None),
+    ([], "trailing", 2, None),
+    ([], "missing", 2, None),
+    ([], "two", 2, None),
+    (["--t", "0"], "tri", 0, 0),
+])
+def test_cli_list_triangles_exit_codes(tmp_path, capsys, algo, flags, fname,
+                                       code, count):
+    path = tmp_path / f"{fname}.txt"
+    if fname in LIST_FILES:
+        path.write_text(LIST_FILES[fname])
+    got, out = run_cli(["list-triangles", "--algo", algo, *flags, str(path)],
+                       capsys)
+    assert got == code
+    if code:
+        assert out == ""
+    else:
+        assert out.startswith(f"count: {count}\n")
+
+
+# (verify flags, exit code, summary line on success)
+@pytest.mark.parametrize("flags, code, summary", [
+    (["--check", "nope"], 2, None),
+    (["--check", "triangle-list", "--n", "0"], 2, None),
+    (["--check", "triangle-list", "--p", "2"], 2, None),
+    (["--check", "triangle-list", "--instances", "0"], 2, None),
+    (["--check", "triangle-list", "--n", "5", "--p", "0.5",
+      "--instances", "2"], 0, "triangle-list: 2 instances, 0 failures"),
+])
+def test_cli_verify_exit_codes(capsys, flags, code, summary):
+    got, out = run_cli(["verify", *flags], capsys)
+    assert got == code
+    assert out == ("" if code else summary + "\n")
+
+
+def test_run_verify_rejects_empty_specs():
+    with pytest.raises(InvalidParameterError):
+        run_verify("triangle-list", [])
 
 
 # 2 vertices per part, one K4 (0, 2, 4, 6) and a stray edge 1-3
