@@ -231,7 +231,7 @@ def _certified(P: PseudoregularPartition, epsilon: float) -> bool:
     c, b = 0, 1
     for row in P.densities:
         for d in row:
-            # max(a, b - a) < b exactly when 0 < a / b < 1
+            # in lowest terms d = p / q, max(p, q - p) < q iff 0 < d < 1
             top = max(d.numerator, d.denominator - d.numerator)
             if top < d.denominator and top * b > c * d.denominator:
                 c, b = top, d.denominator

@@ -305,7 +305,8 @@ LIST_FILES = {
 
 
 # (list-triangles flags, input file, exit code, count printed on success)
-@pytest.mark.parametrize("algo", ["regularity", "sparse-fr", "sparse-fr-pivot"])
+@pytest.mark.parametrize("algo",
+                         ["regularity", "sparse-fr", "sparse-fr-pivot"])
 @pytest.mark.parametrize("flags, fname, code, count", [
     ([], "tri", 0, 1),
     ([], "empty23", 0, 0),
