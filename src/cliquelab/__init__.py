@@ -17,7 +17,7 @@ from .hyperclique import (BlockGeometry, HypercliqueParams, build_tables,
                           detect_hyperclique, encode_compact,
                           formula_block_side, list_hypercliques)
 from .io import parse, write
-from .kclique import (CostProfile, RecursionParams, TraceNode, choose_params,
+from .kclique import (RecursionParams, TraceNode, choose_params,
                       detect_kclique, find_heavy_vertex, find_witness,
                       kclique_via_k1)
 from .listing import (RegularityListing, list_all_triangles, list_triangles,

@@ -125,12 +125,11 @@ def cmd_list_triangles(args) -> int:
 def cmd_detect_clique(args) -> int:
     G = _load_graph(args.file)
     base = detect_naive if args.base == "naive" else detect_four_russians
-    params: Optional[RecursionParams] = None
     if args.alpha is not None or args.depth is not None:
         if args.alpha is None or args.depth is None:
             raise InvalidParameterError("--alpha and --depth go together")
         params = RecursionParams(depth_cap=args.depth, alpha=args.alpha)
-    elif not args.paper_params:
+    else:
         params = choose_params(max(2, G.n_total), args.k)
     trace: Optional[List[TraceNode]] = [] if args.trace else None
 
@@ -264,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect-clique")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--base", choices=("naive", "fr"), default="naive")
-    p.add_argument("--paper-params", action="store_true",
-                   help="derive D and alpha from the formulas at call time")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--trace", default=None, help="write recursion trace JSON")

@@ -18,19 +18,9 @@ from .core import KPartiteGraph
 from .errors import InternalInconsistencyError, InvalidParameterError
 from .triangle import detect_naive
 
-ALPHA_MIN = 2.0 ** -20
 ALPHA_MAX = 0.5
 
 TriangleDetector = Callable[[KPartiteGraph], Optional[Tuple[int, int, int]]]
-
-
-@dataclass(frozen=True)
-class CostProfile:
-    """Exponents (a, b) of the base triangle detector's n^3 (log n)^a
-    (log log n)^b running time."""
-
-    a: float = 0.0
-    b: float = 0.0
 
 
 @dataclass
@@ -61,21 +51,19 @@ class TraceNode:
     child_product_sum: Optional[int] = None
 
 
-def choose_params(n: int, k: int, profile: CostProfile = CostProfile()
-                  ) -> RecursionParams:
-    """D = floor(log2 n / 4k); alpha = log2((-a + k) log2 n) / D, clamped.
+def choose_params(n: int, k: int) -> RecursionParams:
+    """D = floor(log2 n / 4k), so D = 0 below 2^(4k) vertices; alpha = 1/2.
 
-    The raw alpha exceeds 1 for all desk-scale n, so it is clamped to at
-    most 1/2; this preserves the branch structure rather than degenerating
-    every call into the sparse base.
+    The paper's alpha is log2((k - a) log2 n) / D for a base detector that
+    costs n^3 (log n)^a.  At a = 0 that is at least 1/2 for every n below
+    2^228 and every k >= 3, so the clamp ALPHA_MAX, which keeps the
+    heavy-vertex branch reachable instead of sending every call to the
+    sparse base, always wins; a > 0 could lower it only once D >= 2.
     """
     if n < 2 or k < 3:
         raise InvalidParameterError("need n >= 2 and k >= 3")
-    log = math.log2(n)
-    D = max(0, int(log / (4 * k)))
-    raw = math.log2(max((-profile.a + k) * log, 2.0)) / max(D, 1)
-    alpha = min(ALPHA_MAX, max(ALPHA_MIN, raw))
-    return RecursionParams(depth_cap=D, alpha=alpha)
+    return RecursionParams(depth_cap=max(0, int(math.log2(n) / (4 * k))),
+                           alpha=ALPHA_MAX)
 
 
 def find_heavy_vertex(G: KPartiteGraph, alpha: float) -> Optional[int]:
@@ -199,14 +187,8 @@ def detect_kclique(G: KPartiteGraph, k: int,
         trace.append(TraceNode(depth=params.depth,
                                part_sizes=list(G.part_sizes),
                                branch="sparse-base"))
-
-    def k1_solver(child: KPartiteGraph) -> bool:
-        if k - 1 == 3:
-            return triangle_detector(child) is not None
-        return detect_kclique(child, k - 1, triangle_detector,
-                              choose_params(max(2, child.n_total), k - 1))
-
-    return kclique_via_k1(G, k, k1_solver)
+    return kclique_via_k1(
+        G, k, lambda child: detect_kclique(child, k - 1, triangle_detector))
 
 
 def find_witness(detector: Callable[[KPartiteGraph, int], bool],

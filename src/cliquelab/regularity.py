@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bitops import iter_bits
+from .bitops import iter_bits, mask_from_vertices
 from .core import KPartiteGraph
 from .errors import InvalidParameterError
 
@@ -36,12 +36,7 @@ def default_epsilon(n_total: int) -> float:
 
 
 def _as_mask(S) -> int:
-    if isinstance(S, int):
-        return S
-    m = 0
-    for v in S:
-        m |= 1 << v
-    return m
+    return S if isinstance(S, int) else mask_from_vertices(S)
 
 
 def _pair_count(G: KPartiteGraph, S: int, T: int) -> int:
@@ -89,7 +84,10 @@ class RegularityConfig:
         if self.refinement_budget < 1 or self.sample_count < 1:
             raise InvalidParameterError("budgets must be positive")
         if self.max_pieces is None:
-            self.max_pieces = 1 << math.ceil(1.0 / self.epsilon)
+            # 2^ceil(1/eps), capped at 2^62: _refine acts the same for any
+            # cap >= |V2 u V3|, and 1/eps may be huge or infinite
+            inv = 1.0 / self.epsilon
+            self.max_pieces = 1 << (math.ceil(inv) if inv <= 62 else 62)
 
 
 @dataclass

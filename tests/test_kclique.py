@@ -1,6 +1,7 @@
 """Divide-and-conquer k-clique detection, parameters, and witnesses."""
 
 import hashlib
+import math
 import random
 from dataclasses import astuple
 from itertools import combinations
@@ -11,10 +12,9 @@ from cliquelab.bitops import iter_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InternalInconsistencyError, InvalidParameterError
 from cliquelab.generate import GenSpec, generate
-from cliquelab.kclique import (ALPHA_MAX, CostProfile, RecursionParams,
-                               choose_params, detect_kclique,
-                               find_heavy_vertex, find_witness,
-                               kclique_via_k1)
+from cliquelab.kclique import (ALPHA_MAX, RecursionParams, choose_params,
+                               detect_kclique, find_heavy_vertex,
+                               find_witness, kclique_via_k1)
 from cliquelab.oracles import brute_kclique
 from cliquelab.triangle import detect_four_russians, detect_naive
 from tests.test_core import random_graph
@@ -29,14 +29,27 @@ def test_choose_params_arithmetic():
     assert p.depth_cap == 2
     assert p.alpha == ALPHA_MAX          # raw log2(128)/2 = 3.5, clamped
     p = choose_params(2, 5)
-    assert p.depth_cap == 0              # immediate exhaustive search
+    assert p.depth_cap == 0              # the leaf at once
 
 
-def test_choose_params_profile_shifts_alpha_argument():
-    base = choose_params(2 ** 16, 4, CostProfile(a=0.0))
-    shifted = choose_params(2 ** 16, 4, CostProfile(a=-2.0))
-    assert base.depth_cap == shifted.depth_cap
-    assert shifted.alpha >= base.alpha or shifted.alpha == ALPHA_MAX
+def _formula_params(n, k):
+    """The paper's D and alpha for an n^3 base detector, alpha clamped to
+    [2^-20, 1/2]: the formula that choose_params reduces to a constant."""
+    log = math.log2(n)
+    D = max(0, int(log / (4 * k)))
+    raw = math.log2(max(k * log, 2.0)) / max(D, 1)
+    return D, min(ALPHA_MAX, max(2.0 ** -20, raw))
+
+
+def test_choose_params_matches_paper_formula_below_2_228():
+    for k in range(3, 11):
+        for L in range(1, 228):
+            for n in (2 ** L - 1, 2 ** L, 2 ** L + 1):
+                if n >= 2:
+                    p = choose_params(n, k)
+                    assert (p.depth_cap, p.alpha) == _formula_params(n, k)
+    # the bound is tight: from 2^228 on the raw alpha at k = 3 is below 1/2
+    assert _formula_params(2 ** 228, 3)[1] < ALPHA_MAX
 
 
 def test_recursion_params_validation():

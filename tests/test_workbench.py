@@ -315,6 +315,8 @@ LIST_FILES = {
     ([], "missing", 2, None),
     ([], "two", 2, None),
     (["--t", "0"], "tri", 0, 0),
+    (["--epsilon", "1e-300"], "tri", 0, 1),
+    (["--epsilon", "5e-324"], "tri", 0, 1),
 ])
 def test_cli_list_triangles_exit_codes(tmp_path, capsys, algo, flags, fname,
                                        code, count):
@@ -348,6 +350,67 @@ def test_cli_verify_exit_codes(capsys, flags, code, summary):
 def test_run_verify_rejects_empty_specs():
     with pytest.raises(InvalidParameterError):
         run_verify("triangle-list", [])
+
+
+GEN_FLAGS = ["--kind", "gnp-kpartite", "--n", "3", "--k", "3", "--p", "0.5"]
+
+
+# (gen flags overriding GEN_FLAGS, output directory exists, exit code)
+@pytest.mark.parametrize("flags, out_dir, code", [
+    ([], True, 0),
+    (["--kind", "planted-clique", "--plant-count", "2"], True, 0),
+    (["--kind", "gnp-hypergraph", "--r", "2"], True, 0),
+    (["--k", "1"], True, 2),
+    (["--n", "0"], True, 2),
+    (["--n", "-1"], True, 2),
+    (["--p", "1.5"], True, 2),
+    (["--p", "nan"], True, 2),
+    (["--kind", "planted-clique"], True, 2),
+    (["--r", "2"], True, 2),
+    (["--kind", "gnp-hypergraph"], True, 2),
+    (["--kind", "planted-clique", "--n", "1", "--plant-count", "2"], True,
+     2),
+    ([], False, 2),
+])
+def test_cli_gen_exit_codes(tmp_path, capsys, flags, out_dir, code):
+    path = tmp_path / ("." if out_dir else "missing") / "g.txt"
+    got = main(["gen", *GEN_FLAGS, *flags, "-o", str(path)])
+    out, err = capsys.readouterr()
+    assert got == code
+    assert path.exists() == (code == 0)
+    if code:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert out in ("", "planted 2 witnesses\n")
+        parse(io.StringIO(path.read_text()))
+
+
+# (regularity flags, input file, exit code)
+@pytest.mark.parametrize("flags, fname, code", [
+    ([], "tri", 0),
+    (["--epsilon", "0.1", "--samples", "5"], "tri", 0),
+    (["--epsilon", "1e-300"], "tri", 0),
+    (["--epsilon", "5e-324"], "tri", 0),
+    ([], "two", 2),
+    (["--samples", "0"], "tri", 2),
+    (["--epsilon", "1"], "tri", 2),
+    (["--epsilon", "nan"], "tri", 2),
+    ([], "missing", 2),
+])
+def test_cli_regularity_exit_codes(tmp_path, capsys, flags, fname, code):
+    path = tmp_path / f"{fname}.txt"
+    if fname in TRIANGLE_FILES:
+        path.write_text(TRIANGLE_FILES[fname])
+    got = main(["regularity", *flags, str(path)])
+    out, err = capsys.readouterr()
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: ")
+    else:
+        payload = json.loads(out)
+        assert sorted(v for piece in payload["pieces"] for v in piece) == \
+            list(range(3, 9))
+        assert isinstance(payload["verified"], bool)
 
 
 # 2 vertices per part, one K4 (0, 2, 4, 6) and a stray edge 1-3
@@ -385,6 +448,15 @@ def test_cli_detect_clique_exit_codes(tmp_path, capsys, cmd, fname, code):
         assert json.loads(out) == {"found": True, "witness": [0, 2, 4, 6]}
     else:
         assert json.loads(out) == {"found": True}
+
+
+def test_cli_detect_clique_rejects_removed_flag(tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    path.write_text(K4_FILE)
+    with pytest.raises(SystemExit) as exc:
+        main(["detect-clique", "--k", "4", "--paper-params", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_verify_mismatch_exit(capsys, monkeypatch):
