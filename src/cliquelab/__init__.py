@@ -3,11 +3,11 @@
 Core pieces: k-partite bit-row graphs, Four-Russians style triangle
 detection and row-AND triangle listing, weak regularity partitions driving a
 triangle-listing pipeline, a divide-and-conquer k-clique reduction, and a
-compressed-table hyperclique lister, with generators, oracles, a
-verification harness and a benchmark runner around them.
+compressed-table hyperclique lister, with generators, oracles and a
+verification harness around them.  The engine benchmark is ``perfbench/``.
 """
 
-from .bench import BenchReport, detect_scalar_reference, run_bench
+from .bench import detect_scalar_reference
 from .core import KPartiteGraph, UniformHypergraph, kpartify
 from .errors import (CliquelabError, InternalInconsistencyError,
                      InvalidParameterError, ParseError, ResourceLimitError)

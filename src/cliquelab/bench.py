@@ -1,21 +1,16 @@
-"""Micro-benchmark harness for the triangle detection engines.
+"""Scalar baseline and timing helper for benchmark-sanity checks.
 
 Timings use calibrated inner-loop repetition (each sample runs the
-callable enough times to cross a minimum wall-clock floor) and report the
-median over samples, so sub-microsecond detections are still measurable.
+callable enough times to cross a minimum wall-clock floor), so
+sub-microsecond detections are still measurable.  The engine benchmark
+itself lives in ``perfbench/``.
 """
 
-import json
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .core import KPartiteGraph
-from .errors import InvalidParameterError, ResourceLimitError
-from .generate import GenSpec, generate
-from .triangle import detect_four_russians, detect_naive
-
-SCHEMA_VERSION = 1
+from .errors import InvalidParameterError
 
 
 def detect_scalar_reference(G: KPartiteGraph) -> Optional[Tuple[int, int, int]]:
@@ -41,40 +36,6 @@ def detect_scalar_reference(G: KPartiteGraph) -> Optional[Tuple[int, int, int]]:
     return None
 
 
-ENGINES: Dict[str, Callable[[KPartiteGraph], Optional[Tuple[int, int, int]]]] = {
-    "scalar": detect_scalar_reference,
-    "naive": detect_naive,
-    "four-russians": detect_four_russians,
-}
-
-
-@dataclass
-class BenchRow:
-    engine: str
-    n_per_part: int
-    p: float
-    seed: int
-    samples: List[float]           # seconds per call, one per sample
-    median_seconds: float
-    decision: Optional[bool]       # triangle found?
-    error: Optional[str] = None    # resource-limit rows are marked, not fatal
-
-
-@dataclass
-class BenchReport:
-    schema: int = SCHEMA_VERSION
-    rows: List[BenchRow] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    def median(self, engine: str, n: int) -> float:
-        for row in self.rows:
-            if row.engine == engine and row.n_per_part == n and not row.error:
-                return row.median_seconds
-        raise KeyError((engine, n))
-
-
 def time_callable(fn: Callable[[], object], repeats: int = 5,
                   min_sample_seconds: float = 0.02) -> List[float]:
     """Per-call seconds for `repeats` samples, inner loop auto-calibrated."""
@@ -94,52 +55,3 @@ def time_callable(fn: Callable[[], object], repeats: int = 5,
             fn()
         samples.append((time.perf_counter() - start) / number)
     return samples
-
-
-def _median(xs: Sequence[float]) -> float:
-    s = sorted(xs)
-    mid = len(s) // 2
-    return s[mid] if len(s) % 2 else 0.5 * (s[mid - 1] + s[mid])
-
-
-def run_bench(sizes: Sequence[int], p: float = 0.5, seed: int = 0,
-              engines: Sequence[str] = ("scalar", "naive", "four-russians"),
-              repeats: int = 5, crosscheck_below: int = 256) -> BenchReport:
-    """Time the engines over G(n, n, n, p) instances of increasing size.
-
-    Decisions are cross-checked across engines at small sizes.  An engine
-    hitting its resource guard gets its row marked and the run continues.
-    """
-    if list(sizes) != sorted(sizes):
-        raise InvalidParameterError("sizes must be ascending")
-    for name in engines:
-        if name not in ENGINES:
-            raise InvalidParameterError(f"unknown engine {name!r}")
-    report = BenchReport()
-    for n in sizes:
-        spec = GenSpec(kind="gnp-kpartite", n_per_part=n, k=3, p=p, seed=seed)
-        G = generate(spec).graph
-        decisions: Dict[str, bool] = {}
-        for name in engines:
-            fn = ENGINES[name]
-            try:
-                decision = fn(G) is not None
-                samples = time_callable(lambda: fn(G), repeats=repeats)
-            except ResourceLimitError as exc:
-                report.rows.append(BenchRow(
-                    engine=name, n_per_part=n, p=p, seed=seed, samples=[],
-                    median_seconds=float("nan"), decision=None,
-                    error=str(exc)))
-                continue
-            decisions[name] = decision
-            report.rows.append(BenchRow(
-                engine=name, n_per_part=n, p=p, seed=seed, samples=samples,
-                median_seconds=_median(samples), decision=decision))
-        if n <= crosscheck_below and len(set(decisions.values())) > 1:
-            raise InvalidParameterError(
-                f"engine decisions disagree at n={n}: {decisions}")
-    return report
-
-
-def speedup(report: BenchReport, slow: str, fast: str, n: int) -> float:
-    return report.median(slow, n) / report.median(fast, n)

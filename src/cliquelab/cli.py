@@ -1,17 +1,18 @@
 """Command-line workbench binding the engines together.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 invalid input, 3 resource
-limit exceeded.
+limit exceeded.  A reader that closes the output pipe early (``| head``)
+ends the run quietly with exit 0.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import List, Optional
 
 from . import io as graphio
-from .bench import ENGINES, run_bench
 from .bitops import bits_to_list
 from .core import KPartiteGraph, UniformHypergraph
 from .errors import (InvalidParameterError, ParseError, ResourceLimitError)
@@ -204,23 +205,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def cmd_bench(args) -> int:
-    report = run_bench(args.sizes, p=args.p, seed=args.seed,
-                       engines=args.engines, repeats=args.repeats)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(report.to_json())
-    if args.json:
-        print(report.to_json())
-    else:
-        print(f"{'engine':>14} {'n/part':>7} {'median_s':>12} {'decision':>8}")
-        for row in report.rows:
-            med = "resource" if row.error else f"{row.median_seconds:.6f}"
-            print(f"{row.engine:>14} {row.n_per_part:>7} {med:>12} "
-                  f"{str(row.decision):>8}")
-    return EXIT_OK
-
-
 # -- parser ----------------------------------------------------------------
 
 
@@ -302,24 +286,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench")
-    p.add_argument("--sizes", type=int, nargs="+", default=[256, 512])
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--engines", nargs="+", default=list(ENGINES),
-                   choices=list(ENGINES))
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
-
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # a late EPIPE surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone; send the unflushed rest to devnull so the
+        # interpreter's shutdown flush does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -120,7 +120,6 @@ class BlockGeometry:
         self.s = params.s
         self.blocks = [_blocks_of_part(H, p, params.s)
                        for p in range(1, H.k)]          # slot -> block list
-        self.block_counts = [len(b) for b in self.blocks]
         self.index_sets = params.index_sets
         self.seg_offset = {I: idx * params.segment_length
                            for idx, I in enumerate(self.index_sets)}

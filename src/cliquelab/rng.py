@@ -33,12 +33,6 @@ def splitmix64_at(seed: int, counters: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized splitmix64 outputs for counters start..start+count-1."""
-    return splitmix64_at(seed, np.arange(start, start + count,
-                                         dtype=np.uint64))
-
-
 def bernoulli_at(seed: int, counters: np.ndarray, p: float) -> np.ndarray:
     """Bernoulli(p) bools, one per counter: its 53-bit uniform is < p."""
     words = splitmix64_at(seed, counters)
@@ -70,17 +64,6 @@ class CounterRng:
             x = self.next64()
             if x <= limit:
                 return x % bound
-
-    def sample(self, seq, count: int):
-        """count distinct elements of seq, order-deterministic."""
-        pool = list(seq)
-        if count > len(pool):
-            raise ValueError("sample larger than population")
-        out = []
-        for _ in range(count):
-            idx = self.below(len(pool))
-            out.append(pool.pop(idx))
-        return out
 
     def bernoulli_words(self, nbits: int, p: float) -> int:
         """Python int whose nbits low bits are independent Bernoulli(p).

@@ -1,12 +1,17 @@
-"""Verification harness, benchmark runner, and CLI plumbing."""
+"""Verification harness, scalar reference, and CLI plumbing."""
 
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cliquelab.bench import detect_scalar_reference, run_bench, speedup
-from cliquelab.cli import main
+from cliquelab.bench import detect_scalar_reference
+from cliquelab.cli import build_parser, main
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.io import parse
@@ -14,6 +19,8 @@ from cliquelab.triangle import detect_naive
 from cliquelab.verify import CHECKS, gnp_sweep, run_verify, shrink
 from tests.test_core import random_graph
 from tests.test_oracles import complete_kpartite
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_scalar_reference_agrees_with_naive():
@@ -59,32 +66,6 @@ def test_shrink_keeps_failure_alive():
     small = shrink(g, lambda x: detect_naive(x) is None)
     assert detect_naive(small) is not None
     assert small.n_total == 3
-
-
-def test_run_bench_rows_and_crosscheck():
-    report = run_bench([16, 32], engines=("scalar", "naive"), repeats=3)
-    assert report.schema == 1
-    assert len(report.rows) == 4
-    decided = {(r.engine, r.n_per_part): r.decision for r in report.rows}
-    assert decided[("scalar", 16)] == decided[("naive", 16)]
-    payload = json.loads(report.to_json())
-    assert payload["schema"] == 1 and len(payload["rows"]) == 4
-
-
-def test_run_bench_requires_ascending_sizes():
-    with pytest.raises(InvalidParameterError):
-        run_bench([32, 16])
-
-
-def test_run_bench_same_seed_same_decisions():
-    a = run_bench([24], engines=("naive",), repeats=2, seed=5)
-    b = run_bench([24], engines=("naive",), repeats=2, seed=5)
-    assert [r.decision for r in a.rows] == [r.decision for r in b.rows]
-
-
-def test_speedup_at_least_one_dense(tmp_path):
-    report = run_bench([64], engines=("scalar", "naive"), repeats=3)
-    assert speedup(report, "scalar", "naive", 64) > 0
 
 
 # -- CLI -------------------------------------------------------------------
@@ -459,6 +440,43 @@ def test_cli_detect_clique_rejects_removed_flag(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_bench_subcommand_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_closed_pipe_exits_quietly(tmp_path):
+    # The listing runs to megabytes, far past a pipe buffer, so the writer
+    # is still writing when the reader closes the pipe after 10 bytes.
+    path = tmp_path / "g.txt"
+    assert main(["gen", "--kind", "gnp-kpartite", "--n", "60", "--k", "3",
+                 "--p", "0.6", "--seed", "1", "-o", str(path)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cliquelab.cli", "list-triangles", "--json",
+         str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert err == b""
+
+
+def test_readme_cli_block_names_every_subcommand():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```")[0]
+    documented = {line.split()[1] for line in block.splitlines()
+                  if line.startswith("cliquelab ")}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)
+
+
 def test_cli_verify_mismatch_exit(capsys, monkeypatch):
     # verify exits 1 when a check fails; use a stub check
     from cliquelab import verify as vmod
@@ -521,12 +539,3 @@ def test_verify_triangle_list_rejects_duplicates_and_truncation(
     assert CHECKS["triangle-list"](g)
     monkeypatch.setattr(vmod, "list_all_triangles", faulty)
     assert not CHECKS["triangle-list"](g)
-
-
-def test_cli_bench_table(tmp_path, capsys):
-    out_path = tmp_path / "bench.json"
-    code, out = run_cli(["bench", "--sizes", "16", "--engines", "naive",
-                         "--repeats", "2", "-o", str(out_path)], capsys)
-    assert code == 0
-    assert "engine" in out
-    assert json.loads(out_path.read_text())["schema"] == 1
