@@ -35,8 +35,8 @@ def main() -> None:
           f"{detail.piece_count} partition pieces, "
           f"verified={detail.partition_verified}")
     for plan in detail.plans[:3]:
-        print(f"  piece pair {plan.piece_pair}: strategy={plan.strategy}, "
-              f"density={plan.density:.3f}, low_density={plan.low_density}")
+        print(f"  piece pair {plan.piece_pair}: density={plan.density:.3f}, "
+              f"low_density={plan.low_density}")
 
 
 if __name__ == "__main__":

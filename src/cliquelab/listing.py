@@ -2,11 +2,11 @@
 
 Pipeline: compute a weak regularity partition of G[V2 u V3]; for every
 piece pair (i, j) list the triangles of (V1, V2_i, V3_j) with the row-AND
-lister pivoting on V1 or on V2, whichever has the smaller exactly
-evaluated cost estimate; a shared t-cutoff spans all piece pairs.  A
-thresholding wrapper splits every part into ~sqrt(n) blocks so listing can
-stop early; its untruncated pass lists everything.  Block triples and
-piece pairs are vertex masks of the one graph, not views.
+lister pivoting on V1, over only the V2_i vertices with a neighbour in
+V3_j; a shared t-cutoff spans all piece pairs.  A thresholding wrapper
+splits every part into ~sqrt(n) blocks so listing can stop early; its
+untruncated pass lists everything.  Block triples and piece pairs are
+vertex masks of the one graph, not views.
 """
 
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import List, Optional, Tuple
 
-from .bitops import iter_bits, split_bits
+from .bitops import iter_bits, mask_from_vertices, split_bits
 from .core import KPartiteGraph
 from .errors import InvalidParameterError
 from .oracles import ListingResult
@@ -28,24 +28,11 @@ PARTITION_ATTEMPTS = 3
 
 @dataclass
 class PairPlan:
-    """Strategy decision for one piece pair of the regularity partition.
-
-    The two costs are the paper's sparse Four-Russians estimates,
-    sum_v d_2(v) d_3(v) / log^2 n for the V1 pivot and n e(V2_i, V3_j) /
-    log^2 n for the V2 pivot.  They are kept as the strategy rule; they do
-    not model the work of the row-AND listers that run the pair.
-    """
+    """One piece pair of the regularity partition and its V2-V3 density."""
 
     piece_pair: Tuple[int, int]
     density: float
     low_density: bool          # density <= sqrt(epsilon)
-    strategy: str              # "pivot-v1" or "pivot-v2"
-    cost_pivot_v1: float
-    cost_pivot_v2: float
-
-    @property
-    def estimated_cost(self) -> float:
-        return min(self.cost_pivot_v1, self.cost_pivot_v2)
 
 
 @dataclass
@@ -64,9 +51,10 @@ def _piece_pairs(G: KPartiteGraph, b2: int, b3: int, cfg: RegularityConfig
                  ) -> Tuple[Optional[PseudoregularPartition], List[tuple]]:
     """Weak regularity partition of G[b2 u b3], retried on fresh seeds until
     one passes the sampled check or the attempts run out, and its piece
-    pairs ((i, j), s2, s3, e(s2, s3)) with s2 = piece_i & b2 and s3 =
-    piece_j & b3 non-empty, in (i, j) order.  With b2 or b3 empty there is
-    no pair to list, and nothing is partitioned."""
+    pairs ((i, j), s2, s3, kept) with s2 = piece_i & b2 and s3 = piece_j &
+    b3 non-empty, in (i, j) order, and kept the vertices of s2 with a
+    neighbour in s3.  With b2 or b3 empty there is no pair to list, and
+    nothing is partitioned."""
     if not (b2 and b3):
         return None, []
     view = G.restrict([0, b2, b3])
@@ -75,40 +63,21 @@ def _piece_pairs(G: KPartiteGraph, b2: int, b3: int, cfg: RegularityConfig
             view, replace(cfg, rng_seed=cfg.rng_seed + 1009 * attempt))
         if partition.verified:
             break
-    sides = [(i, p & b2, p & b3) for i, p in enumerate(partition.pieces)]
-    return partition, [((i, j), s2, s3, edge_count_between(G, s2, s3))
-                       for i, s2, _ in sides if s2 for j, _, s3 in sides if s3]
-
-
-def _list_triple(G: KPartiteGraph, t: Optional[int], cfg: RegularityConfig,
-                 b1: int, v1: List[int], b2: int, b3: int, pairs: List[tuple],
-                 out: List[tuple], plans: Optional[List[PairPlan]]) -> bool:
-    """Plan every piece pair of block triple (b1, b2, b3), with n its vertex
-    count, then list the pairs in order into ``out`` up to t; True when the
-    listing was truncated.  Plans are recorded when ``plans`` is a list."""
     adj = G.adjacency
-    n = max(2, len(v1) + b2.bit_count() + b3.bit_count())
-    log2sq = math.log2(n) ** 2
-    rows1 = [adj[v] for v in v1]
-    jobs = []
-    for pair, s2, s3, e_ij in pairs:
-        cost2 = n * e_ij / log2sq
-        cost1 = sum((row & s2).bit_count() * (row & s3).bit_count()
-                    for row in rows1) / log2sq
-        pivot_v1 = cost1 <= cost2
-        if plans is not None:
-            dens = e_ij / (s2.bit_count() * s3.bit_count())
-            plans.append(PairPlan(
-                piece_pair=pair, density=dens,
-                low_density=dens <= math.sqrt(cfg.epsilon),
-                strategy="pivot-v1" if pivot_v1 else "pivot-v2",
-                cost_pivot_v1=cost1, cost_pivot_v2=cost2))
-        jobs.append((pivot_v1, s2, s3))
-    for pivot_v1, s2, s3 in jobs:
-        if (_list_sparse(adj, v1, s2, s3, False, out, t) if pivot_v1 else
-                _list_sparse(adj, iter_bits(s2), b1, s3, True, out, t)):
-            return True
-    return False
+    sides = [(i, p & b2, p & b3) for i, p in enumerate(partition.pieces)]
+    return partition, [
+        ((i, j), s2, s3,
+         mask_from_vertices(u for u in iter_bits(s2) if adj[u] & s3))
+        for i, s2, _ in sides if s2 for j, _, s3 in sides if s3]
+
+
+def _list_pairs(adj: List[int], v1: List[int], pairs: List[tuple],
+                out: List[tuple], t: Optional[int]) -> bool:
+    """List the piece pairs in order into ``out`` up to t, pivoting on the
+    V1 vertices ``v1`` and skipping pairs with nothing kept; True when the
+    listing was truncated."""
+    return any(_list_sparse(adj, v1, kept, s3, False, out, t)
+               for _, _, s3, kept in pairs if kept)
 
 
 def list_triangles_detailed(G: KPartiteGraph, t: Optional[int],
@@ -124,9 +93,14 @@ def list_triangles_detailed(G: KPartiteGraph, t: Optional[int],
     result = ListingResult(requested_t=t)
     b1, b2, b3 = G.part_masks
     partition, pairs = _piece_pairs(G, b2, b3, cfg)
-    plans: List[PairPlan] = []
-    result.truncated = _list_triple(G, t, cfg, b1, list(iter_bits(b1)), b2,
-                                    b3, pairs, result.witnesses, plans)
+    plans = []
+    for pair, s2, s3, _ in pairs:
+        dens = (edge_count_between(G, s2, s3)
+                / (s2.bit_count() * s3.bit_count()))
+        plans.append(PairPlan(piece_pair=pair, density=dens,
+                              low_density=dens <= math.sqrt(cfg.epsilon)))
+    result.truncated = _list_pairs(G.adjacency, list(iter_bits(b1)), pairs,
+                                   result.witnesses, t)
     return RegularityListing(
         result=result, plans=plans,
         partition_verified=partition is None or partition.verified,
@@ -166,8 +140,8 @@ def list_triangles_threshold(G: KPartiteGraph, t: Optional[int],
         for b2, b3 in product(*blocks_per_part[1:]):
             if (b2, b3) not in pairs:
                 pairs[b2, b3] = _piece_pairs(G, b2, b3, cfg)[1]
-            if _list_triple(G, t, cfg, b1, v1, b2, b3, pairs[b2, b3],
-                            result.witnesses, None):
+            if _list_pairs(G.adjacency, v1, pairs[b2, b3], result.witnesses,
+                           t):
                 result.truncated = True
                 return result
     return result

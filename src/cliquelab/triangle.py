@@ -206,5 +206,6 @@ def list_sparse_four_russians(G: KPartiteGraph, t: Optional[int]
 
 
 def list_sparse_pivoted(G: KPartiteGraph, t: Optional[int]) -> ListingResult:
-    """List up to t triangles pivoting on part 1, so cost tracks e(V2, V3)."""
+    """List up to t triangles pivoting on part 1: one AND per V1-V2 edge at
+    each V2 vertex that has a V3 neighbour."""
     return _list_parts(G, t, 1, 0)

@@ -18,8 +18,8 @@ from cliquelab.listing import (list_all_triangles, list_triangles,
                                list_triangles_detailed,
                                list_triangles_threshold)
 from cliquelab.oracles import brute_triangles
-from cliquelab.regularity import (RegularityConfig, default_epsilon,
-                                  edge_count_between, weak_regular_partition)
+from cliquelab.regularity import (RegularityConfig, default_epsilon, density,
+                                  weak_regular_partition)
 from cliquelab.triangle import list_sparse_four_russians, list_sparse_pivoted
 from tests.test_hyperclique import complete_hypergraph
 from tests.test_core import random_graph
@@ -65,18 +65,37 @@ def test_bounded_prefix_property():
         assert res.truncated == (len(want) > t)
 
 
-def test_pair_plans_argmin_and_density():
+def test_pair_plans_density():
     g = random_graph(random.Random(3), [6, 10, 10], 0.45)
     detail = list_triangles_detailed(g, None, FAST_CFG)
     assert detail.piece_count >= 1
     for plan in detail.plans:
         assert 0.0 <= plan.density <= 1.0
-        expected = ("pivot-v1" if plan.cost_pivot_v1 <= plan.cost_pivot_v2
-                    else "pivot-v2")
-        assert plan.strategy == expected
-        assert plan.estimated_cost == min(plan.cost_pivot_v1,
-                                          plan.cost_pivot_v2)
         assert plan.low_density == (plan.density <= FAST_CFG.epsilon ** 0.5)
+
+
+def _hub_graph(rng, sizes, p):
+    """G(n, p) with V1 joined to every vertex of V2 u V3."""
+    g = random_graph(rng, sizes, p)
+    for v in g.part_vertices(0):
+        g.adjacency[v] |= g.part_masks[1] | g.part_masks[2]
+        for u in iter_bits(g.part_masks[1] | g.part_masks[2]):
+            g.adjacency[u] |= 1 << v
+    return g
+
+
+def test_default_epsilon_lists_in_oracle_order():
+    # At the default epsilon every partition is one piece per side, so the
+    # pipeline is one row-AND pass pivoting on V1: the oracle's order.
+    rng = random.Random(14)
+    for p, hub, _ in product((0.0, 0.15, 0.5, 1.0), (False, True), range(40)):
+        sizes = [rng.randint(0, 9) for _ in range(3)]
+        g = (_hub_graph if hub else random_graph)(rng, sizes, p)
+        total = len(brute_triangles(g))
+        for t in sorted({0, 1, max(total - 1, 0), total}) + [None]:
+            res, want = list_triangles(g, t), brute_triangles(g, t)
+            assert (res.witnesses, res.truncated) == (
+                want.witnesses, want.truncated), (sizes, p, hub, t)
 
 
 def test_threshold_t_zero():
@@ -194,35 +213,27 @@ def _reference_partition(view, cfg):
 
 
 def _view_reference(G, t, cfg, blocks_per_part):
-    """Witnesses, truncation and (piece pair, strategy, V1 cost, V2 cost)
-    plans from a restrict view per block triple and per piece pair, the
-    cost formulas recomputed here and the public listers; no partition or
-    piece pair is shared between block triples."""
+    """Witnesses, truncation and (piece pair, density, low density) plans
+    from a restrict view per block triple and per piece pair, the exact
+    densities and the public V1-pivot lister; no partition or piece pair is
+    shared between block triples, and no vertex is pruned."""
     out, plans = [], []
     for blocks in product(*blocks_per_part):
         b1, b2, b3 = blocks
         if not (b2 and b3):
             continue
-        sub = G.restrict(blocks)
-        pieces = _reference_partition(sub, cfg).pieces
-        n = max(2, sub.n_total)
-        log2sq = math.log2(n) ** 2
-        jobs = []
+        pieces = _reference_partition(G.restrict(blocks), cfg).pieces
+        views = []
         for (i, pi), (j, pj) in product(enumerate(pieces), repeat=2):
             s2, s3 = pi & b2, pj & b3
             if not (s2 and s3):
                 continue
-            cost1 = sum((G.adjacency[v] & s2).bit_count()
-                        * (G.adjacency[v] & s3).bit_count()
-                        for v in sub.part_vertices(0)) / log2sq
-            cost2 = n * edge_count_between(G, s2, s3) / log2sq
-            strategy = "pivot-v1" if cost1 <= cost2 else "pivot-v2"
-            plans.append(((i, j), strategy, cost1, cost2))
-            jobs.append((strategy, G.restrict([b1, s2, s3])))
-        for strategy, view in jobs:
-            lister = (list_sparse_four_russians if strategy == "pivot-v1"
-                      else list_sparse_pivoted)
-            part = lister(view, None if t is None else t - len(out))
+            dens = float(density(G, s2, s3))
+            plans.append(((i, j), dens, dens <= math.sqrt(cfg.epsilon)))
+            views.append(G.restrict([b1, s2, s3]))
+        for view in views:
+            part = list_sparse_four_russians(
+                view, None if t is None else t - len(out))
             out.extend(part.witnesses)
             if part.truncated:
                 return out, True, plans
@@ -232,8 +243,8 @@ def _view_reference(G, t, cfg, blocks_per_part):
 # Sizes with empty and single-vertex parts and short last threshold blocks
 # (10 per part -> 3, 3, 3, 1); epsilon below 0.25 with a small piece cap
 # refines into multi-piece partitions with mixed-side residual pieces.  With
-# ``hub`` V1 is joined to all of V2 u V3 and V2-V3 is sparse, so most plans
-# pivot on V2.
+# ``hub`` V1 is joined to all of V2 u V3 and V2-V3 is sparse, so many piece
+# pairs have V2 vertices with no V3 neighbour, which the lister skips.
 VIEW_REF_CFGS = [RegularityConfig(epsilon=0.02, rng_seed=3, sample_count=60,
                                   refinement_budget=4, max_pieces=4),
                  RegularityConfig(epsilon=0.05, rng_seed=5, sample_count=60,
@@ -245,14 +256,9 @@ VIEW_REF_CFGS = [RegularityConfig(epsilon=0.02, rng_seed=3, sample_count=60,
     ([10, 10, 10], False), ([10, 10, 10], True)])
 def test_threshold_and_detailed_match_view_reference(sizes, hub):
     rng = random.Random(sum(sizes))
-    mixed = pivot_v2 = 0
+    mixed = pruned = 0
     for p, cfg in product((0.0, 0.15 if hub else 0.5, 1.0), VIEW_REF_CFGS):
-        g = random_graph(rng, sizes, p)
-        if hub:
-            for v in g.part_vertices(0):
-                g.adjacency[v] |= g.part_masks[1] | g.part_masks[2]
-                for u in iter_bits(g.part_masks[1] | g.part_masks[2]):
-                    g.adjacency[u] |= 1 << v
+        g = (_hub_graph if hub else random_graph)(rng, sizes, p)
         total = len(brute_triangles(g))
         whole = [[m] for m in g.part_masks]
         for t in sorted({0, 1, max(total - 1, 0), total}) + [None]:
@@ -263,16 +269,20 @@ def test_threshold_and_detailed_match_view_reference(sizes, hub):
             d = list_triangles_detailed(g, t, cfg)
             want, cut, plans = _view_reference(g, t, cfg, whole)
             assert (d.result.witnesses, d.result.truncated) == (want, cut)
-            assert [(q.piece_pair, q.strategy, q.cost_pivot_v1,
-                     q.cost_pivot_v2) for q in d.plans] == plans
-            pivot_v2 += sum(q.strategy == "pivot-v2" for q in d.plans)
+            assert [(q.piece_pair, q.density, q.low_density)
+                    for q in d.plans] == plans
         blocks = _threshold_blocks(g)
         for b2, b3 in product(blocks[1], blocks[2]):
             if b2 and b3:
                 P = _reference_partition(g.restrict([0, b2, b3]), cfg)
                 mixed += sum(bool(q & b2 and q & b3) for q in P.pieces)
+                for q2, q3 in product(P.pieces, repeat=2):
+                    # some, not all, s2 vertices have an s3 neighbour
+                    s2, s3 = q2 & b2, q3 & b3
+                    hit = sum(bool(g.adjacency[u] & s3) for u in iter_bits(s2))
+                    pruned += 0 < hit < s2.bit_count()
     assert mixed or sizes != [10, 10, 10]
-    assert pivot_v2 or not hub
+    assert pruned or not hub
 
 
 @pytest.mark.parametrize("sizes", [[3, 0, 0], [0, 0, 0]])
@@ -328,27 +338,29 @@ def _pin_digest(key):
             d = list_triangles_detailed(G, t, _pin_cfg(G, eps))
             record.append((d.result.witnesses, d.result.truncated,
                            d.partition_verified, d.piece_count,
-                           [(p.piece_pair, p.strategy) for p in d.plans]))
+                           [p.piece_pair for p in d.plans]))
     return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
 
 
 # Recorded before weak_regular_partition tried the exact certificate
 # before sampling, which must not change any partition, verified flag,
-# plan or witness order.
+# plan or witness order.  The "detailed" records keep each plan's piece
+# pair only; their digests were taken while each pair still chose between a
+# V1 and a V2 pivot, so the one V1 pivot must reproduce them.
 PINNED_DIGESTS = {
     ("all",): "865cb444b2755918",
     ("partition", None): "de302bd57bb285d6",
     ("partition", 0.02): "a7fbcf85873fe8a6",
     ("partition", 0.05): "de302bd57bb285d6",
     ("partition", 0.25): "de302bd57bb285d6",
-    ("detailed", None, None): "5a7932bdcbc821dc",
-    ("detailed", None, 7): "3d03f74d10119a7c",
-    ("detailed", 0.02, None): "3b6f9dd07c218deb",
-    ("detailed", 0.02, 7): "170ad1a200381922",
-    ("detailed", 0.05, None): "5a7932bdcbc821dc",
-    ("detailed", 0.05, 7): "3d03f74d10119a7c",
-    ("detailed", 0.25, None): "5a7932bdcbc821dc",
-    ("detailed", 0.25, 7): "3d03f74d10119a7c",
+    ("detailed", None, None): "89b0e550d49ac474",
+    ("detailed", None, 7): "de94df759aafb835",
+    ("detailed", 0.02, None): "c326fa5fdb0ecdce",
+    ("detailed", 0.02, 7): "ff77a7ea3167a181",
+    ("detailed", 0.05, None): "89b0e550d49ac474",
+    ("detailed", 0.05, 7): "de94df759aafb835",
+    ("detailed", 0.25, None): "89b0e550d49ac474",
+    ("detailed", 0.25, 7): "de94df759aafb835",
 }
 
 

@@ -93,7 +93,9 @@ def test_cli_gen_detect_roundtrip(tmp_path, capsys):
                          "--json", str(path)], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["count"] <= 4 and "plans" in payload
+    assert payload["count"] <= 4 and payload["plans"]
+    assert all(set(plan) == {"piece_pair", "density", "low_density"}
+               for plan in payload["plans"])
 
 
 def test_cli_clique_trace(tmp_path, capsys):
