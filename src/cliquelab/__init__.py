@@ -21,7 +21,7 @@ from .kclique import (RecursionParams, TraceNode, choose_params,
                       detect_kclique, find_heavy_vertex, find_witness,
                       kclique_via_k1)
 from .listing import (RegularityListing, list_all_triangles, list_triangles,
-                      list_triangles_detailed, list_triangles_threshold)
+                      list_triangles_detailed)
 from .oracles import (UNBOUNDED, ListingResult, brute_hypercliques,
                       brute_kclique, brute_triangles)
 from .regularity import (PseudoregularPartition, RegularityConfig,

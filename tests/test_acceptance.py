@@ -19,7 +19,7 @@ from cliquelab.hyperclique import (BlockGeometry, HypercliqueParams,
                                    list_hypercliques)
 from cliquelab.kclique import (RecursionParams, choose_params, detect_kclique,
                                find_witness)
-from cliquelab.listing import list_triangles, list_triangles_threshold
+from cliquelab.listing import list_triangles
 from cliquelab.oracles import brute_hypercliques, brute_kclique, brute_triangles
 from cliquelab.regularity import (PseudoregularPartition, RegularityConfig,
                                   _density_matrix, check_pseudoregular_sampled,
@@ -268,18 +268,21 @@ def test_ac7_listing_truncation_no_duplicates():
     truth = brute_triangles(G).as_set()
     assert len(truth) == 100
     issues = 0
-    for lister in (list_triangles, list_triangles_threshold):
-        res = lister(G, 50, LEAN_CFG)
+    # LEAN_CFG runs the sampled partition check; the default epsilon is
+    # certified exactly
+    for cfg in (LEAN_CFG, None):
+        res = list_triangles(G, 50, cfg)
         got = res.witnesses
         if len(got) != 50 or len(set(got)) != 50 or not set(got) <= truth:
             issues += 1
-        full = lister(G, None, LEAN_CFG)
+        full = list_triangles(G, None, cfg)
         if len(full.witnesses) != len(set(full.witnesses)) or \
                 full.as_set() != truth:
             issues += 1
     ok = issues == 0
     _verdict("AC7 listing-truncation-no-duplicates", ok,
-             f"both listing paths, t=50 of 100, {issues} issues")
+             f"list_triangles at sampled and certified epsilon, t=50 of "
+             f"100, {issues} issues")
     assert ok
 
 

@@ -1,4 +1,4 @@
-"""Regularity-driven triangle listing pipeline and its wrappers."""
+"""Regularity-driven triangle listing pipeline."""
 
 import hashlib
 import math
@@ -9,14 +9,13 @@ from itertools import product
 import pytest
 
 from cliquelab import listing
-from cliquelab.bitops import iter_bits, split_bits
+from cliquelab.bitops import iter_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.generate import GenSpec, generate
 from cliquelab.hyperclique import list_hypercliques
 from cliquelab.listing import (list_all_triangles, list_triangles,
-                               list_triangles_detailed,
-                               list_triangles_threshold)
+                               list_triangles_detailed)
 from cliquelab.oracles import brute_triangles
 from cliquelab.regularity import (RegularityConfig, default_epsilon, density,
                                   weak_regular_partition)
@@ -96,20 +95,22 @@ def test_default_epsilon_lists_in_oracle_order():
             res, want = list_triangles(g, t), brute_triangles(g, t)
             assert (res.witnesses, res.truncated) == (
                 want.witnesses, want.truncated), (sizes, p, hub, t)
+        assert list_all_triangles(g).witnesses == \
+            brute_triangles(g).witnesses, (sizes, p, hub)
 
 
 def test_threshold_t_zero():
     g = complete_kpartite([2, 2, 2])
-    res = list_triangles_threshold(g, 0, FAST_CFG)
+    res = list_triangles(g, 0, FAST_CFG)
     assert len(res) == 0 and res.truncated
     empty = KPartiteGraph([2, 2, 2])
-    res2 = list_triangles_threshold(empty, 0, FAST_CFG)
+    res2 = list_triangles(empty, 0, FAST_CFG)
     assert len(res2) == 0 and not res2.truncated
 
 
 def test_threshold_complete_exact_count():
     g = complete_kpartite([8, 8, 8])
-    res = list_triangles_threshold(g, 100, FAST_CFG)
+    res = list_triangles(g, 100, FAST_CFG)
     assert len(res) == 100 and res.truncated
     assert len(res.as_set()) == 100
     for w in res.witnesses:
@@ -117,17 +118,17 @@ def test_threshold_complete_exact_count():
         assert g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
 
 
-def test_threshold_no_duplicates_across_block_triples():
+def test_list_all_no_duplicates():
     rng = random.Random(31)
     for _ in range(8):
         g = random_graph(rng, [9, 9, 9], 0.55)
         want = brute_triangles(g).as_set()
-        res = list_triangles_threshold(g, None, FAST_CFG)
+        res = list_all_triangles(g, FAST_CFG)
         assert len(res.witnesses) == len(res.as_set())
         assert res.as_set() == want
 
 
-def test_list_all_doubling():
+def test_list_all_complete_and_empty():
     g = complete_kpartite([3, 3, 3])
     res = list_all_triangles(g, FAST_CFG)
     assert len(res) == 27 and not res.truncated
@@ -150,33 +151,8 @@ def test_planted_disjoint_triangles_truncation():
     assert res.as_set() <= want and len(res.as_set()) == 12
 
 
-def _threshold_blocks(G):
-    """The ~sqrt(n) blocks per part that list_triangles_threshold uses."""
-    blocks_per_part = []
-    for p in range(3):
-        size = G.part_sizes[p]
-        g = max(1, math.isqrt(max(size - 1, 0)) + 1) if size else 1
-        bsize = max(1, -(-size // g)) if size else 1
-        blocks_per_part.append(split_bits(G.part_masks[p], bsize) or [0])
-    return blocks_per_part
-
-
-def _threshold_reference(G, t, cfg):
-    """One full list_triangles call per block triple, nothing shared."""
-    out = []
-    for blocks in product(*_threshold_blocks(G)):
-        remaining = None if t is None else t - len(out)
-        part = list_triangles(G.restrict(blocks), remaining, cfg)
-        out.extend(part.witnesses)
-        if part.truncated:
-            return out, True
-    return out, False
-
-
-def test_threshold_partitions_once_per_v2_v3_block_pair(monkeypatch):
+def test_list_all_partitions_once(monkeypatch):
     g = random_graph(random.Random(8), [9, 5, 10], 0.5)
-    g1, g2, g3 = map(len, _threshold_blocks(g))
-    assert (g1, g2, g3) == (3, 3, 4)
     first_attempts = []
     real = listing.weak_regular_partition
 
@@ -186,20 +162,8 @@ def test_threshold_partitions_once_per_v2_v3_block_pair(monkeypatch):
         return real(G, cfg, *args)
 
     monkeypatch.setattr(listing, "weak_regular_partition", counting)
-    list_triangles_threshold(g, None, FAST_CFG)
-    assert len(first_attempts) == g2 * g3
-    assert len(set(first_attempts)) == g2 * g3
-
-
-def test_threshold_witness_order_matches_per_triple_reference():
-    rng = random.Random(41)
-    for sizes, p, t in [([9, 9, 9], 0.5, None), ([7, 12, 5], 0.7, None),
-                        ([10, 10, 10], 0.6, 40), ([0, 6, 6], 0.5, None),
-                        ([6, 1, 8], 0.9, 3), ([16, 16, 16], 0.3, None)]:
-        g = random_graph(rng, sizes, p)
-        res = list_triangles_threshold(g, t, FAST_CFG)
-        assert (res.witnesses, res.truncated) == _threshold_reference(
-            g, t, FAST_CFG)
+    list_all_triangles(g, FAST_CFG)
+    assert first_attempts == [(g.part_masks[1], g.part_masks[2])]
 
 
 def _reference_partition(view, cfg):
@@ -212,39 +176,37 @@ def _reference_partition(view, cfg):
     return P
 
 
-def _view_reference(G, t, cfg, blocks_per_part):
-    """Witnesses, truncation and (piece pair, density, low density) plans
-    from a restrict view per block triple and per piece pair, the exact
-    densities and the public V1-pivot lister; no partition or piece pair is
-    shared between block triples, and no vertex is pruned."""
-    out, plans = [], []
-    for blocks in product(*blocks_per_part):
-        b1, b2, b3 = blocks
-        if not (b2 and b3):
+def _view_reference(G, t, cfg):
+    """Witnesses, truncation, (piece pair, density, low density) plans and
+    the partition's pieces from a restrict view for the partition and one
+    per piece pair, the exact densities and the public V1-pivot lister;
+    no vertex is pruned."""
+    b1, b2, b3 = G.part_masks
+    if not (b2 and b3):
+        return [], False, [], []
+    pieces = _reference_partition(G.restrict([b1, b2, b3]), cfg).pieces
+    out, plans, views = [], [], []
+    for (i, pi), (j, pj) in product(enumerate(pieces), repeat=2):
+        s2, s3 = pi & b2, pj & b3
+        if not (s2 and s3):
             continue
-        pieces = _reference_partition(G.restrict(blocks), cfg).pieces
-        views = []
-        for (i, pi), (j, pj) in product(enumerate(pieces), repeat=2):
-            s2, s3 = pi & b2, pj & b3
-            if not (s2 and s3):
-                continue
-            dens = float(density(G, s2, s3))
-            plans.append(((i, j), dens, dens <= math.sqrt(cfg.epsilon)))
-            views.append(G.restrict([b1, s2, s3]))
-        for view in views:
-            part = list_sparse_four_russians(
-                view, None if t is None else t - len(out))
-            out.extend(part.witnesses)
-            if part.truncated:
-                return out, True, plans
-    return out, False, plans
+        dens = float(density(G, s2, s3))
+        plans.append(((i, j), dens, dens <= math.sqrt(cfg.epsilon)))
+        views.append(G.restrict([b1, s2, s3]))
+    for view in views:
+        part = list_sparse_four_russians(
+            view, None if t is None else t - len(out))
+        out.extend(part.witnesses)
+        if part.truncated:
+            return out, True, plans, pieces
+    return out, False, plans, pieces
 
 
-# Sizes with empty and single-vertex parts and short last threshold blocks
-# (10 per part -> 3, 3, 3, 1); epsilon below 0.25 with a small piece cap
-# refines into multi-piece partitions with mixed-side residual pieces.  With
-# ``hub`` V1 is joined to all of V2 u V3 and V2-V3 is sparse, so many piece
-# pairs have V2 vertices with no V3 neighbour, which the lister skips.
+# Sizes with empty and single-vertex parts; epsilon below 0.25 with a small
+# piece cap refines into multi-piece partitions, at 4 per part with a
+# mixed-side residual piece.  With ``hub`` V1 is joined to all of V2 u V3
+# and V2-V3 is sparse, so many piece pairs have V2 vertices with no V3
+# neighbour, which the lister skips.
 VIEW_REF_CFGS = [RegularityConfig(epsilon=0.02, rng_seed=3, sample_count=60,
                                   refinement_budget=4, max_pieces=4),
                  RegularityConfig(epsilon=0.05, rng_seed=5, sample_count=60,
@@ -253,35 +215,30 @@ VIEW_REF_CFGS = [RegularityConfig(epsilon=0.02, rng_seed=3, sample_count=60,
 
 @pytest.mark.parametrize("sizes, hub", [
     ([0, 6, 6], False), ([6, 1, 8], False), ([1, 1, 1], False),
-    ([10, 10, 10], False), ([10, 10, 10], True)])
+    ([10, 10, 10], False), ([10, 10, 10], True), ([4, 4, 4], False)])
 def test_threshold_and_detailed_match_view_reference(sizes, hub):
+    # the t-thresholded lister and the detailed pass, at every t
     rng = random.Random(sum(sizes))
     mixed = pruned = 0
     for p, cfg in product((0.0, 0.15 if hub else 0.5, 1.0), VIEW_REF_CFGS):
         g = (_hub_graph if hub else random_graph)(rng, sizes, p)
         total = len(brute_triangles(g))
-        whole = [[m] for m in g.part_masks]
         for t in sorted({0, 1, max(total - 1, 0), total}) + [None]:
-            res = list_triangles_threshold(g, t, cfg)
-            want, cut, _ = _view_reference(g, t, cfg, _threshold_blocks(g))
+            want, cut, plans, pieces = _view_reference(g, t, cfg)
+            res = list_triangles(g, t, cfg)
             assert (res.witnesses, res.truncated) == (want, cut)
-
             d = list_triangles_detailed(g, t, cfg)
-            want, cut, plans = _view_reference(g, t, cfg, whole)
             assert (d.result.witnesses, d.result.truncated) == (want, cut)
             assert [(q.piece_pair, q.density, q.low_density)
                     for q in d.plans] == plans
-        blocks = _threshold_blocks(g)
-        for b2, b3 in product(blocks[1], blocks[2]):
-            if b2 and b3:
-                P = _reference_partition(g.restrict([0, b2, b3]), cfg)
-                mixed += sum(bool(q & b2 and q & b3) for q in P.pieces)
-                for q2, q3 in product(P.pieces, repeat=2):
-                    # some, not all, s2 vertices have an s3 neighbour
-                    s2, s3 = q2 & b2, q3 & b3
-                    hit = sum(bool(g.adjacency[u] & s3) for u in iter_bits(s2))
-                    pruned += 0 < hit < s2.bit_count()
-    assert mixed or sizes != [10, 10, 10]
+        _, b2, b3 = g.part_masks
+        mixed += sum(bool(q & b2 and q & b3) for q in pieces)
+        for q2, q3 in product(pieces, repeat=2):
+            # some, not all, s2 vertices have an s3 neighbour
+            s2, s3 = q2 & b2, q3 & b3
+            hit = sum(bool(g.adjacency[u] & s3) for u in iter_bits(s2))
+            pruned += 0 < hit < s2.bit_count()
+    assert mixed or sizes != [4, 4, 4]
     assert pruned or not hub
 
 
@@ -289,9 +246,8 @@ def test_threshold_and_detailed_match_view_reference(sizes, hub):
 def test_empty_v2_v3_lists_nothing(sizes):
     g = KPartiteGraph(sizes)
     for t in (None, 0, 2):
-        for lister in (list_triangles, list_triangles_threshold):
-            res = lister(g, t, FAST_CFG)
-            assert res.witnesses == [] and not res.truncated
+        res = list_triangles(g, t, FAST_CFG)
+        assert res.witnesses == [] and not res.truncated
         d = list_triangles_detailed(g, t)
         assert d.plans == [] and d.piece_count == 0 and d.partition_verified
     res = list_all_triangles(g)
@@ -301,7 +257,7 @@ def test_empty_v2_v3_lists_nothing(sizes):
 def test_negative_t_rejected_by_every_lister():
     g = complete_kpartite([3, 3, 3])
     for lister in (list_sparse_four_russians, list_sparse_pivoted,
-                   list_triangles, list_triangles_threshold):
+                   list_triangles):
         with pytest.raises(InvalidParameterError):
             lister(g, -1)
     with pytest.raises(InvalidParameterError):
@@ -325,11 +281,13 @@ def _pin_cfg(G, eps):
 
 
 def _pin_digest(key):
-    """sha256 prefix over the pinned outputs of one pipeline entry point."""
+    """sha256 prefix over the pinned outputs of one entry point."""
     record = []
     for G in _pin_graphs():
         if key[0] == "all":
             record.append(list_all_triangles(G).witnesses)
+        elif key[0] == "brute":
+            record.append(brute_triangles(G).witnesses)
         elif key[0] == "partition":
             P = weak_regular_partition(G, _pin_cfg(G, key[1]))
             record.append((P.pieces, P.verified))
@@ -346,9 +304,11 @@ def _pin_digest(key):
 # before sampling, which must not change any partition, verified flag,
 # plan or witness order.  The "detailed" records keep each plan's piece
 # pair only; their digests were taken while each pair still chose between a
-# V1 and a V2 pivot, so the one V1 pivot must reproduce them.
+# V1 and a V2 pivot, so the one V1 pivot must reproduce them.  "all" lists
+# every pin graph at the default epsilon in the oracle's order, so its
+# digest is the "brute" one.
 PINNED_DIGESTS = {
-    ("all",): "865cb444b2755918",
+    ("all",): "0e861e47e4932791",
     ("partition", None): "de302bd57bb285d6",
     ("partition", 0.02): "a7fbcf85873fe8a6",
     ("partition", 0.05): "de302bd57bb285d6",
@@ -361,6 +321,7 @@ PINNED_DIGESTS = {
     ("detailed", 0.05, 7): "de94df759aafb835",
     ("detailed", 0.25, None): "89b0e550d49ac474",
     ("detailed", 0.25, 7): "de94df759aafb835",
+    ("brute",): "0e861e47e4932791",
 }
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.kclique import RecursionParams, detect_kclique, find_witness
-from cliquelab.listing import list_triangles, list_triangles_threshold
+from cliquelab.listing import list_all_triangles, list_triangles
 from cliquelab.oracles import brute_kclique, brute_triangles
 from cliquelab.regularity import (RegularityConfig,
                                   check_pseudoregular_sampled,
@@ -82,16 +82,16 @@ def test_triangle_engines_on_views_match_oracle(case):
 
 
 def _check_regularity_listers(view, truth):
-    for lister in (list_triangles, list_triangles_threshold):
-        for cfg in (LEAN_CFG, *SAMPLED_CFGS):
-            res = lister(view, None, cfg)
+    for cfg in (LEAN_CFG, *SAMPLED_CFGS):
+        for res in (list_triangles(view, None, cfg),
+                    list_all_triangles(view, cfg)):
             got = res.witnesses
             assert not res.truncated
             assert len(got) == len(set(got)) and set(got) == truth
 
 
-# Empty and single-vertex parts, p in {0, 1}, and part sizes whose last
-# threshold block is short (5 -> 2, 2, 1; 7 -> 3, 3, 1; 10 -> 3, 3, 3, 1).
+# Empty and single-vertex parts, p in {0, 1}, and mid-sized odd and even
+# parts.
 @pytest.mark.parametrize("sizes, p", [
     ([0, 4, 4], 1.0), ([4, 0, 4], 1.0), ([4, 4, 0], 1.0), ([1, 1, 1], 1.0),
     ([1, 5, 1], 1.0), ([5, 7, 10], 1.0), ([5, 7, 10], 0.0), ([5, 7, 10], 0.5),
