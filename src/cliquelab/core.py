@@ -7,8 +7,9 @@ subsets by per-part masks over the same rows.  All structures are treated
 as immutable after construction.
 """
 
+from collections import defaultdict
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .bitops import bits_to_list, iter_bits, mask_range
 from .errors import InvalidParameterError
@@ -130,14 +131,16 @@ class KPartiteGraph:
     def from_edges(cls, part_sizes: Sequence[int],
                    edges: Iterable[Tuple[int, int]]) -> "KPartiteGraph":
         g = cls(part_sizes)
-        adj = g.adjacency
+        n, part_of = g.n_total, g._part_of
+        neighbours = defaultdict(list)
         for u, v in edges:
-            if not (0 <= u < g.n_total and 0 <= v < g.n_total):
+            if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(f"vertex id out of range: ({u},{v})")
-            if g._part_of[u] == g._part_of[v]:
+            if part_of[u] == part_of[v]:
                 raise InvalidParameterError(f"intra-part edge ({u},{v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        fill_rows(g.adjacency, neighbours)
         return g
 
     def validate(self) -> None:
@@ -195,7 +198,10 @@ class UniformHypergraph:
         return range(start, start + self.part_sizes[i])
 
     def add_edge(self, verts: Iterable[int]) -> None:
-        e = tuple(sorted(verts))
+        self.add_sorted_edge(tuple(sorted(verts)))
+
+    def add_sorted_edge(self, e: Tuple[int, ...]) -> None:
+        """``add_edge`` for a tuple already in ascending order."""
         if len(e) != self.r or len(set(e)) != self.r:
             raise InvalidParameterError(f"hyperedge {e} is not {self.r} distinct vertices")
         parts = set()
@@ -223,6 +229,22 @@ class UniformHypergraph:
 
 
 # -- operations -----------------------------------------------------------
+
+
+def fill_rows(adjacency: List[int], neighbours: Dict[int, List[int]]) -> None:
+    """Set ``adjacency[u]`` to the bit-row of ``neighbours[u]`` for each key.
+
+    Each row is built once: its bits go into a bytearray as wide as its
+    highest neighbour, which becomes one int.  A row then costs
+    O(degree + width / 8) steps instead of one big-int copy per edge, and
+    vertices without a key are not touched.  Every list is non-empty;
+    repeated neighbours are harmless.
+    """
+    for u, vs in neighbours.items():
+        row = bytearray((max(vs) >> 3) + 1)
+        for v in vs:
+            row[v >> 3] |= 1 << (v & 7)
+        adjacency[u] = int.from_bytes(row, "little")
 
 
 def kpartify(adjacency: Sequence[int], k: int) -> KPartiteGraph:

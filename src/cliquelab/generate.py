@@ -3,14 +3,14 @@
 Supported kinds: G(n, p) k-partite graphs, the same with planted
 cross-part cliques, r-uniform random hypergraphs, and hypergraphs with
 planted hypercliques.  Plants are chosen before any noise edge is drawn,
-so noise can only add witnesses, never remove a plant.
+so noise can only add witnesses, never remove a plant.  numpy, which
+draws the noise in batches, is imported on the first draw.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, islice, product
+from math import prod
 from typing import List, Optional, Tuple, Union
-
-import numpy as np
 
 from .core import KPartiteGraph, UniformHypergraph
 from .errors import InvalidParameterError
@@ -92,6 +92,7 @@ def _gnp_rows(rng: CounterRng, G: KPartiteGraph, p: float) -> None:
     columns after u's part: those draws are taken in batches and packed
     into upper rows, which a tiled bit transpose then mirrors.
     """
+    import numpy as np
     n = G.n_total
     base = rng.counter
     rng.counter += n * n
@@ -141,9 +142,15 @@ def generate(spec: GenSpec) -> GeneratedInstance:
         for w in witnesses:
             for sub in combinations(w, spec.r):
                 H.add_edge(sub)
+    # Tuple number t of a part combination (in ``product`` order) is kept
+    # iff the stream's next draw t is below p.  Parts are contiguous and
+    # taken in ascending order, so every tuple is already sorted.
     for part_combo in combinations(range(H.k), spec.r):
-        ranges = [H.part_vertices(i) for i in part_combo]
-        for verts in product(*ranges):
-            if rng.uniform() < spec.p:
-                H.edges.add(tuple(sorted(verts)))
+        tuples = product(*(H.part_vertices(i) for i in part_combo))
+        left = prod(H.part_sizes[i] for i in part_combo)
+        while left:
+            size = min(left, _BATCH)
+            hits = rng.bernoulli_flags(size, spec.p).tolist()
+            H.edges.update(compress(islice(tuples, size), hits))
+            left -= size
     return GeneratedInstance(spec=spec, graph=H, witnesses=witnesses)

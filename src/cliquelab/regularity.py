@@ -12,13 +12,13 @@ vertices) the starting partition of any side pair with two or more vertices
 is certified, so the default paths never sample.
 """
 
+from __future__ import annotations
+
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from .bitops import iter_bits, mask_from_vertices
 from .core import KPartiteGraph
@@ -151,6 +151,7 @@ def _sample_disjoint_pair(rng: random.Random, universe: int, nbits: int
 def _piece_sizes(masks: List[int], membership: np.ndarray) -> np.ndarray:
     """(len(masks) x pieces) counts |mask & piece|, from a bit matrix of
     the masks times the (8 nbytes x pieces) 0/1 piece-membership matrix."""
+    import numpy as np
     nbytes = membership.shape[0] // 8
     raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(
@@ -167,7 +168,9 @@ def check_pseudoregular_sampled(G: KPartiteGraph, P: PseudoregularPartition,
     For each sampled (S, T): |e(S,T) - sum_ij delta_ij |S_i| |T_j|| <= eps n^2.
     The estimates of all samples are taken in one numpy pass whose float
     operations run in the same order as a per-sample loop over i, then j.
+    numpy is imported here, so the certified default paths never load it.
     """
+    import numpy as np
     if epsilon <= 0:
         raise InvalidParameterError("epsilon must be positive")
     if samples < 1:

@@ -2,12 +2,13 @@
 
 Every draw is a pure function of (seed, counter), so generated instances
 are reproducible across platforms and numpy versions.  A vectorized path
-produces whole 64-bit word arrays for bulk G(n, p) sampling.
+produces whole 64-bit word arrays for bulk sampling; it imports numpy
+when first called, so importing this module does not load numpy.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -25,6 +26,7 @@ def splitmix64(seed: int, counter: int) -> int:
 
 def splitmix64_at(seed: int, counters: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 outputs at an array of uint64 counters."""
+    import numpy as np
     with np.errstate(over="ignore"):
         z = np.uint64(seed & MASK64) + \
             (counters + np.uint64(1)) * np.uint64(GOLDEN)
@@ -34,7 +36,9 @@ def splitmix64_at(seed: int, counters: np.ndarray) -> np.ndarray:
 
 
 def bernoulli_at(seed: int, counters: np.ndarray, p: float) -> np.ndarray:
-    """Bernoulli(p) bools, one per counter: its 53-bit uniform is < p."""
+    """Bernoulli(p) bools, one per counter: its 53-bit uniform is < p,
+    the test ``CounterRng.uniform() < p`` makes at the same counter."""
+    import numpy as np
     words = splitmix64_at(seed, counters)
     return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) < p
 
@@ -65,17 +69,25 @@ class CounterRng:
             if x <= limit:
                 return x % bound
 
+    def bernoulli_flags(self, count: int, p: float) -> np.ndarray:
+        """``count`` Bernoulli(p) bools from the next ``count`` counters,
+        the same outcomes as ``uniform() < p`` drawn one at a time."""
+        import numpy as np
+        hits = bernoulli_at(self.seed, np.arange(
+            self.counter, self.counter + count, dtype=np.uint64), p)
+        self.counter += count
+        return hits
+
     def bernoulli_words(self, nbits: int, p: float) -> int:
         """Python int whose nbits low bits are independent Bernoulli(p).
 
         Built from vectorized 53-bit uniforms compared against p.
         """
+        import numpy as np
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must be in [0, 1]")
         if nbits <= 0:
             return 0
-        hits = bernoulli_at(self.seed, np.arange(
-            self.counter, self.counter + nbits, dtype=np.uint64), p)
-        self.counter += nbits
-        packed = np.packbits(hits, bitorder="little")
+        packed = np.packbits(self.bernoulli_flags(nbits, p),
+                             bitorder="little")
         return int.from_bytes(packed.tobytes(), "little")

@@ -10,6 +10,7 @@ from cliquelab.bitops import (iter_bits, mask_from_vertices, mask_range,
                               split_bits)
 from cliquelab.core import KPartiteGraph, UniformHypergraph, kpartify
 from cliquelab.errors import InvalidParameterError
+from cliquelab.generate import GenSpec, generate
 from cliquelab.kclique import find_heavy_vertex
 
 
@@ -66,6 +67,17 @@ def test_from_edges_rejects_intra_part():
         KPartiteGraph.from_edges([2, 2], [(0, 1)])
     with pytest.raises(InvalidParameterError):
         KPartiteGraph.from_edges([2, 2], [(0, 9)])
+
+
+def test_from_edges_builds_generated_rows():
+    g = generate(GenSpec("gnp-kpartite", 9, 3, 0.5, 4)).graph
+    edges = list(g.edges())
+    random.Random(1).shuffle(edges)
+    # each edge twice, once per orientation: repeats are harmless
+    twin = KPartiteGraph.from_edges(g.part_sizes,
+                                    edges + [(v, u) for u, v in edges])
+    assert twin.adjacency == g.adjacency
+    twin.validate()
 
 
 def test_validate_catches_asymmetry():

@@ -1,9 +1,12 @@
 """Text format parsing, writing, and roundtrip identity."""
 
+import hashlib
 import io
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cliquelab.core import KPartiteGraph, UniformHypergraph
 from cliquelab.errors import ParseError, ResourceLimitError
@@ -46,6 +49,12 @@ def test_comments_and_blank_lines_ignored():
     assert g.has_edge(0, 1)
 
 
+# The line each case below reports, keyed by its message.
+_ERROR_LINES = {"empty": 1, "unknown header": 1, "intra-part": 5,
+                "out of range": 5, "duplicate": 6, "part": 3,
+                "3 vertex ids": 7, "after the declared edges": 7}
+
+
 @pytest.mark.parametrize("text,msg", [
     ("", "empty"),
     ("weird 3\n", "unknown header"),
@@ -61,7 +70,63 @@ def test_parse_errors_carry_line_numbers(text, msg):
     with pytest.raises(ParseError) as exc:
         parse(io.StringIO(text))
     assert msg in str(exc.value)
-    assert exc.value.line >= 0
+    assert exc.value.line == _ERROR_LINES[msg]
+
+
+# Parts {0, 1}, {2, 3}, {4, 5}; comments and blank lines sit among the
+# header and edge lines, so no error line is an edge index plus a header
+# length.  "BAD" marks where a case puts its bad line.
+_GRAPH_LINES = ["# three parts", "kpartite 3", "part 2", "", "part 2",
+                "  # indented comment", "part 2", "edges 4", "0 2",
+                "# between edges", "", "1 4   # trailing comment", "BAD",
+                "3 5", "# tail"]
+
+
+@pytest.mark.parametrize("bad,msg", [
+    ("0 x", "expected integers"),
+    ("0 2 x", "expected integers"),
+    ("0 2 4", "expected '<u> <v>'"),
+    ("0 6", "out of range"),
+    ("-1 2", "out of range"),
+    ("0 2", "duplicate edge 0 2"),
+    ("2 0", "duplicate edge 2 0"),
+    ("4 1", "duplicate edge 4 1"),
+    ("0 1", "intra-part edge 0 1"),
+    ("0 0", "intra-part edge 0 0"),
+], ids=["non-integer", "non-integer-of-three", "three-tokens",
+        "out-of-range", "negative", "duplicate", "duplicate-reversed",
+        "duplicate-reversed-after-comment", "intra-part", "self-loop"])
+def test_parse_error_lines_among_comments(bad, msg):
+    lines = [bad if x == "BAD" else x for x in _GRAPH_LINES]
+    with pytest.raises(ParseError) as exc:
+        parse(io.StringIO("\n".join(lines) + "\n"))
+    assert msg in str(exc.value)
+    assert exc.value.line == _GRAPH_LINES.index("BAD") + 1 == 13
+
+
+def test_parse_error_line_after_edges_and_at_end():
+    lines = ["5 0" if x == "BAD" else x for x in _GRAPH_LINES]
+    g = parse(io.StringIO("\n".join(lines)))
+    assert sorted(g.edges()) == [(0, 2), (0, 5), (1, 4), (3, 5)]
+    extra = lines + ["", "# still fine", "2 5", "2 4"]
+    with pytest.raises(ParseError) as exc:
+        parse(io.StringIO("\n".join(extra)))
+    assert "after the declared edges" in str(exc.value)
+    assert exc.value.line == len(lines) + 3
+    short = [x for x in lines if x != "3 5"]      # declares 4, has 3
+    with pytest.raises(ParseError) as exc:
+        parse(io.StringIO("\n".join(short)))
+    assert "unexpected end of input" in str(exc.value)
+    assert exc.value.line == 0
+
+
+def test_hypergraph_duplicate_line():
+    text = ("hypergraph 2 3\npart 1\n\npart 1\npart 1\nedges 3\n"
+            "0 1\n# comment\n\n1 2\n# comment\n1 0\n")
+    with pytest.raises(ParseError) as exc:
+        parse(io.StringIO(text))
+    assert "duplicate hyperedge [1, 0]" in str(exc.value)
+    assert exc.value.line == 12
 
 
 def test_random_text_edge_order_is_canonicalized():
@@ -98,3 +163,111 @@ def test_declared_vertex_cap_boundary(monkeypatch):
     assert ok.n_total == 5
     with pytest.raises(ResourceLimitError):
         parse(io.StringIO("kpartite 2\npart 3\npart 3\nedges 0\n"))
+
+
+def _reference_text(g: KPartiteGraph) -> str:
+    """The canonical form spelled out: header, then edges sorted."""
+    edges = sorted(g.edges())
+    return (f"kpartite {g.k}\n"
+            + "".join(f"part {s}\n" for s in g.part_sizes)
+            + f"edges {len(edges)}\n"
+            + "".join(f"{u} {v}\n" for u, v in edges))
+
+
+@st.composite
+def edge_files(draw):
+    """Random part sizes (0 and 1 included), p in {0, 1, random}, and a
+    file listing the edges shuffled, in either orientation, among
+    comment and blank lines."""
+    sizes = draw(st.lists(st.integers(0, 7), min_size=2, max_size=4))
+    p = draw(st.sampled_from([0.0, 1.0, None]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if p is None:
+        p = rng.random()
+    g = KPartiteGraph(sizes)
+    rows = [0] * g.n_total
+    edges = []
+    for u in range(g.n_total):
+        for v in range(u + 1, g.n_total):
+            if g.part_of(u) != g.part_of(v) and rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                edges.append((v, u) if rng.random() < 0.5 else (u, v))
+    rng.shuffle(edges)
+    noise = ["", "# comment", "   ", "#"]
+    lines = [f"kpartite {len(sizes)}"]
+    lines += [f"part {s}" for s in sizes] + [f"edges {len(edges)}"]
+    body = []
+    for u, v in edges:
+        if rng.random() < 0.3:
+            body.append(rng.choice(noise))
+        body.append(f"{u} {v}" + ("  # e" if rng.random() < 0.2 else ""))
+    return "\n".join(lines + body + [rng.choice(noise)]), sizes, rows
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edge_files())
+def test_parse_builds_rows_and_write_is_canonical(case):
+    text, sizes, rows = case
+    g = parse(io.StringIO(text))
+    assert g.part_sizes == sizes
+    assert g.adjacency == rows
+    buf = io.StringIO()
+    write(g, buf)
+    assert buf.getvalue() == _reference_text(g)
+    again = io.StringIO()
+    write(parse(io.StringIO(buf.getvalue())), again)
+    assert again.getvalue() == buf.getvalue()
+
+
+def test_wide_sparse_graph_roundtrip():
+    # Two parts of 2^15 vertices and four edges: nearly every row is empty,
+    # and the ids run past any byte or digit boundary.
+    half = 1 << 15
+    edges = [(0, half), (5, half + 7), (100, 2 * half - 1),
+             (half - 1, half + 255)]
+    g = KPartiteGraph.from_edges([half, half], edges)
+    text = (f"kpartite 2\npart {half}\npart {half}\nedges 4\n"
+            + "".join(f"{u} {v}\n" for u, v in edges))
+    back, written = roundtrip(g)
+    assert written == text
+    assert back.adjacency == g.adjacency
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of the canonical text of generated graphs, and of the sorted
+# edge lists of generated hypergraphs (the two hyperclique sizes of the
+# benchmark's ``hyper-tables`` among them).  They pin the generator's
+# streams together with the writer.
+GRAPH_DIGESTS = [
+    (GenSpec("gnp-kpartite", 40, 3, 0.3, 11),
+     "22a6ba20bb911ec10e270b8f6dceb195334bd41ed4c0e74ceac6135cb3d22a38"),
+    (GenSpec("gnp-kpartite", 17, 4, 0.7, 5),
+     "348e78d599cd2ea8a081c7d71a97500e531881811adfcbbf0fbc68de4adbd434"),
+    (GenSpec("planted-clique", 20, 4, 0.2, 3, plant_count=2),
+     "a8ed8bffbbb74dfa50766caeee96f6db802681342a7da4a0190436d553e08f88"),
+]
+HYPER_DIGESTS = [
+    (GenSpec("planted-hyperclique", 8, 4, 0.4, 1, r=3, plant_count=1),
+     "e9b83f5c917c65db35ad5f5c046eecadae508398d52c0c0e270ad780ff1c608e"),
+    (GenSpec("planted-hyperclique", 10, 4, 0.4, 2, r=3, plant_count=1),
+     "82595ac1a2773eb53d5cefa224e59e59e0675e26e0399794f10253eb83e3f271"),
+    (GenSpec("gnp-hypergraph", 5, 4, 0.3, 7, r=3),
+     "0d790c5c492c1db4798ce89eaaed3cb7db6cffd188185559c2c303ea22f6cc03"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", GRAPH_DIGESTS)
+def test_written_graph_digests_pinned(spec, digest):
+    buf = io.StringIO()
+    write(generate(spec).graph, buf)
+    assert _sha(buf.getvalue()) == digest
+
+
+@pytest.mark.parametrize("spec,digest", HYPER_DIGESTS)
+def test_generated_hypergraph_digests_pinned(spec, digest):
+    assert _sha(repr(sorted(generate(spec).graph.edges))) == digest

@@ -455,18 +455,54 @@ def test_cli_closed_pipe_exits_quietly(tmp_path):
     path = tmp_path / "g.txt"
     assert main(["gen", "--kind", "gnp-kpartite", "--n", "60", "--k", "3",
                  "--p", "0.6", "--seed", "1", "-o", str(path)]) == 0
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                               else []))
     proc = subprocess.Popen(
         [sys.executable, "-m", "cliquelab.cli", "list-triangles", "--json",
-         str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+         str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_src_env())
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert err == b""
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    return env
+
+
+def test_cli_import_and_detect_leave_numpy_unloaded(tmp_path):
+    # Only generation and the sampled regularity check use numpy; importing
+    # the CLI and running a detect or list command at defaults must not
+    # pay its import.
+    tri, k4, hyper = (str(tmp_path / name)
+                      for name in ("t.txt", "k4.txt", "h.txt"))
+    for flags in (["gnp-kpartite", "--n", "12", "--k", "3", "-o", tri],
+                  ["planted-clique", "--n", "12", "--k", "4",
+                   "--plant-count", "1", "-o", k4],
+                  ["gnp-hypergraph", "--n", "5", "--k", "4", "--r", "3",
+                   "-o", hyper]):
+        assert main(["gen", "--p", "0.3", "--seed", "2", "--kind"]
+                    + flags) == 0
+    runs = [["detect-triangle", tri],
+            ["detect-triangle", "--algo", "fr", tri],
+            ["list-triangles", tri],
+            ["list-triangles", "--algo", "regularity", tri],
+            ["detect-clique", "--k", "4", "--witness", k4],
+            ["list-hypercliques", "--k", "4", hyper]]
+    script = ("import sys\n"
+              "import cliquelab.cli as cli\n"
+              "assert 'numpy' not in sys.modules, 'import'\n"
+              f"for argv in {runs!r}:\n"
+              "    assert cli.main(argv) == 0, argv\n"
+              "    assert 'numpy' not in sys.modules, argv\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_readme_cli_block_names_every_subcommand():
