@@ -7,7 +7,6 @@ compressed-table hyperclique lister, with generators, oracles and a
 verification harness around them.  The engine benchmark is ``perfbench/``.
 """
 
-from .bench import detect_scalar_reference
 from .core import KPartiteGraph, UniformHypergraph, kpartify
 from .errors import (CliquelabError, InternalInconsistencyError,
                      InvalidParameterError, ParseError, ResourceLimitError)
@@ -29,7 +28,7 @@ from .regularity import (PseudoregularPartition, RegularityConfig,
                          density, edge_count_between, weak_regular_partition)
 from .triangle import (BlockEdgeTable, build_block_edge_table,
                        default_block_size, detect_four_russians, detect_naive,
-                       list_sparse_four_russians, list_sparse_pivoted)
+                       list_sparse_four_russians)
 from .verify import run_verify
 
 __version__ = "0.1.0"

@@ -24,8 +24,7 @@ from .listing import list_triangles_detailed
 from .regularity import (RegularityConfig, check_pseudoregular_sampled,
                          default_epsilon, weak_regular_partition)
 from .triangle import (build_block_edge_table, detect_four_russians,
-                       detect_naive, list_sparse_four_russians,
-                       list_sparse_pivoted)
+                       detect_naive, list_sparse_four_russians)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -111,9 +110,7 @@ def cmd_list_triangles(args) -> int:
             "plans": [asdict(p) for p in detail.plans],
         }
     else:
-        lister = (list_sparse_pivoted if args.algo == "sparse-fr-pivot"
-                  else list_sparse_four_russians)
-        res = lister(G, t)
+        res = list_sparse_four_russians(G, t)
         payload = {
             "count": len(res.witnesses),
             "truncated": res.truncated,
@@ -233,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect_triangle)
 
     p = sub.add_parser("list-triangles")
-    p.add_argument("--algo",
-                   choices=("sparse-fr", "sparse-fr-pivot", "regularity"),
+    p.add_argument("--algo", choices=("sparse-fr", "regularity"),
                    default="sparse-fr")
     p.add_argument("--t", type=int, default=None,
                    help="stop after t triangles (default: list all)")

@@ -11,14 +11,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from .bitops import iter_bits, mask_from_vertices
+from .bitops import iter_bits
 from .core import KPartiteGraph
 from .errors import InvalidParameterError
 from .oracles import ListingResult
 from .regularity import (PseudoregularPartition, RegularityConfig,
                          default_epsilon, edge_count_between,
                          weak_regular_partition)
-from .triangle import _list_sparse
+from .triangle import _list_sparse, with_neighbour_in
 
 PARTITION_ATTEMPTS = 3
 
@@ -58,10 +58,8 @@ def _piece_pairs(G: KPartiteGraph, cfg: RegularityConfig
             break
     adj = G.adjacency
     sides = [(i, p & b2, p & b3) for i, p in enumerate(partition.pieces)]
-    return partition, [
-        ((i, j), s2, s3,
-         mask_from_vertices(u for u in iter_bits(s2) if adj[u] & s3))
-        for i, s2, _ in sides if s2 for j, _, s3 in sides if s3]
+    return partition, [((i, j), s2, s3, with_neighbour_in(adj, s2, s3))
+                       for i, s2, _ in sides if s2 for j, _, s3 in sides if s3]
 
 
 def _list_pass(G: KPartiteGraph, t: Optional[int],
@@ -78,7 +76,7 @@ def _list_pass(G: KPartiteGraph, t: Optional[int],
     partition, pairs = _piece_pairs(G, cfg)
     v1 = list(iter_bits(G.part_masks[0]))
     result.truncated = any(
-        _list_sparse(G.adjacency, v1, kept, s3, False, result.witnesses, t)
+        _list_sparse(G.adjacency, v1, kept, s3, result.witnesses, t)
         for _, _, s3, kept in pairs if kept)
     return result, partition, pairs
 

@@ -8,17 +8,17 @@ Three engines over 3-part graphs:
   of its part-2 neighbourhoods, so a part-0 vertex's question "is there an
   edge under my row?" is one lookup per block, OR'd, plus one AND.  Tables
   are keyed by block-local masks; b defaults to floor(log2(n) / 2).
-* ``list_sparse_four_russians`` / ``list_sparse_pivoted`` -- output-
-  sensitive listing by row ANDs: for each pivot vertex v and each
-  neighbour u in a second part, one AND of u's row with v's neighbourhood
-  in the third part yields every w closing a triangle, so listing cost
-  tracks sum_v d_a(v) big-int ANDs plus the output size.
+* ``list_sparse_four_russians`` -- output-sensitive listing by row ANDs:
+  for each part-0 vertex v and each neighbour u in part 1, one AND of u's
+  row with v's part-2 neighbourhood yields every w closing a triangle, so
+  listing cost tracks sum_v d_1(v) big-int ANDs plus the output size.
+  Part-1 vertices with no part-2 neighbour are dropped once, up front.
 """
 
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .bitops import iter_bits, split_bits
+from .bitops import iter_bits, mask_from_vertices, split_bits
 from .core import KPartiteGraph
 from .errors import (InternalInconsistencyError, InvalidParameterError,
                      ResourceLimitError)
@@ -164,15 +164,15 @@ def detect_four_russians(G: KPartiteGraph,
 
 
 def _list_sparse(adj: List[int], pivots: Iterable[int], mask_a: int,
-                 mask_b: int, swap: bool, out: List[Tuple[int, int, int]],
+                 mask_b: int, out: List[Tuple[int, int, int]],
                  t: Optional[int]) -> bool:
     """Row-AND listing into a shared witness list.
 
     For each vertex v of ``pivots`` (ascending), each neighbour u in
     ``mask_a`` and each w in N(u) & N(v) & ``mask_b``, all in ascending
-    order, append (v, u, w), or (u, v, w) when ``swap``; the appended run is
-    lexicographic in (v, u, w).  ``t`` bounds ``len(out)``: return True
-    (truncated) when one more triangle exists once ``out`` holds t.
+    order, append (v, u, w); the appended run is lexicographic.  ``t``
+    bounds ``len(out)``: return True (truncated) when one more triangle
+    exists once ``out`` holds t.
     """
     for v in pivots:
         row = adj[v]
@@ -183,29 +183,26 @@ def _list_sparse(adj: List[int], pivots: Iterable[int], mask_a: int,
             for w in iter_bits(adj[u] & nb):
                 if t is not UNBOUNDED and len(out) == t:
                     return True
-                out.append((u, v, w) if swap else (v, u, w))
+                out.append((v, u, w))
     return False
 
 
-def _list_parts(G: KPartiteGraph, t: Optional[int], pivot: int, pa: int
-                ) -> ListingResult:
-    """Pivot on part ``pivot``, u in part ``pa``, w in part 2."""
-    if G.k != 3:
-        raise InvalidParameterError(f"expected 3 parts, got {G.k}")
-    result = ListingResult(requested_t=t)
-    result.truncated = _list_sparse(
-        G.adjacency, G.part_vertices(pivot), G.part_masks[pa],
-        G.part_masks[2], pivot == 1, result.witnesses, t)
-    return result
+def with_neighbour_in(adj: List[int], mask: int, target: int) -> int:
+    """The vertices of ``mask`` with a neighbour in ``target``: the only
+    ones whose rows a row-AND pass into ``target`` can use."""
+    return mask_from_vertices(u for u in iter_bits(mask) if adj[u] & target)
 
 
 def list_sparse_four_russians(G: KPartiteGraph, t: Optional[int]
                               ) -> ListingResult:
-    """List up to t triangles, pivoting on part 0 (vertex-degree driven)."""
-    return _list_parts(G, t, 0, 1)
-
-
-def list_sparse_pivoted(G: KPartiteGraph, t: Optional[int]) -> ListingResult:
-    """List up to t triangles pivoting on part 1: one AND per V1-V2 edge at
-    each V2 vertex that has a V3 neighbour."""
-    return _list_parts(G, t, 1, 0)
+    """List up to t triangles, pivoting on part 0: one AND per V1-V2 edge
+    whose V2 end has a V3 neighbour."""
+    if G.k != 3:
+        raise InvalidParameterError(f"expected 3 parts, got {G.k}")
+    result = ListingResult(requested_t=t)
+    _, mask2, mask3 = G.part_masks
+    result.truncated = _list_sparse(
+        G.adjacency, G.part_vertices(0),
+        with_neighbour_in(G.adjacency, mask2, mask3), mask3,
+        result.witnesses, t)
+    return result

@@ -1,4 +1,4 @@
-"""Scalar baseline and timing helper for benchmark-sanity checks.
+"""Scalar baseline and timing helper for the benchmark-sanity tests.
 
 Timings use calibrated inner-loop repetition (each sample runs the
 callable enough times to cross a minimum wall-clock floor), so
@@ -9,8 +9,8 @@ itself lives in ``perfbench/``.
 import time
 from typing import Callable, List, Optional, Tuple
 
-from .core import KPartiteGraph
-from .errors import InvalidParameterError
+from cliquelab.core import KPartiteGraph
+from cliquelab.errors import InvalidParameterError
 
 
 def detect_scalar_reference(G: KPartiteGraph) -> Optional[Tuple[int, int, int]]:

@@ -9,7 +9,6 @@ import random
 import statistics
 from itertools import combinations, product
 
-from cliquelab.bench import detect_scalar_reference, time_callable
 from cliquelab.bitops import mask_range
 from cliquelab.core import KPartiteGraph, UniformHypergraph
 from cliquelab.generate import GenSpec, generate
@@ -26,6 +25,7 @@ from cliquelab.regularity import (PseudoregularPartition, RegularityConfig,
                                   weak_regular_partition)
 from cliquelab.triangle import (detect_four_russians, detect_naive,
                                 list_sparse_four_russians)
+from tests.scalar_reference import detect_scalar_reference, time_callable
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:

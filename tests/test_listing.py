@@ -19,7 +19,7 @@ from cliquelab.listing import (list_all_triangles, list_triangles,
 from cliquelab.oracles import brute_triangles
 from cliquelab.regularity import (RegularityConfig, default_epsilon, density,
                                   weak_regular_partition)
-from cliquelab.triangle import list_sparse_four_russians, list_sparse_pivoted
+from cliquelab.triangle import list_sparse_four_russians
 from tests.test_hyperclique import complete_hypergraph
 from tests.test_core import random_graph
 from tests.test_oracles import complete_kpartite
@@ -85,16 +85,18 @@ def _hub_graph(rng, sizes, p):
 
 def test_default_epsilon_lists_in_oracle_order():
     # At the default epsilon every partition is one piece per side, so the
-    # pipeline is one row-AND pass pivoting on V1: the oracle's order.
+    # pipeline is one row-AND pass pivoting on V1: the oracle's order, and
+    # the sparse lister's.
     rng = random.Random(14)
     for p, hub, _ in product((0.0, 0.15, 0.5, 1.0), (False, True), range(40)):
         sizes = [rng.randint(0, 9) for _ in range(3)]
         g = (_hub_graph if hub else random_graph)(rng, sizes, p)
         total = len(brute_triangles(g))
         for t in sorted({0, 1, max(total - 1, 0), total}) + [None]:
-            res, want = list_triangles(g, t), brute_triangles(g, t)
-            assert (res.witnesses, res.truncated) == (
-                want.witnesses, want.truncated), (sizes, p, hub, t)
+            want = brute_triangles(g, t)
+            for res in (list_triangles(g, t), list_sparse_four_russians(g, t)):
+                assert (res.witnesses, res.truncated) == (
+                    want.witnesses, want.truncated), (sizes, p, hub, t)
         assert list_all_triangles(g).witnesses == \
             brute_triangles(g).witnesses, (sizes, p, hub)
 
@@ -256,8 +258,7 @@ def test_empty_v2_v3_lists_nothing(sizes):
 
 def test_negative_t_rejected_by_every_lister():
     g = complete_kpartite([3, 3, 3])
-    for lister in (list_sparse_four_russians, list_sparse_pivoted,
-                   list_triangles):
+    for lister in (list_sparse_four_russians, list_triangles):
         with pytest.raises(InvalidParameterError):
             lister(g, -1)
     with pytest.raises(InvalidParameterError):

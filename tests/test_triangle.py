@@ -1,6 +1,7 @@
 """Triangle detection and sparse listing engines."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,7 @@ from cliquelab.errors import InvalidParameterError, ResourceLimitError
 from cliquelab.oracles import brute_triangles
 from cliquelab.triangle import (block_table_bytes, build_block_edge_table,
                                 default_block_size, detect_four_russians,
-                                detect_naive, list_sparse_four_russians,
-                                list_sparse_pivoted)
+                                detect_naive, list_sparse_four_russians)
 from tests.test_core import random_graph
 from tests.test_oracles import complete_kpartite
 
@@ -195,50 +195,71 @@ def test_sparse_listing_matches_oracle():
     for _ in range(40):
         sizes = [rng.randint(1, 10) for _ in range(3)]
         g = random_graph(rng, sizes, rng.choice([0.1, 0.4, 0.8]))
-        want = brute_triangles(g).as_set()
-        assert list_sparse_four_russians(g, None).as_set() == want
-        assert list_sparse_pivoted(g, None).as_set() == want
+        assert list_sparse_four_russians(g, None).as_set() == \
+            brute_triangles(g).as_set()
 
 
-def test_sparse_pivoted_empty_v2v3():
+def test_sparse_listing_empty_v2v3():
+    # V1-V2 edges only: no V2 vertex has a V3 neighbour, nothing to list
     g = KPartiteGraph([3, 3, 3])
     for u in g.part_vertices(0):
         for v in g.part_vertices(1):
             g.adjacency[u] |= 1 << v
             g.adjacency[v] |= 1 << u
-    assert len(list_sparse_pivoted(g, None)) == 0
+    assert len(list_sparse_four_russians(g, None)) == 0
+
+
+class CountingRows(list):
+    """Adjacency rows that count how often each row is read by index."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = Counter()
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+def test_sparse_listing_reads_each_dead_v2_row_once():
+    # V1 is joined to all of V2 and V3, but only V2 vertices 4-6 have V3
+    # neighbours.  Rows 7-9 close no triangle: the lister drops them up
+    # front, where the bare row-AND loop reads each once per V1 vertex.
+    v1, v2, v3 = range(0, 4), range(4, 10), range(10, 14)
+    g = KPartiteGraph.from_edges(
+        [4, 6, 4], [(a, b) for a in v1 for b in v2]
+        + [(a, c) for a in v1 for c in v3]
+        + [(b, c) for b in v2[:3] for c in v3])
+    rows = CountingRows(g.adjacency)
+    res = list_sparse_four_russians(KPartiteGraph(g.part_sizes, rows), None)
+    assert res.witnesses == brute_triangles(g).witnesses
+    assert len(res) == 48 and not res.truncated
+    assert all(rows.reads[b] <= 1 for b in v2[3:])
 
 
 def test_sparse_listing_order_and_prefix():
-    # Both listers emit lexicographically in (pivot, a, b); a t-cutoff
-    # returns the first t of the full list.
+    # The lister emits lexicographically in (v1, v2, v3), the oracle's
+    # order; a t-cutoff returns the first t of the full list.
     rng = random.Random(86)
     for g in (random_graph(rng, [86, 86, 86], 0.3),
               random_graph(rng, [7, 9, 6], 0.5)):
         full = list_sparse_four_russians(g, None).witnesses
-        assert full == sorted(full)
-        pivoted = list_sparse_pivoted(g, None).witnesses
-        assert pivoted == sorted(pivoted, key=lambda w: (w[1], w[0], w[2]))
-        assert set(pivoted) == set(full) == brute_triangles(g).as_set()
-        for lister, want in ((list_sparse_four_russians, full),
-                             (list_sparse_pivoted, pivoted)):
-            for t in (0, 1, 7, len(want) // 2, len(want) - 1):
-                res = lister(g, t)
-                assert res.witnesses == want[:t] and res.truncated
-            assert not lister(g, len(want)).truncated
+        assert full == sorted(full) == brute_triangles(g).witnesses
+        for t in (0, 1, 7, len(full) // 2, len(full) - 1):
+            res = list_sparse_four_russians(g, t)
+            assert res.witnesses == full[:t] and res.truncated
+        assert not list_sparse_four_russians(g, len(full)).truncated
 
 
 def test_sparse_listing_large_part():
     # one part of 8192 vertices, one triangle
     g = KPartiteGraph.from_edges([1, 8192, 1],
                                  [(0, 77), (0, 8193), (77, 8193)])
-    for lister in (list_sparse_four_russians, list_sparse_pivoted):
-        res = lister(g, None)
-        assert res.witnesses == [(0, 77, 8193)] and not res.truncated
+    res = list_sparse_four_russians(g, None)
+    assert res.witnesses == [(0, 77, 8193)] and not res.truncated
 
 
 def test_listing_witnesses_in_canonical_part_order():
     g = random_graph(random.Random(8), [5, 5, 5], 0.6)
-    for res in (list_sparse_four_russians(g, None), list_sparse_pivoted(g, None)):
-        for (a, b, c) in res.witnesses:
-            assert g.part_of(a) == 0 and g.part_of(b) == 1 and g.part_of(c) == 2
+    for (a, b, c) in list_sparse_four_russians(g, None).witnesses:
+        assert g.part_of(a) == 0 and g.part_of(b) == 1 and g.part_of(c) == 2

@@ -17,8 +17,7 @@ from cliquelab.regularity import (RegularityConfig,
                                   check_pseudoregular_sampled,
                                   weak_regular_partition)
 from cliquelab.triangle import (build_block_edge_table, detect_four_russians,
-                                detect_naive, list_sparse_four_russians,
-                                list_sparse_pivoted)
+                                detect_naive, list_sparse_four_russians)
 from tests.test_core import random_graph
 
 LEAN_CFG = RegularityConfig(epsilon=0.2, rng_seed=0, sample_count=40,
@@ -74,9 +73,8 @@ def test_triangle_engines_on_views_match_oracle(case):
         assert (w is None) == (not truth)
         assert w is None or w in truth
 
-    for lister in (list_sparse_four_russians, list_sparse_pivoted):
-        got = lister(view, None).witnesses
-        assert len(got) == len(set(got)) and set(got) == truth
+    got = list_sparse_four_russians(view, None).witnesses
+    assert len(got) == len(set(got)) and set(got) == truth
 
     _check_regularity_listers(view, truth)
 

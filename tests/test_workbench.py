@@ -10,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from cliquelab.bench import detect_scalar_reference
 from cliquelab.cli import build_parser, main
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.io import parse
 from cliquelab.triangle import detect_naive
 from cliquelab.verify import CHECKS, gnp_sweep, run_verify, shrink
+from tests.scalar_reference import detect_scalar_reference
 from tests.test_core import random_graph
 from tests.test_oracles import complete_kpartite
 
@@ -172,7 +172,6 @@ def test_cli_rejects_negative_t(tmp_path, capsys):
     run_cli(["gen", "--kind", "gnp-hypergraph", "--n", "2", "--k", "4",
              "--r", "3", "--p", "1", "-o", str(h)], capsys)
     for cmd in (["list-triangles", "--algo", "sparse-fr"],
-                ["list-triangles", "--algo", "sparse-fr-pivot"],
                 ["list-triangles", "--algo", "regularity"]):
         code, out = run_cli(cmd + ["--t", "-1", str(g)], capsys)
         assert code == 2 and out == ""
@@ -288,8 +287,7 @@ LIST_FILES = {
 
 
 # (list-triangles flags, input file, exit code, count printed on success)
-@pytest.mark.parametrize("algo",
-                         ["regularity", "sparse-fr", "sparse-fr-pivot"])
+@pytest.mark.parametrize("algo", ["regularity", "sparse-fr"])
 @pytest.mark.parametrize("flags, fname, code, count", [
     ([], "tri", 0, 1),
     ([], "empty23", 0, 0),
@@ -300,17 +298,23 @@ LIST_FILES = {
     (["--t", "0"], "tri", 0, 0),
     (["--epsilon", "1e-300"], "tri", 0, 1),
     (["--epsilon", "5e-324"], "tri", 0, 1),
+    # the removed V2-pivot lister; the later --algo wins
+    (["--algo", "sparse-fr-pivot"], "tri", 2, None),
 ])
 def test_cli_list_triangles_exit_codes(tmp_path, capsys, algo, flags, fname,
                                        code, count):
     path = tmp_path / f"{fname}.txt"
     if fname in LIST_FILES:
         path.write_text(LIST_FILES[fname])
-    got, out = run_cli(["list-triangles", "--algo", algo, *flags, str(path)],
-                       capsys)
+    try:
+        got = main(["list-triangles", "--algo", algo, *flags, str(path)])
+    except SystemExit as exc:       # argparse rejects an unknown --algo
+        got = exc.code
+    out, err = capsys.readouterr()
     assert got == code
     if code:
-        assert out == ""
+        assert out == "" and err.startswith(
+            "usage: " if "--algo" in flags else "error: ")
     else:
         assert out.startswith(f"count: {count}\n")
 
