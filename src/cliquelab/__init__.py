@@ -7,7 +7,7 @@ compressed-table hyperclique lister, with generators, oracles and a
 verification harness around them.  The engine benchmark is ``perfbench/``.
 """
 
-from .core import KPartiteGraph, UniformHypergraph, kpartify
+from .core import KPartiteGraph, UniformHypergraph
 from .errors import (CliquelabError, InternalInconsistencyError,
                      InvalidParameterError, ParseError, ResourceLimitError)
 from .generate import GenSpec, GeneratedInstance, generate
@@ -17,8 +17,8 @@ from .hyperclique import (BlockGeometry, HypercliqueParams, build_tables,
                           formula_block_side, list_hypercliques)
 from .io import parse, write
 from .kclique import (RecursionParams, TraceNode, choose_params,
-                      detect_kclique, find_heavy_vertex, find_witness,
-                      kclique_via_k1)
+                      detect_kclique, find_heavy_vertex, find_kclique,
+                      find_witness, kclique_via_k1)
 from .listing import (RegularityListing, list_all_triangles, list_triangles,
                       list_triangles_detailed)
 from .oracles import (UNBOUNDED, ListingResult, brute_hypercliques,

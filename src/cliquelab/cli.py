@@ -18,8 +18,7 @@ from .core import KPartiteGraph, UniformHypergraph
 from .errors import (InvalidParameterError, ParseError, ResourceLimitError)
 from .generate import KINDS, GenSpec, generate
 from .hyperclique import detect_hyperclique, list_hypercliques
-from .kclique import (RecursionParams, TraceNode, choose_params,
-                      detect_kclique, find_witness)
+from .kclique import RecursionParams, TraceNode, choose_params, find_kclique
 from .listing import list_triangles_detailed
 from .regularity import (RegularityConfig, check_pseudoregular_sampled,
                          default_epsilon, weak_regular_partition)
@@ -92,31 +91,26 @@ def cmd_detect_triangle(args) -> int:
 
 
 def cmd_list_triangles(args) -> int:
+    regularity = args.algo == "regularity"
+    if not regularity and (args.epsilon is not None or args.seed is not None):
+        raise InvalidParameterError(
+            "--epsilon and --seed apply only to --algo regularity")
     G = _load_graph(args.file)
-    t = args.t
-    if args.algo == "regularity":
+    extra = {}
+    if regularity:
         cfg = RegularityConfig(
             epsilon=(default_epsilon(G.n_total) if args.epsilon is None
                      else args.epsilon),
-            rng_seed=args.seed)
-        detail = list_triangles_detailed(G, t, cfg)
+            rng_seed=0 if args.seed is None else args.seed)
+        detail = list_triangles_detailed(G, args.t, cfg)
         res = detail.result
-        payload = {
-            "count": len(res.witnesses),
-            "truncated": res.truncated,
-            "witnesses": [list(w) for w in res.witnesses],
-            "partition_verified": detail.partition_verified,
-            "piece_count": detail.piece_count,
-            "plans": [asdict(p) for p in detail.plans],
-        }
+        extra = {"partition_verified": detail.partition_verified,
+                 "piece_count": detail.piece_count,
+                 "plans": [asdict(p) for p in detail.plans]}
     else:
-        res = list_sparse_four_russians(G, t)
-        payload = {
-            "count": len(res.witnesses),
-            "truncated": res.truncated,
-            "witnesses": [list(w) for w in res.witnesses],
-        }
-    _emit(payload, args.json)
+        res = list_sparse_four_russians(G, args.t)
+    _emit({"count": len(res.witnesses), "truncated": res.truncated,
+           "witnesses": [list(w) for w in res.witnesses], **extra}, args.json)
     return EXIT_OK
 
 
@@ -130,17 +124,10 @@ def cmd_detect_clique(args) -> int:
     else:
         params = choose_params(max(2, G.n_total), args.k)
     trace: Optional[List[TraceNode]] = [] if args.trace else None
-
-    def detector(g: KPartiteGraph, k: int) -> bool:
-        return detect_kclique(g, k, triangle_detector=base, params=params,
-                              trace=trace)
-
+    witness = find_kclique(G, args.k, base, params, trace)
+    payload = {"found": witness is not None}
     if args.witness:
-        witness = find_witness(detector, G, args.k)
-        payload = {"found": witness is not None,
-                   "witness": list(witness) if witness else None}
-    else:
-        payload = {"found": detector(G, args.k)}
+        payload["witness"] = list(witness) if witness else None
     if args.trace:
         with open(args.trace, "w") as fh:
             json.dump([asdict(t) for t in trace], fh, indent=2)
@@ -235,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None,
                    help="stop after t triangles (default: list all)")
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="partition seed (default 0); --algo regularity only")
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=cmd_list_triangles)

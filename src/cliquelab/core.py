@@ -246,30 +246,3 @@ def fill_rows(adjacency: List[int], neighbours: Dict[int, List[int]]) -> None:
             row[v >> 3] |= 1 << (v & 7)
         adjacency[u] = int.from_bytes(row, "little")
 
-
-def kpartify(adjacency: Sequence[int], k: int) -> KPartiteGraph:
-    """Blow up a general symmetric graph into k vertex-set copies.
-
-    The output has k parts of size n; (u_i, v_j) is an edge iff (u, v) is
-    an input edge and i != j.  The output has a cross-part k-clique iff the
-    input has a k-clique.
-    """
-    if k < 2:
-        raise InvalidParameterError("k must be >= 2")
-    n = len(adjacency)
-    full = mask_range(0, n)
-    for u, row in enumerate(adjacency):
-        if row & ~full:
-            raise InvalidParameterError(f"row {u} references invalid ids")
-        if (row >> u) & 1:
-            raise InvalidParameterError(f"self-loop at vertex {u}")
-    out = KPartiteGraph([n] * k)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            shift = j * n
-            for u in range(n):
-                out.adjacency[i * n + u] |= adjacency[u] << shift
-    return out
-

@@ -6,11 +6,13 @@ sizes), give its neighbourhood to the leaf at k-1 and recurse on the
 2^(k-1) - 1 split combinations that exclude the all-neighbour one;
 otherwise reduce to (k-1)-clique on every part-0 vertex's neighbourhood.
 The leaf applies that per-vertex reduction down to k = 3, where it calls
-the pluggable triangle detector, so every path ends in the detector.
+the pluggable triangle detector, so every path ends in the detector and
+every level returns the clique it found: the detector's triple, extended.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .bitops import iter_bits, mask_from_vertices
@@ -21,6 +23,7 @@ from .triangle import detect_naive
 ALPHA_MAX = 0.5
 
 TriangleDetector = Callable[[KPartiteGraph], Optional[Tuple[int, int, int]]]
+Witness = Optional[Tuple[int, ...]]
 
 
 @dataclass
@@ -92,17 +95,29 @@ def find_heavy_vertex(G: KPartiteGraph, alpha: float) -> Optional[int]:
     return best_v
 
 
+def _checked(G: KPartiteGraph, witness: Witness) -> Witness:
+    """The final check of every reported witness: one vertex in each part
+    of G, in part order, and every pair an edge."""
+    if witness is not None and not (
+            len(witness) == G.k
+            and all((m >> v) & 1 for m, v in zip(G.part_masks, witness))
+            and all(G.has_edge(a, b) for a, b in combinations(witness, 2))):
+        raise InternalInconsistencyError(
+            f"witness {witness} is not a cross-part clique in part order")
+    return witness
+
+
 def _leaf(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector
-          ) -> bool:
+          ) -> Witness:
     """Per-vertex reduction from k-clique down to the triangle detector."""
     if k == 3:
-        return triangle_detector(G) is not None
+        return triangle_detector(G)
     return kclique_via_k1(
         G, k, lambda sub: _leaf(sub, k - 1, triangle_detector))
 
 
 def kclique_via_k1(G: KPartiteGraph, k: int,
-                   k1_solver: Callable[[KPartiteGraph], bool]) -> bool:
+                   k1_solver: Callable[[KPartiteGraph], Witness]) -> Witness:
     """Reduce k-clique to (k-1)-clique on per-vertex neighbourhoods.
 
     A clique through v lies in v's neighbourhood, so for each v in part 0
@@ -117,24 +132,38 @@ def kclique_via_k1(G: KPartiteGraph, k: int,
     for v in iter_bits(G.part_masks[0]):
         row = G.adjacency[v]
         nbrs = [row & m for m in masks]
-        if all(nbrs) and k1_solver(G.restrict(nbrs)):
-            return True
-    return False
+        if all(nbrs) and (sub := k1_solver(G.restrict(nbrs))) is not None:
+            return (v,) + sub
+    return None
+
+
+def find_kclique(G: KPartiteGraph, k: int,
+                 triangle_detector: TriangleDetector = detect_naive,
+                 params: Optional[RecursionParams] = None,
+                 trace: Optional[List[TraceNode]] = None) -> Witness:
+    """KCliqueRec: a cross-part k-clique of G in part order, or None."""
+    if k < 3:
+        raise InvalidParameterError("k must be >= 3")
+    if G.k != k:
+        raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
+    return _checked(G, _search(G, k, triangle_detector, params, trace))
 
 
 def detect_kclique(G: KPartiteGraph, k: int,
                    triangle_detector: TriangleDetector = detect_naive,
                    params: Optional[RecursionParams] = None,
                    trace: Optional[List[TraceNode]] = None) -> bool:
-    """KCliqueRec: true iff G contains a cross-part k-clique."""
-    if k < 3:
-        raise InvalidParameterError("k must be >= 3")
-    if G.k != k:
-        raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
+    """True iff G contains a cross-part k-clique."""
+    return find_kclique(G, k, triangle_detector, params, trace) is not None
+
+
+def _search(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector,
+            params: Optional[RecursionParams],
+            trace: Optional[List[TraceNode]]) -> Witness:
     if k == 3:
-        return triangle_detector(G) is not None
+        return triangle_detector(G)
     if any(s == 0 for s in G.part_sizes):
-        return False
+        return None
     if params is None:
         params = choose_params(max(2, G.n_total), k)
 
@@ -151,18 +180,19 @@ def detect_kclique(G: KPartiteGraph, k: int,
     if v is not None:
         # 2a: leaf (k-1)-clique test inside v's neighbourhood.
         nbr = [G.adjacency[v] & G.part_masks[i] for i in range(1, k)]
-        if _leaf(G.restrict(nbr), k - 1, triangle_detector):
+        sub = _leaf(G.restrict(nbr), k - 1, triangle_detector)
+        if sub is not None:
             if trace is not None:
                 trace.append(TraceNode(depth=params.depth,
                                        part_sizes=list(G.part_sizes),
                                        branch="heavy-vertex", heavy_vertex=v))
-            return True
+            return (v,) + sub
         # 2b: recurse on the 2^(k-1) - 1 combinations, omitting all-ones.
         splits = [(G.part_masks[i] & ~nbr[i - 1], nbr[i - 1])
                   for i in range(1, k)]
         parent_product = math.prod(G.part_sizes)
         child_sum = 0
-        answer = False
+        witness = None
         for combo in range((1 << (k - 1)) - 1):
             chosen = [G.part_masks[0]] + [splits[i][(combo >> i) & 1]
                                           for i in range(k - 1)]
@@ -170,9 +200,9 @@ def detect_kclique(G: KPartiteGraph, k: int,
             child_sum += prod
             if prod == 0:
                 continue
-            if detect_kclique(G.restrict(chosen), k, triangle_detector,
-                              params.child(), trace):
-                answer = True
+            witness = _search(G.restrict(chosen), k, triangle_detector,
+                              params.child(), trace)
+            if witness is not None:
                 break
         if trace is not None:
             trace.append(TraceNode(
@@ -180,15 +210,15 @@ def detect_kclique(G: KPartiteGraph, k: int,
                 branch="heavy-vertex", heavy_vertex=v,
                 parent_product=parent_product,
                 child_product_sum=child_sum))
-        return answer
+        return witness
 
     # Step 3: all part-0 degrees are light -> trivial reduction to (k-1).
     if trace is not None:
         trace.append(TraceNode(depth=params.depth,
                                part_sizes=list(G.part_sizes),
                                branch="sparse-base"))
-    return kclique_via_k1(
-        G, k, lambda child: detect_kclique(child, k - 1, triangle_detector))
+    return kclique_via_k1(G, k, lambda child: _search(
+        child, k - 1, triangle_detector, None, None))
 
 
 def find_witness(detector: Callable[[KPartiteGraph, int], bool],
@@ -197,7 +227,7 @@ def find_witness(detector: Callable[[KPartiteGraph, int], bool],
 
     Recursive halving: split every part into two halves, find a combination
     of halves on which the detector still succeeds, recurse.  The returned
-    tuple is edge-verified before being reported.
+    tuple passes the same final check as ``find_kclique``'s.
     """
     if G.k != k:
         raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
@@ -226,10 +256,4 @@ def find_witness(detector: Callable[[KPartiteGraph, int], bool],
         raise InternalInconsistencyError(
             "detector succeeded on the parent but on no half combination")
 
-    witness = recurse(G)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not G.has_edge(witness[i], witness[j]):
-                raise InternalInconsistencyError(
-                    f"witness {witness} fails edge check ({i},{j})")
-    return witness
+    return _checked(G, recurse(G))

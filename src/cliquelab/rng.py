@@ -36,8 +36,8 @@ def splitmix64_at(seed: int, counters: np.ndarray) -> np.ndarray:
 
 
 def bernoulli_at(seed: int, counters: np.ndarray, p: float) -> np.ndarray:
-    """Bernoulli(p) bools, one per counter: its 53-bit uniform is < p,
-    the test ``CounterRng.uniform() < p`` makes at the same counter."""
+    """Bernoulli(p) bools, one per counter: the draw at counter c is
+    ``(splitmix64(seed, c) >> 11) * 2^-53 < p``."""
     import numpy as np
     words = splitmix64_at(seed, counters)
     return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) < p
@@ -55,10 +55,6 @@ class CounterRng:
         self.counter += 1
         return out
 
-    def uniform(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next64() >> 11) * (2.0 ** -53)
-
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection."""
         if bound <= 0:
@@ -71,7 +67,7 @@ class CounterRng:
 
     def bernoulli_flags(self, count: int, p: float) -> np.ndarray:
         """``count`` Bernoulli(p) bools from the next ``count`` counters,
-        the same outcomes as ``uniform() < p`` drawn one at a time."""
+        each ``(next64() >> 11) * 2^-53 < p`` drawn one at a time."""
         import numpy as np
         hits = bernoulli_at(self.seed, np.arange(
             self.counter, self.counter + count, dtype=np.uint64), p)

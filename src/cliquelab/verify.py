@@ -7,6 +7,7 @@ and on any mismatch greedily shrinks the instance to a small reproducer
 
 import io as _io
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterable, List, Optional
 
 from . import io as graphio
@@ -14,23 +15,25 @@ from .core import KPartiteGraph, UniformHypergraph
 from .errors import InvalidParameterError
 from .generate import GenSpec, generate
 from .hyperclique import detect_hyperclique, list_hypercliques
-from .kclique import detect_kclique
+from .kclique import find_kclique
 from .listing import list_all_triangles
 from .oracles import brute_hypercliques, brute_kclique, brute_triangles
 from .triangle import detect_four_russians, detect_naive
 
 
-def _triangle_detect_ok(G: KPartiteGraph) -> bool:
-    """FR and naive agree on existence, and FR's witness is a triangle
-    with one vertex in each of parts 0, 1 and 2."""
-    got = detect_four_russians(G)
-    if (got is None) != (detect_naive(G) is None):
+def _witness_ok(G: KPartiteGraph, got, want) -> bool:
+    """Found exactly when the reference finds, and what was found has one
+    vertex in each part of G, in part order, with every pair an edge."""
+    if (got is None) != (want is None):
         return False
-    if got is None:
-        return True
-    a, b, c = got
-    return (all((G.part_masks[i] >> v) & 1 for i, v in enumerate(got))
-            and G.has_edge(a, b) and G.has_edge(a, c) and G.has_edge(b, c))
+    return got is None or (
+        len(got) == G.k
+        and all((m >> v) & 1 for m, v in zip(G.part_masks, got))
+        and all(G.has_edge(a, b) for a, b in combinations(got, 2)))
+
+
+def _triangle_detect_ok(G: KPartiteGraph) -> bool:
+    return _witness_ok(G, detect_four_russians(G), detect_naive(G))
 
 
 def _triangle_list_ok(G: KPartiteGraph) -> bool:
@@ -43,7 +46,7 @@ def _triangle_list_ok(G: KPartiteGraph) -> bool:
 
 
 def _kclique_ok(G: KPartiteGraph) -> bool:
-    return detect_kclique(G, G.k) == (brute_kclique(G, G.k) is not None)
+    return _witness_ok(G, find_kclique(G, G.k), brute_kclique(G, G.k))
 
 
 def _hyperclique_detect_ok(H: UniformHypergraph) -> bool:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cliquelab.bitops import (iter_bits, mask_from_vertices, mask_range,
                               split_bits)
-from cliquelab.core import KPartiteGraph, UniformHypergraph, kpartify
+from cliquelab.core import KPartiteGraph, UniformHypergraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.generate import GenSpec, generate
 from cliquelab.kclique import find_heavy_vertex
@@ -152,16 +152,6 @@ def test_find_heavy_vertex_products():
         assert find_heavy_vertex(light, 0.4) == 1      # 2 >= 0.4 * 4
         assert find_heavy_vertex(light, 0.6) is None   # 2 < 0.6 * 4
     assert find_heavy_vertex(g, 0.2) == 2
-
-
-def test_kpartify_has_cross_clique_iff_clique():
-    # triangle 0-1-2 plus isolated 3
-    adj = [0b0110, 0b0101, 0b0011, 0]
-    g = kpartify(adj, 3)
-    assert g.part_sizes == [4, 4, 4]
-    assert g.has_edge(0, 5) and g.has_edge(0, 6)
-    assert not g.has_edge(0, 4)     # same source vertex, no self-pairing
-    g.validate()
 
 
 def test_hypergraph_edge_validation():

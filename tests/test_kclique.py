@@ -7,6 +7,8 @@ from dataclasses import astuple
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cliquelab.bitops import iter_bits
 from cliquelab.core import KPartiteGraph
@@ -14,7 +16,7 @@ from cliquelab.errors import InternalInconsistencyError, InvalidParameterError
 from cliquelab.generate import GenSpec, generate
 from cliquelab.kclique import (ALPHA_MAX, RecursionParams, choose_params,
                                detect_kclique, find_heavy_vertex,
-                               find_witness, kclique_via_k1)
+                               find_kclique, find_witness, kclique_via_k1)
 from cliquelab.oracles import brute_kclique
 from cliquelab.triangle import detect_four_russians, detect_naive
 from tests.test_core import random_graph
@@ -92,20 +94,27 @@ def test_find_heavy_vertex_matches_scan():
         assert find_heavy_vertex(g, alpha) == best
 
 
+def _is_part_clique(g, w):
+    return ([g.part_of(v) for v in w] == list(range(g.k))
+            and all(g.has_edge(a, b) for a, b in combinations(w, 2)))
+
+
 def test_kclique_via_k1_basics():
     g = complete_kpartite([3, 3, 3, 3])
-    assert kclique_via_k1(g, 4, lambda sub: detect_naive(sub) is not None)
+    # the first part-0 vertex, then the solver's triangle in its neighbours
+    assert kclique_via_k1(g, 4, detect_naive) == (0,) + detect_naive(
+        g.restrict(g.part_masks[1:]))
     lonely = KPartiteGraph([1, 3, 3, 3])
-    assert not kclique_via_k1(lonely, 4,
-                              lambda sub: detect_naive(sub) is not None)
+    assert kclique_via_k1(lonely, 4, detect_naive) is None
 
 
 def test_kclique_via_k1_matches_oracle():
     rng = random.Random(41)
     for _ in range(40):
         g = random_graph(rng, [6, 6, 6, 6], rng.choice([0.3, 0.6, 0.9]))
-        got = kclique_via_k1(g, 4, lambda sub: detect_naive(sub) is not None)
-        assert got == (brute_kclique(g, 4) is not None)
+        got = kclique_via_k1(g, 4, detect_naive)
+        assert (got is None) == (brute_kclique(g, 4) is None)
+        assert got is None or _is_part_clique(g, got)
 
 
 def test_detect_k3_delegates():
@@ -202,6 +211,63 @@ def test_find_witness_flags_inconsistent_detector():
         find_witness(bad_detector, g, 3)
 
 
+def test_find_witness_edge_checks_its_result():
+    # a detector that says yes everywhere halves down to a non-clique
+    with pytest.raises(InternalInconsistencyError):
+        find_witness(lambda sub, k: True, KPartiteGraph([2, 2, 2]), 3)
+
+
+@st.composite
+def kclique_instances(draw):
+    k = draw(st.sampled_from([3, 4, 5]))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    if draw(st.integers(0, 3)) == 0:        # an empty part in a quarter
+        sizes[draw(st.integers(0, k - 1))] = 0
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.2, 0.95)))
+    return random_graph(random.Random(draw(st.integers(0, 2**32))),
+                        sizes, p), k
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kclique_instances(),
+       st.sampled_from([detect_naive, detect_four_russians]),
+       st.sampled_from([None, (1, 0.05), (2, 0.05), (2, 0.3)]))
+def test_find_kclique_matches_oracle_and_detect(instance, det, manual):
+    g, k = instance
+    params = None if manual is None else RecursionParams(*manual)
+    trace = []
+    got = find_kclique(g, k, det, params, trace)
+    assert (got is None) == (brute_kclique(g, k) is None)
+    assert got is None or _is_part_clique(g, got)
+    detect_trace = []
+    assert detect_kclique(g, k, det, params, detect_trace) is (got is not None)
+    assert detect_trace == trace
+
+
+def _top_of_each_part(sub):
+    return tuple(m.bit_length() - 1 for m in sub.part_masks)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("fault", ["non-edge", "part-order", "short"])
+@pytest.mark.parametrize("manual", [None, (2, 0.05)])
+def test_find_kclique_rejects_a_non_triangle_from_the_detector(k, fault,
+                                                               manual):
+    # complete k-partite but for the edge between the top vertices of the
+    # last two parts, so the top-of-each-part triple is no triangle
+    g = complete_kpartite([2] * k)
+    a, b = (m.bit_length() - 1 for m in g.part_masks[-2:])
+    g.adjacency[a] &= ~(1 << b)
+    g.adjacency[b] &= ~(1 << a)
+    bad = {"non-edge": _top_of_each_part,
+           "part-order": lambda sub: detect_naive(sub)[::-1],
+           "short": lambda sub: detect_naive(sub)[:2]}[fault]
+    params = None if manual is None else RecursionParams(*manual)
+    with pytest.raises(InternalInconsistencyError):
+        find_kclique(g, k, bad, params)
+
+
 def test_kclique_via_k1_one_call_per_vertex_on_whole_neighbourhood():
     rng = random.Random(12)
     for _ in range(20):
@@ -210,9 +276,9 @@ def test_kclique_via_k1_one_call_per_vertex_on_whole_neighbourhood():
 
         def solver(sub):
             calls.append(sub.part_masks)
-            return False
+            return None
 
-        assert not kclique_via_k1(g, 4, solver)
+        assert kclique_via_k1(g, 4, solver) is None
         want = []
         for v in g.part_vertices(0):
             nbrs = [g.adjacency[v] & g.part_masks[i] for i in range(1, 4)]

@@ -103,15 +103,44 @@ def test_cli_clique_trace(tmp_path, capsys):
     run_cli(["gen", "--kind", "planted-clique", "--n", "8", "--k", "4",
              "--p", "0.2", "--plant-count", "1", "--seed", "2",
              "-o", str(gpath)], capsys)
-    tpath = tmp_path / "trace.json"
-    code, out = run_cli(["detect-clique", "--k", "4", "--witness",
-                         "--alpha", "0.3", "--depth", "2",
-                         "--trace", str(tpath), "--json", str(gpath)], capsys)
-    assert code == 0
-    assert json.loads(out)["found"] is True
-    trace = json.loads(tpath.read_text())
+    traces = []
+    for extra in (["--witness"], []):
+        tpath = tmp_path / f"trace{len(traces)}.json"
+        code, out = run_cli(["detect-clique", "--k", "4", *extra,
+                             "--alpha", "0.3", "--depth", "2",
+                             "--trace", str(tpath), "--json", str(gpath)],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)["found"] is True
+        traces.append(tpath.read_text())
+    trace = json.loads(traces[0])
     assert all(node["branch"] in ("depth-cap", "heavy-vertex", "sparse-base")
                for node in trace)
+    # --witness reports the search's own clique: the trace is one search's
+    assert traces[0] == traces[1]
+
+
+def test_cli_witness_is_one_search(tmp_path, capsys, monkeypatch):
+    from cliquelab import cli, kclique
+    path = tmp_path / "k4.txt"
+    path.write_text(K4_FILE)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return kclique.find_kclique(*args, **kwargs)
+
+    def halving(*args, **kwargs):
+        raise AssertionError("find_witness must not run")
+
+    monkeypatch.setattr(cli, "find_kclique", counting)
+    monkeypatch.setattr(kclique, "find_witness", halving)
+    monkeypatch.setattr(cli, "find_witness", halving, raising=False)
+    code, out = run_cli(["detect-clique", "--k", "4", "--witness", "--json",
+                         str(path)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"found": True, "witness": [0, 2, 4, 6]}
+    assert calls == [4]
 
 
 def test_cli_hyperclique_and_regularity(tmp_path, capsys):
@@ -286,9 +315,9 @@ LIST_FILES = {
 }
 
 
-# (list-triangles flags, input file, exit code, count printed on success)
-@pytest.mark.parametrize("algo", ["regularity", "sparse-fr"])
-@pytest.mark.parametrize("flags, fname, code, count", [
+# (list-triangles flags, input file, exit code, count printed on success);
+# a pair of exit codes is (--algo regularity, --algo sparse-fr)
+LIST_ROWS = [
     ([], "tri", 0, 1),
     ([], "empty23", 0, 0),
     ([], "malformed", 2, None),
@@ -296,11 +325,25 @@ LIST_FILES = {
     ([], "missing", 2, None),
     ([], "two", 2, None),
     (["--t", "0"], "tri", 0, 0),
-    (["--epsilon", "1e-300"], "tri", 0, 1),
-    (["--epsilon", "5e-324"], "tri", 0, 1),
+    # --epsilon and --seed drive the regularity partition only
+    (["--epsilon", "1e-300"], "tri", (0, 2), 1),
+    (["--epsilon", "5e-324"], "tri", (0, 2), 1),
     # the removed V2-pivot lister; the later --algo wins
     (["--algo", "sparse-fr-pivot"], "tri", 2, None),
-])
+    (["--seed", "5"], "tri", (0, 2), 1),
+]
+
+
+def _list_cases():
+    for i, (flags, fname, codes, count) in enumerate(LIST_ROWS):
+        for j, algo in enumerate(["regularity", "sparse-fr"]):
+            code = codes[j] if isinstance(codes, tuple) else codes
+            n = None if code else count
+            yield pytest.param(algo, flags, fname, code, n,
+                               id=f"flags{i}-{fname}-{code}-{n}-{algo}")
+
+
+@pytest.mark.parametrize("algo, flags, fname, code, count", _list_cases())
 def test_cli_list_triangles_exit_codes(tmp_path, capsys, algo, flags, fname,
                                        code, count):
     path = tmp_path / f"{fname}.txt"
@@ -312,7 +355,10 @@ def test_cli_list_triangles_exit_codes(tmp_path, capsys, algo, flags, fname,
         got = exc.code
     out, err = capsys.readouterr()
     assert got == code
-    if code:
+    if code and flags[:1] in (["--epsilon"], ["--seed"]):
+        assert out == "" and err == ("error: --epsilon and --seed apply only"
+                                     " to --algo regularity\n")
+    elif code:
         assert out == "" and err.startswith(
             "usage: " if "--algo" in flags else "error: ")
     else:
@@ -559,6 +605,38 @@ def test_verify_triangle_detect_rejects_non_triangle_witness(monkeypatch):
     report = run_verify("triangle-detect",
                         gnp_sweep("gnp-kpartite", 6, 3, [0.6], range(3)))
     assert not report.ok
+
+
+@pytest.mark.parametrize("fault", ["part-order", "non-edge"])
+def test_verify_kclique_detect_rejects_non_clique_witness(capsys, monkeypatch,
+                                                          fault):
+    # an engine that finds a k-clique exactly when one exists, but reports
+    # it out of part order or swaps in a vertex that breaks an edge
+    from itertools import combinations, product
+
+    from cliquelab import verify as vmod
+    from cliquelab.oracles import brute_kclique
+
+    def faulty(g, k):
+        w = brute_kclique(g, k)
+        if w is None or fault == "part-order":
+            return w if w is None else (w[1], w[0]) + w[2:]
+        for t in product(*(g.part_vertices(i) for i in range(k))):
+            if not all(g.has_edge(a, b) for a, b in combinations(t, 2)):
+                return t
+        return w
+
+    # a K4 on 0-3 and a fifth vertex, in part 3, with no edges
+    g = KPartiteGraph.from_edges([1, 1, 1, 2], [(0, 1), (0, 2), (0, 3),
+                                                (1, 2), (1, 3), (2, 3)])
+    assert CHECKS["kclique-detect"](g)
+    monkeypatch.setattr(vmod, "find_kclique", faulty)
+    assert not CHECKS["kclique-detect"](g)
+    code, out = run_cli(["verify", "--check", "kclique-detect", "--k", "4",
+                         "--n", "4", "--p", "0.8", "--instances", "2"],
+                        capsys)
+    assert code == 1
+    assert "reproducer" in out
 
 
 @pytest.mark.parametrize("fault", ["duplicate", "truncated"])
