@@ -7,8 +7,8 @@ hypercliques against the brute-force count.
 
 from itertools import islice
 
-from cliquelab import (BlockGeometry, GenSpec, HypercliqueParams,
-                       brute_hypercliques, choose_block_size, compress_all,
+from cliquelab import (GenSpec, HypercliqueParams, brute_hypercliques,
+                       build_tables, choose_block_size, compress_all,
                        decode_compact, generate, list_hypercliques)
 
 
@@ -30,9 +30,10 @@ def main() -> None:
 
     # G_v, the pairs completing a hyperedge with v, as compressed segments
     v = inst.witnesses[0][0]
-    geo = BlockGeometry(H, params)
+    tables = build_tables(H, params)
+    geo = tables.geometry
     segments = {(I, jI): seg
-                for (u, I, jI), seg in compress_all(H, params).items()
+                for (u, I, jI), seg in compress_all(tables).items()
                 if u == v}
     j0 = (0, 0, 0)
     rep = 0

@@ -22,8 +22,8 @@ from .kclique import RecursionParams, TraceNode, choose_params, find_kclique
 from .listing import list_triangles_detailed
 from .regularity import (RegularityConfig, check_pseudoregular_sampled,
                          default_epsilon, weak_regular_partition)
-from .triangle import (build_block_edge_table, detect_four_russians,
-                       detect_naive, list_sparse_four_russians)
+from .triangle import (detect_four_russians, detect_naive,
+                       list_sparse_four_russians)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -77,14 +77,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_detect_triangle(args) -> int:
+    naive = args.algo == "naive"
+    if naive and args.block_size is not None:
+        raise InvalidParameterError("--block-size applies only to --algo fr")
     G = _load_graph(args.file)
-    if args.algo == "naive":
-        witness = detect_naive(G)
-    elif args.block_size is None:
-        witness = detect_four_russians(G)
-    else:
-        witness = detect_four_russians(
-            G, build_block_edge_table(G, args.block_size))
+    witness = (detect_naive(G) if naive
+               else detect_four_russians(G, args.block_size))
     _emit({"found": witness is not None,
            "witness": list(witness) if witness else None}, args.json)
     return EXIT_OK

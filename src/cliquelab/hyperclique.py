@@ -208,7 +208,8 @@ class HypercliqueTables:
 
     ``entries[j]`` lists (required, cand) in lexicographic order of cand;
     required has the bit of every (r-1)-subset of cand.  ``links`` are the
-    link masks of H the entries were found from.  entry(j, rep)
+    link masks of H the entries were found from, and ``part0`` is the mask
+    of H's part 0.  entry(j, rep)
     lists the tuples (v_2..v_k) in the block tuple that are
     (k-1)-hypercliques both in the induced subgraph G^j of the input and
     in the rep-encoded hypergraph: those whose required bits lie in rep.
@@ -221,6 +222,7 @@ class HypercliqueTables:
         self.entries: Dict[Tuple[int, ...],
                            List[Tuple[int, Tuple[int, ...]]]] = {}
         self.links = links = _link_masks(H)
+        self.part0 = mask_range(0, H.part_sizes[0])
         rm1 = H.r - 1
         part_masks = [mask_range(H.part_start[p],
                                  H.part_start[p] + H.part_sizes[p])
@@ -254,21 +256,18 @@ def build_tables(H: UniformHypergraph, params: HypercliqueParams
     return HypercliqueTables(H, params)
 
 
-def compress_all(H: UniformHypergraph, params: HypercliqueParams,
-                 links: Optional[Dict[Tuple[int, ...], int]] = None
+def compress_all(tables: HypercliqueTables
                  ) -> Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int]:
     """Segment cache: (v, I, j_I) -> segment bits of G_v^j restricted to I.
 
     A full representation for any (v, j) is then assembled by concatenating
-    C(k-1, r-1) cached segments.  ``links`` are H's link masks, built here
-    when not given.
+    C(k-1, r-1) cached segments.  Read from the geometry, link masks and
+    part-0 mask of ``tables``, so a listing builds each of them once.
     """
-    geo = BlockGeometry(H, params)
-    if links is None:
-        links = _link_masks(H)
-    part0 = mask_range(0, H.part_sizes[0])
+    geo = tables.geometry
+    part0 = tables.part0
     cache: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int] = {}
-    for rest, mask in links.items():
+    for rest, mask in tables.links.items():
         # edges are cross-part, so part-0 completions imply a part-0-free rest
         completions = mask & part0
         if not completions:
@@ -298,7 +297,7 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
         params = choose_block_size(n, k, H.r)
     tables = build_tables(H, params)
     geo = tables.geometry
-    cache = compress_all(H, params, tables.links)
+    cache = compress_all(tables)
     # Segment keys and offsets of each populated j.  Every candidate has a
     # required bit in every segment, so one empty segment rules (v, j) out.
     plan = [(j, [(I, tuple(j[slot] for slot in I), geo.seg_offset[I])
@@ -324,5 +323,4 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
 def detect_hyperclique(H: UniformHypergraph, k: int,
                        params: Optional[HypercliqueParams] = None) -> bool:
     """Detection by listing with t = 1."""
-    res = list_hypercliques(H, k, t=1, params=params)
-    return len(res.witnesses) > 0 or res.truncated
+    return bool(list_hypercliques(H, k, t=1, params=params).witnesses)

@@ -8,7 +8,7 @@ vertex masks of the one graph, not views.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .bitops import iter_bits
@@ -19,8 +19,6 @@ from .regularity import (PseudoregularPartition, RegularityConfig,
                          default_epsilon, edge_count_between,
                          weak_regular_partition)
 from .triangle import _list_sparse, with_neighbour_in
-
-PARTITION_ATTEMPTS = 3
 
 
 @dataclass
@@ -42,8 +40,7 @@ class RegularityListing:
 
 def _piece_pairs(G: KPartiteGraph, cfg: RegularityConfig
                  ) -> Tuple[Optional[PseudoregularPartition], List[tuple]]:
-    """Weak regularity partition of G[V2 u V3], retried on fresh seeds until
-    one passes the sampled check or the attempts run out, and its piece
+    """Weak regularity partition of G[V2 u V3] under ``cfg``, and its piece
     pairs ((i, j), s2, s3, kept) with s2 = piece_i & V2 and s3 = piece_j &
     V3 non-empty, in (i, j) order, and kept the vertices of s2 with a
     neighbour in s3.  With V2 or V3 empty there is no pair to list, and
@@ -51,11 +48,7 @@ def _piece_pairs(G: KPartiteGraph, cfg: RegularityConfig
     _, b2, b3 = G.part_masks
     if not (b2 and b3):
         return None, []
-    for attempt in range(PARTITION_ATTEMPTS):
-        partition = weak_regular_partition(
-            G, replace(cfg, rng_seed=cfg.rng_seed + 1009 * attempt))
-        if partition.verified:
-            break
+    partition = weak_regular_partition(G, cfg)
     adj = G.adjacency
     sides = [(i, p & b2, p & b3) for i, p in enumerate(partition.pieces)]
     return partition, [((i, j), s2, s3, with_neighbour_in(adj, s2, s3))

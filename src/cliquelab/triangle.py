@@ -52,13 +52,6 @@ def default_block_size(G: KPartiteGraph) -> int:
     return b
 
 
-def _graph_fingerprint(G: KPartiteGraph) -> int:
-    """Hash of the part masks and of the rows of the graph's own vertices;
-    a view does not pay for hashing the rows it shares but leaves out."""
-    rows = tuple(G.adjacency[v] for i in range(G.k) for v in G.part_vertices(i))
-    return hash((tuple(G.part_masks), rows))
-
-
 class BlockEdgeTable:
     """Four-Russians reach masks over parts 1 and 2.
 
@@ -85,7 +78,6 @@ class BlockEdgeTable:
                 f"table needs ~{need} bytes, budget is "
                 f"{table_byte_budget()} (set {_ENV_BUDGET} to raise)",
                 required=need, allowed=table_byte_budget())
-        self.fingerprint = _graph_fingerprint(G)
         self.blocks = split_bits(G.part_masks[1], b)
         self.shifts = [(bl & -bl).bit_length() - 1 for bl in self.blocks]
 
@@ -122,23 +114,20 @@ def detect_naive(G: KPartiteGraph) -> Optional[Tuple[int, int, int]]:
     return None
 
 
-def detect_four_russians(G: KPartiteGraph,
-                         table: Optional[BlockEdgeTable] = None
+def detect_four_russians(G: KPartiteGraph, block_size: Optional[int] = None
                          ) -> Optional[Tuple[int, int, int]]:
     """Triangle detection through the block reach masks.
 
-    Without a prebuilt table one is constructed at the default block size;
-    a supplied table must have been built from this exact graph.  On a hit
-    the part-1 neighbours of v1 are rescanned in ascending order, and the
-    witness is (v1, first such u with a common part-2 neighbour, lowest
-    common w).
+    The table is built here, from G, at ``block_size`` (default
+    ``default_block_size(G)``); no prebuilt table is taken, so a query
+    never meets a table of another graph.  On a hit the part-1 neighbours
+    of v1 are rescanned in ascending order, and the witness is (v1, first
+    such u with a common part-2 neighbour, lowest common w).
     """
     if G.k != 3:
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
-    if table is None:
-        table = build_block_edge_table(G, default_block_size(G))
-    elif table.fingerprint != _graph_fingerprint(G):
-        raise InvalidParameterError("table was built from a different graph")
+    table = build_block_edge_table(
+        G, default_block_size(G) if block_size is None else block_size)
     mask2, mask3 = G.part_masks[1], G.part_masks[2]
     lookups = [(lo, block >> lo, sub) for block, lo, sub
                in zip(table.blocks, table.shifts, table.reach)]

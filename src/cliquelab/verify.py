@@ -55,9 +55,11 @@ def _hyperclique_detect_ok(H: UniformHypergraph) -> bool:
 
 
 def _hyperclique_list_ok(H: UniformHypergraph) -> bool:
-    got = list_hypercliques(H, H.k).as_set()
+    """Complete, untruncated and duplicate-free, as for triangle-list."""
+    got = list_hypercliques(H, H.k)
     want = brute_hypercliques(H, H.k).as_set()
-    return got == want
+    return (not got.truncated and len(got.witnesses) == len(want)
+            and got.as_set() == want)
 
 
 CHECKS: dict = {

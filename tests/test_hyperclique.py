@@ -2,12 +2,14 @@
 
 import math
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cliquelab import hyperclique
 from cliquelab.core import KPartiteGraph, UniformHypergraph
 from cliquelab.errors import InvalidParameterError, ResourceLimitError
 from cliquelab.generate import GenSpec, generate
@@ -191,8 +193,9 @@ def test_compress_all_matches_direct_encoding():
     for seed in range(4):
         h = generate(GenSpec("gnp-hypergraph", 4, 4, 0.4, seed, r=3)).graph
         params = HypercliqueParams(s=2, k=4, r=3)
-        geo = BlockGeometry(h, params)
-        cache = compress_all(h, params)
+        tables = build_tables(h, params)
+        geo = tables.geometry
+        cache = compress_all(tables)
         for v in h.part_vertices(0):
             gv_edges = [tuple(u for u in e if u != v)
                         for e in h.edges if v in e]
@@ -205,6 +208,22 @@ def test_compress_all_matches_direct_encoding():
                     jI = tuple(j[slot] for slot in I)
                     rep |= cache.get((v, I, jI), 0) << geo.seg_offset[I]
                 assert rep == encode_compact(direct, geo, j)
+
+
+def test_listing_builds_one_geometry_and_one_link_map(monkeypatch):
+    # the tables, the segment cache and the probe plan share one geometry
+    # (one byte-budget check) and one set of link masks
+    calls = Counter()
+    for name in ("BlockGeometry", "_link_masks"):
+        def counting(*args, real=getattr(hyperclique, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(hyperclique, name, counting)
+    h = complete_hypergraph(3, [2, 2, 2, 2])
+    for params in (None, HypercliqueParams(s=2, k=4, r=3)):
+        calls.clear()
+        assert len(list_hypercliques(h, 4, params=params)) == 16
+        assert calls == {"BlockGeometry": 1, "_link_masks": 1}
 
 
 def test_listing_complete_16_and_truncated():

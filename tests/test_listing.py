@@ -3,7 +3,6 @@
 import hashlib
 import math
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -155,27 +154,16 @@ def test_planted_disjoint_triangles_truncation():
 
 def test_list_all_partitions_once(monkeypatch):
     g = random_graph(random.Random(8), [9, 5, 10], 0.5)
-    first_attempts = []
+    calls = []
     real = listing.weak_regular_partition
 
     def counting(G, cfg, *args):
-        if cfg.rng_seed == FAST_CFG.rng_seed:    # retries use other seeds
-            first_attempts.append((G.part_masks[1], G.part_masks[2]))
+        calls.append((G.part_masks[1], G.part_masks[2], cfg))
         return real(G, cfg, *args)
 
     monkeypatch.setattr(listing, "weak_regular_partition", counting)
     list_all_triangles(g, FAST_CFG)
-    assert first_attempts == [(g.part_masks[1], g.part_masks[2])]
-
-
-def _reference_partition(view, cfg):
-    """Weak regularity partition of the view, retried on fresh seeds."""
-    for attempt in range(listing.PARTITION_ATTEMPTS):
-        P = weak_regular_partition(
-            view, replace(cfg, rng_seed=cfg.rng_seed + 1009 * attempt))
-        if P.verified:
-            break
-    return P
+    assert calls == [(g.part_masks[1], g.part_masks[2], FAST_CFG)]
 
 
 def _view_reference(G, t, cfg):
@@ -186,7 +174,7 @@ def _view_reference(G, t, cfg):
     b1, b2, b3 = G.part_masks
     if not (b2 and b3):
         return [], False, [], []
-    pieces = _reference_partition(G.restrict([b1, b2, b3]), cfg).pieces
+    pieces = weak_regular_partition(G.restrict([b1, b2, b3]), cfg).pieces
     out, plans, views = [], [], []
     for (i, pi), (j, pj) in product(enumerate(pieces), repeat=2):
         s2, s3 = pi & b2, pj & b3

@@ -104,12 +104,20 @@ def test_detect_four_russians_planted_unique_triangle():
     assert detect_four_russians(g) == plant
 
 
-def test_detect_four_russians_rejects_foreign_table():
-    g1 = random_graph(random.Random(1), [4, 4, 4], 0.5)
-    g2 = random_graph(random.Random(2), [4, 4, 4], 0.5)
-    table = build_block_edge_table(g1, 2)
-    with pytest.raises(InvalidParameterError):
-        detect_four_russians(g2, table)
+def test_four_russians_builds_its_table_from_the_queried_graph():
+    # A is triangle-free; B moves two of its edges and closes (0, 64, 189).
+    # Python hashes ints modulo 2^61 - 1, so bits i and i + 61 of a row
+    # hash alike, and hash((part masks, rows)) is equal for A and B: a
+    # table check by that hash could not tell them apart.
+    edges_a = [(0, 64), (0, 189), (64, 128), (125, 189)]
+    edges_b = [(0, 64), (0, 189), (64, 189), (125, 128)]
+    a = KPartiteGraph.from_edges([64] * 3, edges_a)
+    b = KPartiteGraph.from_edges([64] * 3, edges_b)
+    assert hash((tuple(a.part_masks), tuple(a.adjacency))) == \
+        hash((tuple(b.part_masks), tuple(b.adjacency)))
+    for bs in (1, 3, 6):
+        assert detect_four_russians(a, bs) is None
+        assert detect_four_russians(b, bs) == detect_naive(b) == (0, 64, 189)
 
 
 def test_default_block_size_half_log():
@@ -178,7 +186,7 @@ def test_four_russians_witness_independent_of_block_size():
             v1, v2, v3 = want
             assert g.has_edge(v1, v2) and g.has_edge(v1, v3) and g.has_edge(v2, v3)
         for b in range(1, 9):
-            assert detect_four_russians(g, build_block_edge_table(g, b)) == want
+            assert detect_four_russians(g, b) == want
 
 
 def test_sparse_listing_complete():

@@ -9,15 +9,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cliquelab.core import KPartiteGraph
-from cliquelab.errors import InvalidParameterError
 from cliquelab.kclique import RecursionParams, detect_kclique, find_witness
 from cliquelab.listing import list_all_triangles, list_triangles
 from cliquelab.oracles import brute_kclique, brute_triangles
 from cliquelab.regularity import (RegularityConfig,
                                   check_pseudoregular_sampled,
                                   weak_regular_partition)
-from cliquelab.triangle import (build_block_edge_table, detect_four_russians,
-                                detect_naive, list_sparse_four_russians)
+from cliquelab.triangle import (detect_four_russians, detect_naive,
+                                list_sparse_four_russians)
 from tests.test_core import random_graph
 
 LEAN_CFG = RegularityConfig(epsilon=0.2, rng_seed=0, sample_count=40,
@@ -68,7 +67,7 @@ def test_triangle_engines_on_views_match_oracle(case):
 
     found = [detect_naive(view), detect_four_russians(view)]
     for b in (1, 2, 3, 5, 8):
-        found.append(detect_four_russians(view, build_block_edge_table(view, b)))
+        found.append(detect_four_russians(view, b))
     for w in found:
         assert (w is None) == (not truth)
         assert w is None or w in truth
@@ -138,17 +137,6 @@ def test_kclique_engines_on_k5_views_match_oracle(case):
 def test_kclique_engines_on_edge_case_views(k, sizes, p):
     g = random_graph(random.Random(sum(sizes)), sizes[:k], p)
     _check_kclique_view(g, g.restrict(g.part_masks), k)
-
-
-def test_block_table_rejected_on_other_view_of_equal_sizes():
-    g = random_graph(random.Random(3), [2, 4, 4], 0.5)
-    a = g.restrict([0b11, 0b0011 << 2, 0b0011 << 6])
-    b = g.restrict([0b11, 0b1100 << 2, 0b1100 << 6])
-    assert a.part_sizes == b.part_sizes
-    table = build_block_edge_table(a, 2)
-    detect_four_russians(a, table)
-    with pytest.raises(InvalidParameterError):
-        detect_four_russians(b, table)
 
 
 def test_sampled_check_draws_ids_above_the_view_size():

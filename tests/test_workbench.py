@@ -291,6 +291,12 @@ TRIANGLE_FILES = {
     (["detect-triangle", "--algo", "fr"], "trailing", {}, 2),
     (["detect-triangle"], "missing", {}, 2),
     (["detect-triangle", "--algo", "fr"], "missing", {}, 2),
+    # --block-size sizes the FR table only, and is refused before the read
+    (["detect-triangle", "--block-size", "3"], "tri", {}, 2),
+    (["detect-triangle", "--algo", "naive", "--block-size", "3"], "tri", {},
+     2),
+    (["detect-triangle", "--algo", "naive", "--block-size", "99"], "missing",
+     {}, 2),
 ])
 def test_cli_detect_triangle_exit_codes(tmp_path, capsys, monkeypatch, cmd,
                                         fname, env, code):
@@ -299,8 +305,11 @@ def test_cli_detect_triangle_exit_codes(tmp_path, capsys, monkeypatch, cmd,
         path.write_text(TRIANGLE_FILES[fname])
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    got, out = run_cli(cmd + ["--json", str(path)], capsys)
+    got = main(cmd + ["--json", str(path)])
+    out, err = capsys.readouterr()
     assert got == code
+    if "--block-size" in cmd and "fr" not in cmd:
+        assert err == "error: --block-size applies only to --algo fr\n"
     if code:
         assert out == ""
     else:
@@ -659,3 +668,27 @@ def test_verify_triangle_list_rejects_duplicates_and_truncation(
     assert CHECKS["triangle-list"](g)
     monkeypatch.setattr(vmod, "list_all_triangles", faulty)
     assert not CHECKS["triangle-list"](g)
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "truncated"])
+def test_verify_hyperclique_list_rejects_duplicates_and_truncation(
+        capsys, monkeypatch, fault):
+    # as for triangle-list: the right witness set, but one hyperclique
+    # emitted twice or a complete list flagged as truncated, must fail
+    from cliquelab import verify as vmod
+    from cliquelab.hyperclique import list_hypercliques
+
+    def faulty(h, k):
+        res = list_hypercliques(h, k)
+        if fault == "duplicate":
+            res.witnesses.extend(res.witnesses[:1])
+        else:
+            res.truncated = True
+        return res
+
+    monkeypatch.setattr(vmod, "list_hypercliques", faulty)
+    code, out = run_cli(["verify", "--check", "hyperclique-list", "--k", "4",
+                         "--r", "3", "--n", "2", "--p", "1", "--instances",
+                         "1"], capsys)
+    assert code == 1
+    assert "reproducer" in out
