@@ -1,8 +1,10 @@
 """Hyperclique listing through compact representations and lookup tables.
 
 Builds a planted 3-uniform 4-partite instance, shows the chosen block
-side and representation length, inspects one compact encoding, and lists
-hypercliques against the brute-force count.
+side and representation length, inspects one compact encoding assembled
+from the grouped segment cache, counts the (v, j) pairs the part-0 masks
+let through to a table probe, and lists hypercliques against the
+brute-force count.
 """
 
 from itertools import islice
@@ -28,21 +30,35 @@ def main() -> None:
           f"L={params.L} bits ({len(params.index_sets)} index-set segments "
           f"of {params.segment_length} bits)")
 
-    # G_v, the pairs completing a hyperedge with v, as compressed segments
+    # G_v, the pairs completing a hyperedge with v, as compressed segments:
+    # the cache groups them by segment key (I, j_I), each with the mask of
+    # the part-0 vertices that have a segment there
     v = inst.witnesses[0][0]
     tables = build_tables(H, params)
     geo = tables.geometry
-    segments = {(I, jI): seg
-                for (u, I, jI), seg in compress_all(tables).items()
-                if u == v}
+    cache = compress_all(tables)
+    segments = {key: segs[v] for key, (mask, segs) in cache.items()
+                if (mask >> v) & 1}
     j0 = (0, 0, 0)
     rep = 0
     for I in geo.index_sets:
-        rep |= segments.get((I, (0, 0)), 0) << geo.seg_offset[I]
+        rep |= segments.get((I, (0, 0)), 0)
     print(f"adjacency subgraph of vertex {v}: "
           f"{sum(seg.bit_count() for seg in segments.values())} pair edges "
           f"in {len(segments)} segments; compact rep of block tuple {j0}: "
           f"{rep:#x} = {sorted(decode_compact(rep, geo, j0))}")
+
+    # the probe visits block tuple j for vertex v only if v lies in the AND
+    # of the part-0 masks of j's segment keys
+    probed = 0
+    for j in tables.entries:
+        mask = tables.part0
+        for I in geo.index_sets:
+            mask &= cache.get((I, tuple(j[slot] for slot in I)), (0, {}))[0]
+        probed += mask.bit_count()
+    print(f"probe: {probed} of {H.part_sizes[0] * len(tables.entries)} "
+          f"(v, j) pairs over {len(tables.entries)} populated block tuples "
+          f"pass the part-0 masks")
 
     res = list_hypercliques(H, 4, params=params)
     truth = brute_hypercliques(H, 4)

@@ -6,6 +6,12 @@ against precomputed lookup tables.  G_v on a block tuple is a fixed-order
 L-bit compact representation; the table of a block tuple lists its
 (k-1)-hypercliques with the bits each requires, found by a DFS over link
 masks, so each comparison tests a few masks.
+
+Each (r-1)-tuple of parts 1..k-1 is placed once per call: its segment key
+(I, j_I) and its bit.  The segment cache groups G_v's segments by key, with
+the mask of the part-0 vertices that have one there; the probe visits a
+block tuple for v only if v lies in the AND of its keys' masks, and then
+ORs the rep together from int-keyed lookups.
 """
 
 import math
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .bitops import iter_bits, mask_range
+from .bitops import bits_to_list, iter_bits, mask_range
 from .core import UniformHypergraph
 from .errors import InvalidParameterError, ResourceLimitError
 from .oracles import UNBOUNDED, ListingResult
@@ -189,15 +195,18 @@ def decode_compact(rep: int, geometry: BlockGeometry,
 
 # -- lookup tables ---------------------------------------------------------
 
+SegmentKey = Tuple[Tuple[int, ...], Tuple[int, ...]]      # (I, j_I)
+
 
 def _link_masks(H: UniformHypergraph) -> Dict[Tuple[int, ...], int]:
     """Sorted (r-1)-tuple -> mask of the vertices completing it to a
     hyperedge.  Built from ``H.edges`` on every call, which callers may
     reassign or mutate."""
     links: Dict[Tuple[int, ...], int] = {}
+    rm1 = H.r - 1
     for e in H.edges:
-        for i, w in enumerate(e):
-            key = e[:i] + e[i + 1:]
+        # the i-th (r-1)-subset in lexicographic order omits e[-1 - i]
+        for key, w in zip(combinations(e, rm1), reversed(e)):
             links[key] = links.get(key, 0) | (1 << w)
     return links
 
@@ -206,45 +215,53 @@ class HypercliqueTables:
     """Per populated block tuple j, the (k-1)-hypercliques of parts 1..k-1
     inside j with their required bits.
 
-    ``entries[j]`` lists (required, cand) in lexicographic order of cand;
-    required has the bit of every (r-1)-subset of cand.  ``links`` are the
-    link masks of H the entries were found from, and ``part0`` is the mask
-    of H's part 0.  entry(j, rep)
-    lists the tuples (v_2..v_k) in the block tuple that are
+    ``links`` are the link masks of H, ``part0`` is the mask of H's part
+    0, and ``placements`` maps every link key outside part 0 to its
+    segment key (I, j_I) and its representation bit (as a one-bit int);
+    each key is placed once, and the DFS below and ``compress_all`` read
+    it.  ``entries[j]`` lists (required, cand) in lexicographic order of
+    cand, found by a DFS over link masks: a vertex of the next slot must
+    complete every (r-1)-subset of the prefix, so it lies in all their
+    links.  required has the bit of every (r-1)-subset of cand.
+    entry(j, rep) lists the tuples (v_2..v_k) in the block tuple that are
     (k-1)-hypercliques both in the induced subgraph G^j of the input and
     in the rep-encoded hypergraph: those whose required bits lie in rep.
     A list holds at most s^(k-1) candidates.
     """
 
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
-        self.geometry = BlockGeometry(H, params)
-        geo = self.geometry
-        self.entries: Dict[Tuple[int, ...],
-                           List[Tuple[int, Tuple[int, ...]]]] = {}
+        self.geometry = geo = BlockGeometry(H, params)
         self.links = links = _link_masks(H)
         self.part0 = mask_range(0, H.part_sizes[0])
+        self.placements: Dict[Tuple[int, ...], Tuple[SegmentKey, int]]
+        self.placements = placements = {}
+        for rest in links:
+            # sorted, so a key meeting part 0 starts there
+            if geo.vertex_slot[rest[0]] >= 0:
+                I, jI, bit = geo.tuple_bit(rest)
+                placements[rest] = ((I, jI), 1 << bit)
+        self.entries: Dict[Tuple[int, ...],
+                           List[Tuple[int, Tuple[int, ...]]]] = {}
         rm1 = H.r - 1
         part_masks = [mask_range(H.part_start[p],
                                  H.part_start[p] + H.part_sizes[p])
                       for p in range(1, H.k)]
-
-        def extend(prefix: Tuple[int, ...]) -> None:
-            """Link-row DFS: a vertex of the next slot must complete every
-            (r-1)-subset of the prefix, so it lies in all their links."""
+        block = geo.vertex_block
+        stack: List[Tuple[int, ...]] = [()]
+        while stack:
+            prefix = stack.pop()
             if len(prefix) == len(part_masks):
                 required = 0
                 for sub in combinations(prefix, rm1):
-                    required |= 1 << geo.tuple_bit(sub)[2]
-                j = tuple(map(geo.vertex_block.__getitem__, prefix))
-                self.entries.setdefault(j, []).append((required, prefix))
-                return
+                    required |= placements[sub][1]
+                self.entries.setdefault(tuple(map(block.__getitem__, prefix)),
+                                        []).append((required, prefix))
+                continue
             cands = part_masks[len(prefix)]
             for sub in combinations(prefix, rm1):
                 cands &= links.get(sub, 0)
-            for u in iter_bits(cands):
-                extend(prefix + (u,))
-
-        extend(())
+            # pushed highest first, so prefixes pop in lexicographic order
+            stack.extend(prefix + (u,) for u in reversed(bits_to_list(cands)))
 
     def entry(self, j: Tuple[int, ...], rep: int) -> List[Tuple[int, ...]]:
         return [cand for required, cand in self.entries.get(j, ())
@@ -257,27 +274,31 @@ def build_tables(H: UniformHypergraph, params: HypercliqueParams
 
 
 def compress_all(tables: HypercliqueTables
-                 ) -> Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int]:
-    """Segment cache: (v, I, j_I) -> segment bits of G_v^j restricted to I.
+                 ) -> Dict[SegmentKey, Tuple[int, Dict[int, int]]]:
+    """Segment cache grouped by segment key: (I, j_I) -> (mask, {v: bits}).
 
-    A full representation for any (v, j) is then assembled by concatenating
-    C(k-1, r-1) cached segments.  Read from the geometry, link masks and
-    part-0 mask of ``tables``, so a listing builds each of them once.
+    bits is the segment of G_v^j for index set I, at its place in the
+    representation, for every part-0 vertex v with a non-empty one; mask
+    has the bit of each such v.  The representation of G_v^j is then the
+    OR of its C(k-1, r-1) segments.  Read from the link masks, part-0
+    mask and placements of ``tables``, so a listing places each tuple
+    once.
     """
-    geo = tables.geometry
+    links = tables.links
     part0 = tables.part0
-    cache: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int] = {}
-    for rest, mask in tables.links.items():
-        # edges are cross-part, so part-0 completions imply a part-0-free rest
-        completions = mask & part0
+    segments: Dict[SegmentKey, Dict[int, int]] = {}
+    masks: Dict[SegmentKey, int] = {}
+    for rest, (key, bit) in tables.placements.items():
+        # edges are cross-part, so only part-0-free keys have part-0
+        # completions
+        completions = links[rest] & part0
         if not completions:
             continue
-        I, jI, bit = geo.tuple_bit(rest)
-        seg_bit = 1 << (bit - geo.seg_offset[I])
+        masks[key] = masks.get(key, 0) | completions
+        segs = segments.setdefault(key, {})
         for v in iter_bits(completions):
-            key = (v, I, jI)
-            cache[key] = cache.get(key, 0) | seg_bit
-    return cache
+            segs[v] = segs.get(v, 0) | bit
+    return {key: (masks[key], segs) for key, segs in segments.items()}
 
 
 # -- listing / detection ---------------------------------------------------
@@ -296,27 +317,37 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
         n = max(2, max(H.part_sizes))
         params = choose_block_size(n, k, H.r)
     tables = build_tables(H, params)
-    geo = tables.geometry
     cache = compress_all(tables)
-    # Segment keys and offsets of each populated j.  Every candidate has a
-    # required bit in every segment, so one empty segment rules (v, j) out.
-    plan = [(j, [(I, tuple(j[slot] for slot in I), geo.seg_offset[I])
-                 for I in geo.index_sets])
-            for j in sorted(tables.entries)]
+    # One record per populated j, in sorted order: the part-0 vertices
+    # with every segment of j non-empty (the AND of the keys' masks; every
+    # candidate has a required bit in every segment, so only they can
+    # hit) and the segment dicts.
+    plan = []
+    for j in sorted(tables.entries):
+        mask = tables.part0
+        segs = []
+        for I in tables.geometry.index_sets:
+            group = cache.get((I, tuple(map(j.__getitem__, I))))
+            if group is None:
+                break
+            mask &= group[0]
+            segs.append(group[1])
+        else:
+            if mask:
+                plan.append((j, mask, segs))
     for v in H.part_vertices(0):
-        for j, keys in plan:
+        bit = 1 << v
+        for j, mask, segs in plan:
+            if not mask & bit:
+                continue
             rep = 0
-            for I, jI, offset in keys:
-                seg = cache.get((v, I, jI))
-                if not seg:
-                    break
-                rep |= seg << offset
-            else:
-                for cand in tables.entry(j, rep):
-                    if t is not UNBOUNDED and len(result.witnesses) == t:
-                        result.truncated = True
-                        return result
-                    result.witnesses.append((v,) + cand)
+            for seg in segs:
+                rep |= seg[v]
+            for cand in tables.entry(j, rep):
+                if t is not UNBOUNDED and len(result.witnesses) == t:
+                    result.truncated = True
+                    return result
+                result.witnesses.append((v,) + cand)
     return result
 
 

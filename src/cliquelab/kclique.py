@@ -225,18 +225,18 @@ def find_witness(detector: Callable[[KPartiteGraph, int], bool],
                  G: KPartiteGraph, k: int) -> Optional[Tuple[int, ...]]:
     """Turn a k-clique decision procedure into a finding procedure.
 
-    Recursive halving: split every part into two halves, find a combination
-    of halves on which the detector still succeeds, recurse.  The returned
-    tuple passes the same final check as ``find_kclique``'s.
+    Repeated halving: split every part into two halves, keep a combination
+    of halves on which the detector still succeeds, and halve again until
+    every part has one vertex.  The returned tuple passes the same final
+    check as ``find_kclique``'s.
     """
     if G.k != k:
         raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
     if not detector(G, k):
         return None
 
-    def recurse(cur: KPartiteGraph) -> Tuple[int, ...]:
-        if all(s == 1 for s in cur.part_sizes):
-            return tuple(m.bit_length() - 1 for m in cur.part_masks)
+    cur = G
+    while not all(s == 1 for s in cur.part_sizes):
         halves = []
         for i in range(k):
             verts = cur.part_vertices(i)
@@ -252,8 +252,9 @@ def find_witness(detector: Callable[[KPartiteGraph, int], bool],
                 continue
             sub = cur.restrict(chosen)
             if detector(sub, k):
-                return recurse(sub)
-        raise InternalInconsistencyError(
-            "detector succeeded on the parent but on no half combination")
-
-    return _checked(G, recurse(G))
+                cur = sub
+                break
+        else:
+            raise InternalInconsistencyError(
+                "detector succeeded on the parent but on no half combination")
+    return _checked(G, tuple(m.bit_length() - 1 for m in cur.part_masks))

@@ -206,24 +206,40 @@ def test_compress_all_matches_direct_encoding():
                 rep = 0
                 for I in geo.index_sets:
                     jI = tuple(j[slot] for slot in I)
-                    rep |= cache.get((v, I, jI), 0) << geo.seg_offset[I]
+                    mask, segs = cache.get((I, jI), (0, {}))
+                    assert (mask >> v) & 1 == (v in segs)
+                    rep |= segs.get(v, 0)
                 assert rep == encode_compact(direct, geo, j)
 
 
 def test_listing_builds_one_geometry_and_one_link_map(monkeypatch):
     # the tables, the segment cache and the probe plan share one geometry
-    # (one byte-budget check) and one set of link masks
+    # (one byte-budget check) and one set of link masks, and place each
+    # (r-1)-tuple of parts 1..k-1 at most once
     calls = Counter()
     for name in ("BlockGeometry", "_link_masks"):
         def counting(*args, real=getattr(hyperclique, name), name=name):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(hyperclique, name, counting)
-    h = complete_hypergraph(3, [2, 2, 2, 2])
-    for params in (None, HypercliqueParams(s=2, k=4, r=3)):
-        calls.clear()
-        assert len(list_hypercliques(h, 4, params=params)) == 16
-        assert calls == {"BlockGeometry": 1, "_link_masks": 1}
+    placed = Counter()
+
+    def counting_bit(geo, verts, real=BlockGeometry.tuple_bit):
+        placed[tuple(verts)] += 1
+        return real(geo, verts)
+    monkeypatch.setattr(BlockGeometry, "tuple_bit", counting_bit)
+    planted = generate(GenSpec("planted-hyperclique", 6, 4, 0.4, 3, r=3,
+                               plant_count=1)).graph
+    cases = [(complete_hypergraph(3, [2, 2, 2, 2]), 16),
+             (planted, len(brute_hypercliques(planted, 4)))]
+    for h, hits in cases:
+        for params in (None, HypercliqueParams(s=2, k=4, r=3)):
+            calls.clear()
+            placed.clear()
+            assert len(list_hypercliques(h, 4, params=params)) == hits
+            assert calls == {"BlockGeometry": 1, "_link_masks": 1}
+            assert placed and max(placed.values()) == 1
+            assert all(h.part_of(u) > 0 for sub in placed for u in sub)
 
 
 def test_listing_complete_16_and_truncated():
@@ -286,7 +302,7 @@ def test_detect_trivial_cases():
 @st.composite
 def hyper_cases(draw):
     """Random hypergraph with empty, single-vertex and short-block parts,
-    a block side s and a threshold t."""
+    a block side s and a threshold t at the edges of the oracle's count."""
     k = draw(st.sampled_from([3, 4, 5]))
     r = draw(st.integers(2, k - 1))
     sizes = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
@@ -297,8 +313,9 @@ def hyper_cases(draw):
         for verts in product(*[h.part_vertices(i) for i in pc]):
             if rng.random() < p:
                 h.add_edge(verts)
+    total = len(brute_hypercliques(h, k))
     return h, draw(st.sampled_from([1, 2, 3])), draw(
-        st.sampled_from([None, 1, 2]))
+        st.sampled_from([0, 1, 2, max(0, total - 1), total, None]))
 
 
 @settings(max_examples=120, deadline=None,
@@ -319,5 +336,6 @@ def test_listing_order_matches_sorted_oracle(case):
     res = list_hypercliques(h, k, t=t, params=params)
     assert res.witnesses == want[:t]
     assert res.truncated == (t is not None and len(want) > t)
+    assert detect_hyperclique(h, k, params) == bool(want)
     tables = build_tables(h, params)
     assert all(len(lst) <= s ** (k - 1) for lst in tables.entries.values())

@@ -1,6 +1,7 @@
 """Engines and oracles on vertex-mask views agree with the oracles on
-re-indexed copies."""
+re-indexed copies, and the engines leave no reference cycles behind."""
 
+import gc
 import random
 from itertools import combinations
 
@@ -9,7 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cliquelab.core import KPartiteGraph
-from cliquelab.kclique import RecursionParams, detect_kclique, find_witness
+from cliquelab.generate import GenSpec, generate
+from cliquelab.hyperclique import detect_hyperclique, list_hypercliques
+from cliquelab.kclique import (RecursionParams, detect_kclique, find_kclique,
+                               find_witness)
 from cliquelab.listing import list_all_triangles, list_triangles
 from cliquelab.oracles import brute_kclique, brute_triangles
 from cliquelab.regularity import (RegularityConfig,
@@ -147,3 +151,34 @@ def test_sampled_check_draws_ids_above_the_view_size():
     cfg = RegularityConfig(epsilon=0.2, refinement_budget=1)
     P = weak_regular_partition(view, cfg)
     assert check_pseudoregular_sampled(view, P, 0.2, 50, seed=0).max_error > 0
+
+
+# One call of each public engine on a small instance with a hit.
+ENGINE_CALLS = {
+    "list_hypercliques": lambda h, g3, g4: list_hypercliques(h, 4),
+    "detect_hyperclique": lambda h, g3, g4: detect_hyperclique(h, 4),
+    "find_witness": lambda h, g3, g4: find_witness(detect_kclique, g4, 4),
+    "find_kclique": lambda h, g3, g4: find_kclique(g4, 4),
+    "detect_naive": lambda h, g3, g4: detect_naive(g3),
+    "detect_four_russians": lambda h, g3, g4: detect_four_russians(g3),
+    "list_sparse_four_russians":
+        lambda h, g3, g4: list_sparse_four_russians(g3, None),
+    "list_all_triangles": lambda h, g3, g4: list_all_triangles(g3),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_CALLS))
+def test_engines_leave_no_cyclic_garbage(engine):
+    # a reference cycle keeps a call's tables and link masks alive until
+    # the cyclic collector runs
+    h = generate(GenSpec("planted-hyperclique", 6, 4, 0.4, 3, r=3,
+                         plant_count=1)).graph
+    g3, g4 = (generate(GenSpec("planted-clique", 8, k, 0.3, 3,
+                               plant_count=1)).graph for k in (3, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        assert ENGINE_CALLS[engine](h, g3, g4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

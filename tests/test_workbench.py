@@ -251,6 +251,7 @@ EXACT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "496"}
     (["list-hypercliques", "--k", "4"], "hyper", EXACT_BUDGET, 0),
     (["list-hypercliques", "--k", "40"], "wide", {}, 3),
     (["detect-hyperclique", "--k", "40"], "wide", {}, 3),
+    (["list-hypercliques", "--k", "4", "--t", "0"], "hyper", {}, 0),
 ])
 def test_cli_hyperclique_exit_codes(tmp_path, capsys, monkeypatch, cmd, fname,
                                     env, code):
@@ -261,6 +262,9 @@ def test_cli_hyperclique_exit_codes(tmp_path, capsys, monkeypatch, cmd, fname,
     got, out = run_cli(cmd + [str(path)], capsys)
     assert got == code
     assert (out == "") == (code != 0)
+    if code == 0 and cmd[0] == "list-hypercliques":
+        # "hyper" has one hyperedge, so no 4-hyperclique
+        assert "count: 0\n" in out
 
 
 TRIANGLE_FILES = {
