@@ -7,7 +7,7 @@ row-AND lister, and the regularity-partition pipeline.
 
 from cliquelab import (GenSpec, RegularityConfig, brute_triangles,
                        detect_four_russians, detect_naive, generate,
-                       list_sparse_four_russians, list_triangles_detailed)
+                       list_row_and, list_triangles)
 
 
 def main() -> None:
@@ -24,13 +24,13 @@ def main() -> None:
     truth = brute_triangles(G)
     print(f"brute force: {len(truth)} triangles total")
 
-    sparse = list_sparse_four_russians(G, None)
+    sparse = list_row_and(G, None)
     print(f"row-AND lister: {len(sparse)} triangles, "
           f"set match = {sparse.as_set() == truth.as_set()}")
 
     cfg = RegularityConfig(epsilon=0.15, rng_seed=0, sample_count=60,
                            refinement_budget=4, max_pieces=8)
-    detail = list_triangles_detailed(G, 10, cfg)
+    detail = list_triangles(G, 10, cfg)
     print(f"regularity pipeline (t=10): {len(detail.result)} triangles, "
           f"{detail.piece_count} partition pieces, "
           f"verified={detail.partition_verified}")

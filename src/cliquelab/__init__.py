@@ -19,8 +19,7 @@ from .io import parse, write
 from .kclique import (RecursionParams, TraceNode, choose_params,
                       detect_kclique, find_heavy_vertex, find_kclique,
                       find_witness, kclique_via_k1)
-from .listing import (RegularityListing, list_all_triangles, list_triangles,
-                      list_triangles_detailed)
+from .listing import RegularityListing, list_all_triangles, list_triangles
 from .oracles import (UNBOUNDED, ListingResult, brute_hypercliques,
                       brute_kclique, brute_triangles)
 from .regularity import (PseudoregularPartition, RegularityConfig,
@@ -28,7 +27,7 @@ from .regularity import (PseudoregularPartition, RegularityConfig,
                          density, edge_count_between, weak_regular_partition)
 from .triangle import (BlockEdgeTable, build_block_edge_table,
                        default_block_size, detect_four_russians, detect_naive,
-                       list_sparse_four_russians)
+                       list_row_and)
 from .verify import run_verify
 
 __version__ = "0.1.0"

@@ -19,11 +19,10 @@ from .errors import (InvalidParameterError, ParseError, ResourceLimitError)
 from .generate import KINDS, GenSpec, generate
 from .hyperclique import detect_hyperclique, list_hypercliques
 from .kclique import RecursionParams, TraceNode, choose_params, find_kclique
-from .listing import list_triangles_detailed
+from .listing import list_triangles
 from .regularity import (RegularityConfig, check_pseudoregular_sampled,
                          default_epsilon, weak_regular_partition)
-from .triangle import (detect_four_russians, detect_naive,
-                       list_sparse_four_russians)
+from .triangle import detect_four_russians, detect_naive, list_row_and
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -100,13 +99,13 @@ def cmd_list_triangles(args) -> int:
             epsilon=(default_epsilon(G.n_total) if args.epsilon is None
                      else args.epsilon),
             rng_seed=0 if args.seed is None else args.seed)
-        detail = list_triangles_detailed(G, args.t, cfg)
+        detail = list_triangles(G, args.t, cfg)
         res = detail.result
         extra = {"partition_verified": detail.partition_verified,
                  "piece_count": detail.piece_count,
                  "plans": [asdict(p) for p in detail.plans]}
     else:
-        res = list_sparse_four_russians(G, args.t)
+        res = list_row_and(G, args.t)
     _emit({"count": len(res.witnesses), "truncated": res.truncated,
            "witnesses": [list(w) for w in res.witnesses], **extra}, args.json)
     return EXIT_OK
@@ -216,7 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list-triangles")
     p.add_argument("--algo", choices=("sparse-fr", "regularity"),
-                   default="sparse-fr")
+                   default="sparse-fr",
+                   help="sparse-fr: the row-AND lister; regularity: the "
+                        "regularity-partition pipeline, which also prints "
+                        "its piece-pair plans")
     p.add_argument("--t", type=int, default=None,
                    help="stop after t triangles (default: list all)")
     p.add_argument("--epsilon", type=float, default=None)

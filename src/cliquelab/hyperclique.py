@@ -116,12 +116,11 @@ class BlockGeometry:
         params.validate()
         if H.k != params.k or H.r != params.r:
             raise InvalidParameterError("params do not match hypergraph shape")
-        need = table_bytes(H, params)
-        if need > table_byte_budget():
+        need, budget = table_bytes(H, params), table_byte_budget()
+        if need > budget:
             raise ResourceLimitError(
-                f"tables need ~{need} bytes, budget is "
-                f"{table_byte_budget()}",
-                required=need, allowed=table_byte_budget())
+                f"tables need ~{need} bytes, budget is {budget}",
+                required=need, allowed=budget)
         self.params = params
         self.s = params.s
         self.blocks = [_blocks_of_part(H, p, params.s)

@@ -8,11 +8,12 @@ Three engines over 3-part graphs:
   of its part-2 neighbourhoods, so a part-0 vertex's question "is there an
   edge under my row?" is one lookup per block, OR'd, plus one AND.  Tables
   are keyed by block-local masks; b defaults to floor(log2(n) / 2).
-* ``list_sparse_four_russians`` -- output-sensitive listing by row ANDs:
-  for each part-0 vertex v and each neighbour u in part 1, one AND of u's
-  row with v's part-2 neighbourhood yields every w closing a triangle, so
-  listing cost tracks sum_v d_1(v) big-int ANDs plus the output size.
-  Part-1 vertices with no part-2 neighbour are dropped once, up front.
+* ``list_row_and`` -- output-sensitive listing by row ANDs, with no
+  table: for each part-0 vertex v and each neighbour u in part 1, one AND
+  of u's row with v's part-2 neighbourhood yields every w closing a
+  triangle, so listing cost tracks sum_v d_1(v) big-int ANDs plus the
+  output size.  Part-1 vertices with no part-2 neighbour are dropped once,
+  up front.
 """
 
 import os
@@ -31,7 +32,19 @@ _DEFAULT_TABLE_BYTES = 1 << 28
 
 
 def table_byte_budget() -> int:
-    return int(os.environ.get(_ENV_BUDGET, _DEFAULT_TABLE_BYTES))
+    """``CLIQUELAB_MAX_TABLE_BYTES``, read at every call, else 2^28; a
+    budget of 0 refuses every table."""
+    raw = os.environ.get(_ENV_BUDGET)
+    if raw is None:
+        return _DEFAULT_TABLE_BYTES
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise InvalidParameterError(
+            f"{_ENV_BUDGET} must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 def block_table_bytes(G: KPartiteGraph, b: int) -> int:
@@ -72,12 +85,11 @@ class BlockEdgeTable:
                 f"block size {b} needs 2^{b} reach entries per block, cap is "
                 f"2^{MAX_BLOCK_SIZE}",
                 required=b, allowed=MAX_BLOCK_SIZE)
-        need = block_table_bytes(G, b)
-        if need > table_byte_budget():
+        need, budget = block_table_bytes(G, b), table_byte_budget()
+        if need > budget:
             raise ResourceLimitError(
-                f"table needs ~{need} bytes, budget is "
-                f"{table_byte_budget()} (set {_ENV_BUDGET} to raise)",
-                required=need, allowed=table_byte_budget())
+                f"table needs ~{need} bytes, budget is {budget} (set "
+                f"{_ENV_BUDGET} to raise)", required=need, allowed=budget)
         self.blocks = split_bits(G.part_masks[1], b)
         self.shifts = [(bl & -bl).bit_length() - 1 for bl in self.blocks]
 
@@ -182,8 +194,7 @@ def with_neighbour_in(adj: List[int], mask: int, target: int) -> int:
     return mask_from_vertices(u for u in iter_bits(mask) if adj[u] & target)
 
 
-def list_sparse_four_russians(G: KPartiteGraph, t: Optional[int]
-                              ) -> ListingResult:
+def list_row_and(G: KPartiteGraph, t: Optional[int]) -> ListingResult:
     """List up to t triangles, pivoting on part 0: one AND per V1-V2 edge
     whose V2 end has a V3 neighbour."""
     if G.k != 3:

@@ -16,8 +16,9 @@ from .errors import InvalidParameterError
 from .generate import GenSpec, generate
 from .hyperclique import detect_hyperclique, list_hypercliques
 from .kclique import find_kclique
-from .listing import list_all_triangles
+from .listing import list_all_triangles, list_triangles
 from .oracles import brute_hypercliques, brute_kclique, brute_triangles
+from .regularity import RegularityConfig
 from .triangle import detect_four_russians, detect_naive
 
 
@@ -37,12 +38,17 @@ def _triangle_detect_ok(G: KPartiteGraph) -> bool:
 
 
 def _triangle_list_ok(G: KPartiteGraph) -> bool:
-    """Complete, untruncated and duplicate-free: equal sets alone would
-    pass a lister that emits a triangle twice."""
-    got = list_all_triangles(G)
+    """Both listers complete, untruncated and duplicate-free: equal sets
+    alone would pass a lister that emits a triangle twice.  The pipeline
+    runs at epsilon 0.05, below the exact certificate's reach, so its
+    sampled partition check runs too."""
     want = brute_triangles(G).as_set()
-    return (not got.truncated and len(got.witnesses) == len(want)
-            and got.as_set() == want)
+    sampled = RegularityConfig(epsilon=0.05)
+    return all(
+        not got.truncated and len(got.witnesses) == len(want)
+        and got.as_set() == want
+        for got in (list_all_triangles(G),
+                    list_triangles(G, None, sampled).result))
 
 
 def _kclique_ok(G: KPartiteGraph) -> bool:

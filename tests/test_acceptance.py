@@ -23,8 +23,7 @@ from cliquelab.oracles import brute_hypercliques, brute_kclique, brute_triangles
 from cliquelab.regularity import (PseudoregularPartition, RegularityConfig,
                                   _density_matrix, check_pseudoregular_sampled,
                                   weak_regular_partition)
-from cliquelab.triangle import (detect_four_russians, detect_naive,
-                                list_sparse_four_russians)
+from cliquelab.triangle import detect_four_russians, detect_naive, list_row_and
 from tests.scalar_reference import detect_scalar_reference, time_callable
 
 
@@ -49,9 +48,9 @@ def test_ac1_triangle_oracle_equivalence():
             w = det(G)
             if (w is None) != (not truth) or (w is not None and w not in truth):
                 mismatches += 1
-        if list_sparse_four_russians(G, None).as_set() != truth:
+        if list_row_and(G, None).as_set() != truth:
             mismatches += 1
-        if list_triangles(G, None, LEAN_CFG).as_set() != truth:
+        if list_triangles(G, None, LEAN_CFG).result.as_set() != truth:
             mismatches += 1
     ok = mismatches == 0
     _verdict("AC1 triangle-oracle-equivalence", ok,
@@ -271,11 +270,11 @@ def test_ac7_listing_truncation_no_duplicates():
     # LEAN_CFG runs the sampled partition check; the default epsilon is
     # certified exactly
     for cfg in (LEAN_CFG, None):
-        res = list_triangles(G, 50, cfg)
+        res = list_triangles(G, 50, cfg).result
         got = res.witnesses
         if len(got) != 50 or len(set(got)) != 50 or not set(got) <= truth:
             issues += 1
-        full = list_triangles(G, None, cfg)
+        full = list_triangles(G, None, cfg).result
         if len(full.witnesses) != len(set(full.witnesses)) or \
                 full.as_set() != truth:
             issues += 1

@@ -13,12 +13,11 @@ from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.generate import GenSpec, generate
 from cliquelab.hyperclique import list_hypercliques
-from cliquelab.listing import (list_all_triangles, list_triangles,
-                               list_triangles_detailed)
+from cliquelab.listing import list_all_triangles, list_triangles
 from cliquelab.oracles import brute_triangles
 from cliquelab.regularity import (RegularityConfig, default_epsilon, density,
                                   weak_regular_partition)
-from cliquelab.triangle import list_sparse_four_russians
+from cliquelab.triangle import list_row_and
 from tests.test_hyperclique import complete_hypergraph
 from tests.test_core import random_graph
 from tests.test_oracles import complete_kpartite
@@ -38,7 +37,7 @@ def test_triangle_free_construction_empty():
         for v in g.part_vertices(1):
             g.adjacency[u] |= 1 << v
             g.adjacency[v] |= 1 << u
-    assert len(list_triangles(g, None, FAST_CFG)) == 0
+    assert len(list_triangles(g, None, FAST_CFG).result) == 0
 
 
 def test_unbounded_matches_oracle():
@@ -47,7 +46,7 @@ def test_unbounded_matches_oracle():
         sizes = [rng.randint(2, 12) for _ in range(3)]
         g = random_graph(rng, sizes, rng.choice([0.2, 0.5, 0.8]))
         want = brute_triangles(g).as_set()
-        assert list_triangles(g, None, FAST_CFG).as_set() == want
+        assert list_triangles(g, None, FAST_CFG).result.as_set() == want
 
 
 def test_bounded_prefix_property():
@@ -56,7 +55,7 @@ def test_bounded_prefix_property():
         g = random_graph(rng, [8, 8, 8], 0.5)
         want = brute_triangles(g).as_set()
         t = rng.randint(0, len(want) + 2)
-        res = list_triangles(g, t, FAST_CFG)
+        res = list_triangles(g, t, FAST_CFG).result
         assert len(res) == min(t, len(want))
         assert res.as_set() <= want
         assert len(res.as_set()) == len(res.witnesses)   # no duplicates
@@ -65,7 +64,7 @@ def test_bounded_prefix_property():
 
 def test_pair_plans_density():
     g = random_graph(random.Random(3), [6, 10, 10], 0.45)
-    detail = list_triangles_detailed(g, None, FAST_CFG)
+    detail = list_triangles(g, None, FAST_CFG)
     assert detail.piece_count >= 1
     for plan in detail.plans:
         assert 0.0 <= plan.density <= 1.0
@@ -85,7 +84,7 @@ def _hub_graph(rng, sizes, p):
 def test_default_epsilon_lists_in_oracle_order():
     # At the default epsilon every partition is one piece per side, so the
     # pipeline is one row-AND pass pivoting on V1: the oracle's order, and
-    # the sparse lister's.
+    # the row-AND lister's, which list_all_triangles is.
     rng = random.Random(14)
     for p, hub, _ in product((0.0, 0.15, 0.5, 1.0), (False, True), range(40)):
         sizes = [rng.randint(0, 9) for _ in range(3)]
@@ -93,25 +92,26 @@ def test_default_epsilon_lists_in_oracle_order():
         total = len(brute_triangles(g))
         for t in sorted({0, 1, max(total - 1, 0), total}) + [None]:
             want = brute_triangles(g, t)
-            for res in (list_triangles(g, t), list_sparse_four_russians(g, t)):
+            for res in (list_triangles(g, t).result, list_row_and(g, t)):
                 assert (res.witnesses, res.truncated) == (
                     want.witnesses, want.truncated), (sizes, p, hub, t)
         assert list_all_triangles(g).witnesses == \
-            brute_triangles(g).witnesses, (sizes, p, hub)
+            brute_triangles(g).witnesses == \
+            list_row_and(g, None).witnesses, (sizes, p, hub)
 
 
 def test_threshold_t_zero():
     g = complete_kpartite([2, 2, 2])
-    res = list_triangles(g, 0, FAST_CFG)
+    res = list_triangles(g, 0, FAST_CFG).result
     assert len(res) == 0 and res.truncated
     empty = KPartiteGraph([2, 2, 2])
-    res2 = list_triangles(empty, 0, FAST_CFG)
+    res2 = list_triangles(empty, 0, FAST_CFG).result
     assert len(res2) == 0 and not res2.truncated
 
 
 def test_threshold_complete_exact_count():
     g = complete_kpartite([8, 8, 8])
-    res = list_triangles(g, 100, FAST_CFG)
+    res = list_triangles(g, 100, FAST_CFG).result
     assert len(res) == 100 and res.truncated
     assert len(res.as_set()) == 100
     for w in res.witnesses:
@@ -124,16 +124,17 @@ def test_list_all_no_duplicates():
     for _ in range(8):
         g = random_graph(rng, [9, 9, 9], 0.55)
         want = brute_triangles(g).as_set()
-        res = list_all_triangles(g, FAST_CFG)
+        res = list_triangles(g, None, FAST_CFG).result
         assert len(res.witnesses) == len(res.as_set())
         assert res.as_set() == want
 
 
 def test_list_all_complete_and_empty():
     g = complete_kpartite([3, 3, 3])
-    res = list_all_triangles(g, FAST_CFG)
+    res = list_triangles(g, None, FAST_CFG).result
     assert len(res) == 27 and not res.truncated
-    assert len(list_all_triangles(KPartiteGraph([3, 3, 3]), FAST_CFG)) == 0
+    empty = KPartiteGraph([3, 3, 3])
+    assert len(list_triangles(empty, None, FAST_CFG).result) == 0
 
 
 def test_planted_disjoint_triangles_truncation():
@@ -147,7 +148,7 @@ def test_planted_disjoint_triangles_truncation():
             g.adjacency[y] |= 1 << x
     want = brute_triangles(g).as_set()
     assert len(want) >= 20
-    res = list_triangles(g, 12, FAST_CFG)
+    res = list_triangles(g, 12, FAST_CFG).result
     assert len(res) == 12 and res.truncated
     assert res.as_set() <= want and len(res.as_set()) == 12
 
@@ -162,8 +163,20 @@ def test_list_all_partitions_once(monkeypatch):
         return real(G, cfg, *args)
 
     monkeypatch.setattr(listing, "weak_regular_partition", counting)
-    list_all_triangles(g, FAST_CFG)
+    list_triangles(g, None, FAST_CFG)
     assert calls == [(g.part_masks[1], g.part_masks[2], FAST_CFG)]
+
+
+def test_list_all_never_partitions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("list_all_triangles partitioned")
+
+    monkeypatch.setattr(listing, "weak_regular_partition", refuse)
+    for sizes, p in (([9, 5, 10], 0.5), ([6, 6, 6], 1.0), ([4, 0, 4], 1.0)):
+        g = random_graph(random.Random(8), sizes, p)
+        res = list_all_triangles(g)
+        want = brute_triangles(g)
+        assert (res.witnesses, res.truncated) == (want.witnesses, False)
 
 
 def _view_reference(G, t, cfg):
@@ -184,7 +197,7 @@ def _view_reference(G, t, cfg):
         plans.append(((i, j), dens, dens <= math.sqrt(cfg.epsilon)))
         views.append(G.restrict([b1, s2, s3]))
     for view in views:
-        part = list_sparse_four_russians(
+        part = list_row_and(
             view, None if t is None else t - len(out))
         out.extend(part.witnesses)
         if part.truncated:
@@ -207,7 +220,7 @@ VIEW_REF_CFGS = [RegularityConfig(epsilon=0.02, rng_seed=3, sample_count=60,
     ([0, 6, 6], False), ([6, 1, 8], False), ([1, 1, 1], False),
     ([10, 10, 10], False), ([10, 10, 10], True), ([4, 4, 4], False)])
 def test_threshold_and_detailed_match_view_reference(sizes, hub):
-    # the t-thresholded lister and the detailed pass, at every t
+    # the pipeline's witnesses, truncation and plans, at every t
     rng = random.Random(sum(sizes))
     mixed = pruned = 0
     for p, cfg in product((0.0, 0.15 if hub else 0.5, 1.0), VIEW_REF_CFGS):
@@ -215,9 +228,7 @@ def test_threshold_and_detailed_match_view_reference(sizes, hub):
         total = len(brute_triangles(g))
         for t in sorted({0, 1, max(total - 1, 0), total}) + [None]:
             want, cut, plans, pieces = _view_reference(g, t, cfg)
-            res = list_triangles(g, t, cfg)
-            assert (res.witnesses, res.truncated) == (want, cut)
-            d = list_triangles_detailed(g, t, cfg)
+            d = list_triangles(g, t, cfg)
             assert (d.result.witnesses, d.result.truncated) == (want, cut)
             assert [(q.piece_pair, q.density, q.low_density)
                     for q in d.plans] == plans
@@ -236,9 +247,9 @@ def test_threshold_and_detailed_match_view_reference(sizes, hub):
 def test_empty_v2_v3_lists_nothing(sizes):
     g = KPartiteGraph(sizes)
     for t in (None, 0, 2):
-        res = list_triangles(g, t, FAST_CFG)
+        res = list_triangles(g, t, FAST_CFG).result
         assert res.witnesses == [] and not res.truncated
-        d = list_triangles_detailed(g, t)
+        d = list_triangles(g, t)
         assert d.plans == [] and d.piece_count == 0 and d.partition_verified
     res = list_all_triangles(g)
     assert res.witnesses == [] and not res.truncated
@@ -246,11 +257,11 @@ def test_empty_v2_v3_lists_nothing(sizes):
 
 def test_negative_t_rejected_by_every_lister():
     g = complete_kpartite([3, 3, 3])
-    for lister in (list_sparse_four_russians, list_triangles):
+    for lister in (list_row_and, list_triangles):
         with pytest.raises(InvalidParameterError):
             lister(g, -1)
     with pytest.raises(InvalidParameterError):
-        list_triangles_detailed(g, -1, FAST_CFG)
+        list_triangles(g, -1, FAST_CFG)
     with pytest.raises(InvalidParameterError):
         list_hypercliques(complete_hypergraph(3, [2, 2, 2, 2]), 4, t=-1)
     with pytest.raises(InvalidParameterError):
@@ -282,7 +293,7 @@ def _pin_digest(key):
             record.append((P.pieces, P.verified))
         else:
             _, eps, t = key
-            d = list_triangles_detailed(G, t, _pin_cfg(G, eps))
+            d = list_triangles(G, t, _pin_cfg(G, eps))
             record.append((d.result.witnesses, d.result.truncated,
                            d.partition_verified, d.piece_count,
                            [p.piece_pair for p in d.plans]))
@@ -294,7 +305,7 @@ def _pin_digest(key):
 # plan or witness order.  The "detailed" records keep each plan's piece
 # pair only; their digests were taken while each pair still chose between a
 # V1 and a V2 pivot, so the one V1 pivot must reproduce them.  "all" lists
-# every pin graph at the default epsilon in the oracle's order, so its
+# every pin graph with the row-AND lister, in the oracle's order, so its
 # digest is the "brute" one.
 PINNED_DIGESTS = {
     ("all",): "0e861e47e4932791",

@@ -14,7 +14,7 @@ from cliquelab.bitops import iter_bits, mask_range
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.generate import GenSpec, generate
-from cliquelab.listing import list_all_triangles
+from cliquelab.listing import list_all_triangles, list_triangles
 from cliquelab.oracles import brute_triangles
 from cliquelab.regularity import (EPSILON_CLAMP, PseudoregularPartition,
                                   RegularityConfig, _certified,
@@ -388,7 +388,9 @@ def test_default_listing_never_samples(monkeypatch):
     monkeypatch.setattr(regularity, "check_pseudoregular_sampled", sampled)
     for n, p in ((1, 0.5), (5, 0.3), (22, 0.5), (40, 0.1)):
         G = generate(GenSpec("gnp-kpartite", n, 3, p, seed=n)).graph
-        assert list_all_triangles(G).as_set() == brute_triangles(G).as_set()
+        want = brute_triangles(G).as_set()
+        assert list_all_triangles(G).as_set() == want
+        assert list_triangles(G, None).result.as_set() == want
         assert weak_regular_partition(
             G, RegularityConfig(epsilon=default_epsilon(G.n_total))).verified
 

@@ -11,7 +11,7 @@ from cliquelab.errors import InvalidParameterError, ResourceLimitError
 from cliquelab.oracles import brute_triangles
 from cliquelab.triangle import (block_table_bytes, build_block_edge_table,
                                 default_block_size, detect_four_russians,
-                                detect_naive, list_sparse_four_russians)
+                                detect_naive, list_row_and)
 from tests.test_core import random_graph
 from tests.test_oracles import complete_kpartite
 
@@ -191,9 +191,9 @@ def test_four_russians_witness_independent_of_block_size():
 
 def test_sparse_listing_complete():
     g = complete_kpartite([3, 3, 3])
-    res = list_sparse_four_russians(g, None)
+    res = list_row_and(g, None)
     assert len(res) == 27 and not res.truncated
-    res5 = list_sparse_four_russians(g, 5)
+    res5 = list_row_and(g, 5)
     assert len(res5) == 5 and res5.truncated
     assert res5.as_set() <= res.as_set()
 
@@ -203,7 +203,7 @@ def test_sparse_listing_matches_oracle():
     for _ in range(40):
         sizes = [rng.randint(1, 10) for _ in range(3)]
         g = random_graph(rng, sizes, rng.choice([0.1, 0.4, 0.8]))
-        assert list_sparse_four_russians(g, None).as_set() == \
+        assert list_row_and(g, None).as_set() == \
             brute_triangles(g).as_set()
 
 
@@ -214,7 +214,7 @@ def test_sparse_listing_empty_v2v3():
         for v in g.part_vertices(1):
             g.adjacency[u] |= 1 << v
             g.adjacency[v] |= 1 << u
-    assert len(list_sparse_four_russians(g, None)) == 0
+    assert len(list_row_and(g, None)) == 0
 
 
 class CountingRows(list):
@@ -239,7 +239,7 @@ def test_sparse_listing_reads_each_dead_v2_row_once():
         + [(a, c) for a in v1 for c in v3]
         + [(b, c) for b in v2[:3] for c in v3])
     rows = CountingRows(g.adjacency)
-    res = list_sparse_four_russians(KPartiteGraph(g.part_sizes, rows), None)
+    res = list_row_and(KPartiteGraph(g.part_sizes, rows), None)
     assert res.witnesses == brute_triangles(g).witnesses
     assert len(res) == 48 and not res.truncated
     assert all(rows.reads[b] <= 1 for b in v2[3:])
@@ -251,23 +251,23 @@ def test_sparse_listing_order_and_prefix():
     rng = random.Random(86)
     for g in (random_graph(rng, [86, 86, 86], 0.3),
               random_graph(rng, [7, 9, 6], 0.5)):
-        full = list_sparse_four_russians(g, None).witnesses
+        full = list_row_and(g, None).witnesses
         assert full == sorted(full) == brute_triangles(g).witnesses
         for t in (0, 1, 7, len(full) // 2, len(full) - 1):
-            res = list_sparse_four_russians(g, t)
+            res = list_row_and(g, t)
             assert res.witnesses == full[:t] and res.truncated
-        assert not list_sparse_four_russians(g, len(full)).truncated
+        assert not list_row_and(g, len(full)).truncated
 
 
 def test_sparse_listing_large_part():
     # one part of 8192 vertices, one triangle
     g = KPartiteGraph.from_edges([1, 8192, 1],
                                  [(0, 77), (0, 8193), (77, 8193)])
-    res = list_sparse_four_russians(g, None)
+    res = list_row_and(g, None)
     assert res.witnesses == [(0, 77, 8193)] and not res.truncated
 
 
 def test_listing_witnesses_in_canonical_part_order():
     g = random_graph(random.Random(8), [5, 5, 5], 0.6)
-    for (a, b, c) in list_sparse_four_russians(g, None).witnesses:
+    for (a, b, c) in list_row_and(g, None).witnesses:
         assert g.part_of(a) == 0 and g.part_of(b) == 1 and g.part_of(c) == 2

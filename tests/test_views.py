@@ -19,8 +19,7 @@ from cliquelab.oracles import brute_kclique, brute_triangles
 from cliquelab.regularity import (RegularityConfig,
                                   check_pseudoregular_sampled,
                                   weak_regular_partition)
-from cliquelab.triangle import (detect_four_russians, detect_naive,
-                                list_sparse_four_russians)
+from cliquelab.triangle import detect_four_russians, detect_naive, list_row_and
 from tests.test_core import random_graph
 
 LEAN_CFG = RegularityConfig(epsilon=0.2, rng_seed=0, sample_count=40,
@@ -76,19 +75,19 @@ def test_triangle_engines_on_views_match_oracle(case):
         assert (w is None) == (not truth)
         assert w is None or w in truth
 
-    got = list_sparse_four_russians(view, None).witnesses
+    got = list_row_and(view, None).witnesses
     assert len(got) == len(set(got)) and set(got) == truth
 
     _check_regularity_listers(view, truth)
 
 
 def _check_regularity_listers(view, truth):
-    for cfg in (LEAN_CFG, *SAMPLED_CFGS):
-        for res in (list_triangles(view, None, cfg),
-                    list_all_triangles(view, cfg)):
-            got = res.witnesses
-            assert not res.truncated
-            assert len(got) == len(set(got)) and set(got) == truth
+    for res in (list_all_triangles(view),
+                *(list_triangles(view, None, cfg).result
+                  for cfg in (LEAN_CFG, *SAMPLED_CFGS))):
+        got = res.witnesses
+        assert not res.truncated
+        assert len(got) == len(set(got)) and set(got) == truth
 
 
 # Empty and single-vertex parts, p in {0, 1}, and mid-sized odd and even
@@ -161,9 +160,9 @@ ENGINE_CALLS = {
     "find_kclique": lambda h, g3, g4: find_kclique(g4, 4),
     "detect_naive": lambda h, g3, g4: detect_naive(g3),
     "detect_four_russians": lambda h, g3, g4: detect_four_russians(g3),
-    "list_sparse_four_russians":
-        lambda h, g3, g4: list_sparse_four_russians(g3, None),
+    "list_row_and": lambda h, g3, g4: list_row_and(g3, None),
     "list_all_triangles": lambda h, g3, g4: list_all_triangles(g3),
+    "list_triangles": lambda h, g3, g4: list_triangles(g3, None).result,
 }
 
 

@@ -232,6 +232,10 @@ TINY_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "10"}
 # the hyperclique tables for HYPER_FILES["hyper"] need exactly 496 bytes
 SHORT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "495"}
 EXACT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "496"}
+# a budget that is not a non-negative integer is invalid input, not a limit
+TEXT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "abc"}
+NEGATIVE_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "-5"}
+ZERO_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "0"}
 
 
 # (subcommand and flags, input file, environment, exit code)
@@ -252,6 +256,10 @@ EXACT_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "496"}
     (["list-hypercliques", "--k", "40"], "wide", {}, 3),
     (["detect-hyperclique", "--k", "40"], "wide", {}, 3),
     (["list-hypercliques", "--k", "4", "--t", "0"], "hyper", {}, 0),
+    (["list-hypercliques", "--k", "4"], "hyper", TEXT_BUDGET, 2),
+    (["list-hypercliques", "--k", "4"], "hyper", NEGATIVE_BUDGET, 2),
+    (["detect-hyperclique", "--k", "4"], "hyper", TEXT_BUDGET, 2),
+    (["list-hypercliques", "--k", "4"], "hyper", ZERO_BUDGET, 3),
 ])
 def test_cli_hyperclique_exit_codes(tmp_path, capsys, monkeypatch, cmd, fname,
                                     env, code):
@@ -301,6 +309,11 @@ TRIANGLE_FILES = {
      2),
     (["detect-triangle", "--algo", "naive", "--block-size", "99"], "missing",
      {}, 2),
+    (["detect-triangle", "--algo", "fr"], "tri", TEXT_BUDGET, 2),
+    (["detect-triangle", "--algo", "fr"], "tri", NEGATIVE_BUDGET, 2),
+    (["detect-triangle", "--algo", "fr"], "tri", ZERO_BUDGET, 3),
+    # the naive detector builds no table and reads no budget
+    (["detect-triangle", "--algo", "naive"], "tri", TEXT_BUDGET, 0),
 ])
 def test_cli_detect_triangle_exit_codes(tmp_path, capsys, monkeypatch, cmd,
                                         fname, env, code):
@@ -652,25 +665,33 @@ def test_verify_kclique_detect_rejects_non_clique_witness(capsys, monkeypatch,
     assert "reproducer" in out
 
 
-@pytest.mark.parametrize("fault", ["duplicate", "truncated"])
+# (lister made faulty, fault); the row-AND lister's rows keep their ids
+@pytest.mark.parametrize("lister, fault", [
+    pytest.param("list_all_triangles", "duplicate", id="duplicate"),
+    pytest.param("list_all_triangles", "truncated", id="truncated"),
+    pytest.param("list_triangles", "duplicate", id="regularity-duplicate"),
+    pytest.param("list_triangles", "truncated", id="regularity-truncated"),
+])
 def test_verify_triangle_list_rejects_duplicates_and_truncation(
-        monkeypatch, fault):
+        monkeypatch, lister, fault):
     # a lister whose witness set is right but which emits a triangle twice,
-    # or flags a complete list as truncated, must fail the check
+    # or flags a complete list as truncated, must fail the check, whichever
+    # of the two listers it runs is at fault
     from cliquelab import verify as vmod
-    from cliquelab.oracles import brute_triangles
+    real = getattr(vmod, lister)
 
-    def faulty(g, cfg=None):
-        res = brute_triangles(g)
+    def faulty(*args):
+        out = real(*args)
+        res = out.result if lister == "list_triangles" else out
         if fault == "duplicate":
             res.witnesses.append(res.witnesses[0])
         else:
             res.truncated = True
-        return res
+        return out
 
     g = complete_kpartite([2, 2, 2])
     assert CHECKS["triangle-list"](g)
-    monkeypatch.setattr(vmod, "list_all_triangles", faulty)
+    monkeypatch.setattr(vmod, lister, faulty)
     assert not CHECKS["triangle-list"](g)
 
 
