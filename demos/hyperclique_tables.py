@@ -52,7 +52,7 @@ def main() -> None:
     # of the part-0 masks of j's segment keys
     probed = 0
     for j in tables.entries:
-        mask = tables.part0
+        mask = H.part_masks[0]
         for I in geo.index_sets:
             mask &= cache.get((I, tuple(j[slot] for slot in I)), (0, {}))[0]
         probed += mask.bit_count()

@@ -2,11 +2,14 @@
 
 Global vertex ids are contiguous per part (part 0 first), so a single
 bit-row per vertex spans all parts and one AND intersects neighbourhoods
-across parts.  A view from ``KPartiteGraph.restrict`` selects vertex
-subsets by per-part masks over the same rows.  All structures are treated
-as immutable after construction.
+across parts.  ``PartLayout`` holds the parts of both structures, built
+once from the part sizes: no per-vertex table, so a declared vertex costs
+one mask bit until it gets an edge.  A view from ``KPartiteGraph.restrict``
+selects vertex subsets by per-part masks over the same rows.  All
+structures are treated as immutable after construction.
 """
 
+from bisect import bisect_right
 from collections import defaultdict
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -15,7 +18,55 @@ from .bitops import bits_to_list, iter_bits, mask_range
 from .errors import InvalidParameterError
 
 
-class KPartiteGraph:
+class PartLayout:
+    """The k parts of a vertex set: ``part_sizes``, ``part_start``,
+    ``part_masks`` and ``n_total``.
+
+    Part i holds ids ``part_start[i]`` up to ``part_start[i] +
+    part_sizes[i]``, and ``part_masks[i]`` has their bits.  On a view
+    ``part_start`` is None and part i is ``part_masks[i]``.
+    """
+
+    __slots__ = ("part_sizes", "part_start", "part_masks", "n_total")
+
+    def __init__(self, part_sizes: Sequence[int]):
+        if any(s < 0 for s in part_sizes):
+            raise InvalidParameterError("negative part size")
+        self.part_sizes = list(part_sizes)
+        self.part_start = []
+        self.part_masks = []
+        off = 0
+        for s in self.part_sizes:
+            self.part_start.append(off)
+            self.part_masks.append(mask_range(off, off + s))
+            off += s
+        self.n_total = off
+
+    @property
+    def k(self) -> int:
+        return len(self.part_sizes)
+
+    def part_of(self, v: int) -> int:
+        """The part holding vertex v: a bisect on ``part_start``, or a
+        mask scan on a view."""
+        if self.part_start is not None:
+            if 0 <= v < self.n_total:
+                # the last part starting at or below v; it is not empty
+                return bisect_right(self.part_start, v) - 1
+        elif v >= 0:
+            for i, mask in enumerate(self.part_masks):
+                if (mask >> v) & 1:
+                    return i
+        raise InvalidParameterError(f"vertex {v} is not in the graph")
+
+    def part_vertices(self, i: int) -> Sequence[int]:
+        if self.part_start is None:
+            return bits_to_list(self.part_masks[i])
+        start = self.part_start[i]
+        return range(start, start + self.part_sizes[i])
+
+
+class KPartiteGraph(PartLayout):
     """k-partite graph with bit-packed symmetric cross-part adjacency rows.
 
     ``adjacency[v]`` is an int whose bit ``u`` says whether (v, u) is an
@@ -23,31 +74,15 @@ class KPartiteGraph:
     part i only through ``part_masks[i]`` or ``part_vertices(i)``, so they
     run unchanged on a view from ``restrict``.  ``n_total`` counts the
     graph's vertices; ``len(adjacency)`` is the width of the id space.
-    ``part_start`` is None on a view, whose parts need not be contiguous.
+    The parts come from ``PartLayout``; a graph adds only ``adjacency``.
     """
 
-    __slots__ = ("part_sizes", "adjacency", "part_start", "part_masks",
-                 "_part_of", "n_total")
+    __slots__ = ("adjacency",)
 
     def __init__(self, part_sizes: Sequence[int],
                  adjacency: Optional[List[int]] = None):
-        if any(s < 0 for s in part_sizes):
-            raise InvalidParameterError("negative part size")
-        self.part_sizes = list(part_sizes)
-        self.part_start = []
-        off = 0
-        for s in self.part_sizes:
-            self.part_start.append(off)
-            off += s
-        n = off
-        self.n_total = n
-        self.part_masks = [
-            mask_range(self.part_start[i], self.part_start[i] + s)
-            for i, s in enumerate(self.part_sizes)
-        ]
-        self._part_of = []
-        for i, s in enumerate(self.part_sizes):
-            self._part_of.extend([i] * s)
+        super().__init__(part_sizes)
+        n = self.n_total
         if adjacency is None:
             adjacency = [0] * n
         if len(adjacency) != n:
@@ -81,28 +116,9 @@ class KPartiteGraph:
         view.part_sizes = [m.bit_count() for m in view.part_masks]
         view.n_total = sum(view.part_sizes)
         view.part_start = None
-        view._part_of = None
         return view
 
     # -- basic accessors ---------------------------------------------------
-
-    @property
-    def k(self) -> int:
-        return len(self.part_sizes)
-
-    def part_of(self, v: int) -> int:
-        if self._part_of is not None:
-            return self._part_of[v]
-        for i, mask in enumerate(self.part_masks):
-            if (mask >> v) & 1:
-                return i
-        raise InvalidParameterError(f"vertex {v} is not in the graph")
-
-    def part_vertices(self, i: int) -> Sequence[int]:
-        if self.part_start is None:
-            return bits_to_list(self.part_masks[i])
-        start = self.part_start[i]
-        return range(start, start + self.part_sizes[i])
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adjacency[u] >> v) & 1 == 1
@@ -131,12 +147,12 @@ class KPartiteGraph:
     def from_edges(cls, part_sizes: Sequence[int],
                    edges: Iterable[Tuple[int, int]]) -> "KPartiteGraph":
         g = cls(part_sizes)
-        n, part_of = g.n_total, g._part_of
+        n, part_of = g.n_total, g.part_of
         neighbours = defaultdict(list)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(f"vertex id out of range: ({u},{v})")
-            if part_of[u] == part_of[v]:
+            if part_of(u) == part_of(v):
                 raise InvalidParameterError(f"intra-part edge ({u},{v})")
             neighbours[u].append(v)
             neighbours[v].append(u)
@@ -158,44 +174,21 @@ class KPartiteGraph:
                         raise InvalidParameterError(f"asymmetric edge ({u},{v})")
 
 
-class UniformHypergraph:
+class UniformHypergraph(PartLayout):
     """k-partite r-uniform hypergraph keyed by sorted cross-part tuples."""
 
-    __slots__ = ("r", "part_sizes", "edges", "part_start", "_part_of")
+    __slots__ = ("r", "edges")
 
     def __init__(self, r: int, part_sizes: Sequence[int],
                  edges: Optional[Iterable[Tuple[int, ...]]] = None):
         if r < 1:
             raise InvalidParameterError("uniformity r must be >= 1")
+        super().__init__(part_sizes)
         self.r = r
-        self.part_sizes = list(part_sizes)
-        self.part_start = []
-        off = 0
-        for s in self.part_sizes:
-            self.part_start.append(off)
-            off += s
-        self._part_of = []
-        for i, s in enumerate(self.part_sizes):
-            self._part_of.extend([i] * s)
         self.edges: Set[Tuple[int, ...]] = set()
         if edges is not None:
             for e in edges:
                 self.add_edge(e)
-
-    @property
-    def k(self) -> int:
-        return len(self.part_sizes)
-
-    @property
-    def n_total(self) -> int:
-        return len(self._part_of)
-
-    def part_of(self, v: int) -> int:
-        return self._part_of[v]
-
-    def part_vertices(self, i: int) -> range:
-        start = self.part_start[i]
-        return range(start, start + self.part_sizes[i])
 
     def add_edge(self, verts: Iterable[int]) -> None:
         self.add_sorted_edge(tuple(sorted(verts)))
@@ -208,7 +201,7 @@ class UniformHypergraph:
         for v in e:
             if not 0 <= v < self.n_total:
                 raise InvalidParameterError(f"vertex id out of range: {v}")
-            parts.add(self._part_of[v])
+            parts.add(self.part_of(v))
         if len(parts) != self.r:
             raise InvalidParameterError(f"hyperedge {e} has vertices in a shared part")
         self.edges.add(e)
@@ -222,7 +215,7 @@ class UniformHypergraph:
         For r = 1 this degenerates to per-vertex membership.
         """
         for sub in combinations(sorted(verts), self.r):
-            if len({self._part_of[v] for v in sub}) == self.r:
+            if len(set(map(self.part_of, sub))) == self.r:
                 if tuple(sub) not in self.edges:
                     return False
         return True

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .bitops import bits_to_list, iter_bits, mask_range
+from .bitops import bits_to_list, iter_bits
 from .core import UniformHypergraph
 from .errors import InvalidParameterError, ResourceLimitError
 from .oracles import UNBOUNDED, ListingResult
@@ -128,11 +128,11 @@ class BlockGeometry:
         self.index_sets = params.index_sets
         self.seg_offset = {I: idx * params.segment_length
                            for idx, I in enumerate(self.index_sets)}
-        parts = [H.part_of(u) for u in range(H.n_total)]
-        offsets = [u - H.part_start[p] for u, p in enumerate(parts)]
-        self.vertex_slot = [p - 1 for p in parts]
-        self.vertex_block = [i // self.s for i in offsets]
-        self.vertex_local = [i % self.s for i in offsets]
+        self.vertex_slot, self.vertex_block, self.vertex_local = [], [], []
+        for p, size in enumerate(H.part_sizes):
+            self.vertex_slot += [p - 1] * size
+            self.vertex_block += [i // self.s for i in range(size)]
+            self.vertex_local += [i % self.s for i in range(size)]
 
     def tuple_bit(self, verts: Sequence[int]) -> Tuple[Tuple[int, ...],
                                                        Tuple[int, ...], int]:
@@ -214,8 +214,8 @@ class HypercliqueTables:
     """Per populated block tuple j, the (k-1)-hypercliques of parts 1..k-1
     inside j with their required bits.
 
-    ``links`` are the link masks of H, ``part0`` is the mask of H's part
-    0, and ``placements`` maps every link key outside part 0 to its
+    ``links`` are the link masks of H, ``part_masks`` are H's, and
+    ``placements`` maps every link key outside part 0 to its
     segment key (I, j_I) and its representation bit (as a one-bit int);
     each key is placed once, and the DFS below and ``compress_all`` read
     it.  ``entries[j]`` lists (required, cand) in lexicographic order of
@@ -231,7 +231,7 @@ class HypercliqueTables:
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
         self.geometry = geo = BlockGeometry(H, params)
         self.links = links = _link_masks(H)
-        self.part0 = mask_range(0, H.part_sizes[0])
+        self.part_masks = part_masks = H.part_masks
         self.placements: Dict[Tuple[int, ...], Tuple[SegmentKey, int]]
         self.placements = placements = {}
         for rest in links:
@@ -242,21 +242,18 @@ class HypercliqueTables:
         self.entries: Dict[Tuple[int, ...],
                            List[Tuple[int, Tuple[int, ...]]]] = {}
         rm1 = H.r - 1
-        part_masks = [mask_range(H.part_start[p],
-                                 H.part_start[p] + H.part_sizes[p])
-                      for p in range(1, H.k)]
         block = geo.vertex_block
         stack: List[Tuple[int, ...]] = [()]
         while stack:
             prefix = stack.pop()
-            if len(prefix) == len(part_masks):
+            if len(prefix) == H.k - 1:
                 required = 0
                 for sub in combinations(prefix, rm1):
                     required |= placements[sub][1]
                 self.entries.setdefault(tuple(map(block.__getitem__, prefix)),
                                         []).append((required, prefix))
                 continue
-            cands = part_masks[len(prefix)]
+            cands = part_masks[len(prefix) + 1]
             for sub in combinations(prefix, rm1):
                 cands &= links.get(sub, 0)
             # pushed highest first, so prefixes pop in lexicographic order
@@ -284,7 +281,7 @@ def compress_all(tables: HypercliqueTables
     once.
     """
     links = tables.links
-    part0 = tables.part0
+    part0 = tables.part_masks[0]
     segments: Dict[SegmentKey, Dict[int, int]] = {}
     masks: Dict[SegmentKey, int] = {}
     for rest, (key, bit) in tables.placements.items():
@@ -323,7 +320,7 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
     # hit) and the segment dicts.
     plan = []
     for j in sorted(tables.entries):
-        mask = tables.part0
+        mask = H.part_masks[0]
         segs = []
         for I in tables.geometry.index_sets:
             group = cache.get((I, tuple(map(j.__getitem__, I))))

@@ -17,9 +17,12 @@ Hypergraph format::
 Parsers reject intra-part edges, duplicate edges, id overflow and content
 after the declared edges with line-numbered errors.  A declared vertex
 total above ``MAX_DECLARED_VERTICES`` is refused with ``ResourceLimitError``
-before any row is allocated.  The graph parser collects each vertex's
-neighbours and builds its row once (``core.fill_rows``), so a file costs
-O(n + m) memory and no big-int copy per edge.
+before any row is allocated.  Part membership is read from the part
+bounds, not from a per-vertex table, so a hypergraph costs O(m) memory
+beyond one bit per declared vertex.  The graph parser collects each
+vertex's neighbours and builds its row once (``core.fill_rows``), so a
+file costs one row slot per declared vertex plus O(m), and no big-int
+copy per edge.
 """
 
 from collections import defaultdict
@@ -113,13 +116,16 @@ def _parse_graph(it, lines, header, header_line) -> KPartiteGraph:
     sizes = _parse_parts(it, k)
     _, m = _parse_edge_count(it)
     g = KPartiteGraph(sizes)
-    n, part_of = g.n_total, g._part_of
+    n = g.n_total
     # Edge lines are read from ``lines`` directly (``it`` resumes after
     # them), with the checks of ``_tokens`` and ``_ints`` inlined, in this
-    # order: integers, token count, range, duplicate, intra-part.
+    # order: integers, token count, range, duplicate, intra-part.  An edge
+    # is intra-part iff v lies in [lo, hi), the ids of u's part; ``write``
+    # groups edges by u, so the bounds are looked up once per run of u.
     seen = set()            # u * n + v for each accepted edge, u < v
     neighbours = defaultdict(list)
     left = m
+    last_u = lo = hi = -1
     if m:
         for lineno, raw in lines:
             if "#" in raw:
@@ -141,7 +147,11 @@ def _parse_graph(it, lines, header, header_line) -> KPartiteGraph:
             if key in seen:
                 raise ParseError(f"duplicate edge {u} {v}", lineno)
             seen.add(key)
-            if part_of[u] == part_of[v]:
+            if u != last_u:
+                i = g.part_of(u)
+                last_u, lo = u, g.part_start[i]
+                hi = lo + sizes[i]
+            if lo <= v < hi:
                 raise ParseError(f"intra-part edge {u} {v}", lineno)
             neighbours[u].append(v)
             neighbours[v].append(u)

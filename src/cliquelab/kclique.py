@@ -30,16 +30,10 @@ Witness = Optional[Tuple[int, ...]]
 class RecursionParams:
     depth_cap: int          # D
     alpha: float            # heavy-vertex threshold, clamped to (0, 1)
-    depth: int = 0          # current depth d
 
     def __post_init__(self):
         if self.depth_cap < 0 or not 0 < self.alpha < 1:
             raise InvalidParameterError("need D >= 0 and 0 < alpha < 1")
-        if not 0 <= self.depth <= self.depth_cap:
-            raise InvalidParameterError("need 0 <= d <= D")
-
-    def child(self) -> "RecursionParams":
-        return RecursionParams(self.depth_cap, self.alpha, self.depth + 1)
 
 
 @dataclass
@@ -146,7 +140,7 @@ def find_kclique(G: KPartiteGraph, k: int,
         raise InvalidParameterError("k must be >= 3")
     if G.k != k:
         raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
-    return _checked(G, _search(G, k, triangle_detector, params, trace))
+    return _checked(G, _search(G, k, triangle_detector, params, trace, 0))
 
 
 def detect_kclique(G: KPartiteGraph, k: int,
@@ -159,7 +153,8 @@ def detect_kclique(G: KPartiteGraph, k: int,
 
 def _search(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector,
             params: Optional[RecursionParams],
-            trace: Optional[List[TraceNode]]) -> Witness:
+            trace: Optional[List[TraceNode]], depth: int) -> Witness:
+    """The recursion at depth ``depth`` of the heavy-vertex splits."""
     if k == 3:
         return triangle_detector(G)
     if any(s == 0 for s in G.part_sizes):
@@ -168,9 +163,9 @@ def _search(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector,
         params = choose_params(max(2, G.n_total), k)
 
     # Step 1: depth cap reached -> the per-vertex leaf.
-    if params.depth >= params.depth_cap:
+    if depth >= params.depth_cap:
         if trace is not None:
-            trace.append(TraceNode(depth=params.depth,
+            trace.append(TraceNode(depth=depth,
                                    part_sizes=list(G.part_sizes),
                                    branch="depth-cap"))
         return _leaf(G, k, triangle_detector)
@@ -183,7 +178,7 @@ def _search(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector,
         sub = _leaf(G.restrict(nbr), k - 1, triangle_detector)
         if sub is not None:
             if trace is not None:
-                trace.append(TraceNode(depth=params.depth,
+                trace.append(TraceNode(depth=depth,
                                        part_sizes=list(G.part_sizes),
                                        branch="heavy-vertex", heavy_vertex=v))
             return (v,) + sub
@@ -201,12 +196,12 @@ def _search(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector,
             if prod == 0:
                 continue
             witness = _search(G.restrict(chosen), k, triangle_detector,
-                              params.child(), trace)
+                              params, trace, depth + 1)
             if witness is not None:
                 break
         if trace is not None:
             trace.append(TraceNode(
-                depth=params.depth, part_sizes=list(G.part_sizes),
+                depth=depth, part_sizes=list(G.part_sizes),
                 branch="heavy-vertex", heavy_vertex=v,
                 parent_product=parent_product,
                 child_product_sum=child_sum))
@@ -214,11 +209,11 @@ def _search(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector,
 
     # Step 3: all part-0 degrees are light -> trivial reduction to (k-1).
     if trace is not None:
-        trace.append(TraceNode(depth=params.depth,
+        trace.append(TraceNode(depth=depth,
                                part_sizes=list(G.part_sizes),
                                branch="sparse-base"))
     return kclique_via_k1(G, k, lambda child: _search(
-        child, k - 1, triangle_detector, None, None))
+        child, k - 1, triangle_detector, None, None, 0))
 
 
 def find_witness(detector: Callable[[KPartiteGraph, int], bool],

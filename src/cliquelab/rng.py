@@ -1,9 +1,9 @@
 """Portable counter-based pseudorandom numbers (splitmix64).
 
 Every draw is a pure function of (seed, counter), so generated instances
-are reproducible across platforms and numpy versions.  A vectorized path
-produces whole 64-bit word arrays for bulk sampling; it imports numpy
-when first called, so importing this module does not load numpy.
+are reproducible across platforms and numpy versions.  The vectorized
+paths import numpy when first called, so importing this module does not
+load numpy.
 """
 
 from __future__ import annotations
@@ -73,17 +73,3 @@ class CounterRng:
             self.counter, self.counter + count, dtype=np.uint64), p)
         self.counter += count
         return hits
-
-    def bernoulli_words(self, nbits: int, p: float) -> int:
-        """Python int whose nbits low bits are independent Bernoulli(p).
-
-        Built from vectorized 53-bit uniforms compared against p.
-        """
-        import numpy as np
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
-        if nbits <= 0:
-            return 0
-        packed = np.packbits(self.bernoulli_flags(nbits, p),
-                             bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")

@@ -1,6 +1,8 @@
 """Graph/hypergraph representation and vertex-mask view behaviour."""
 
 import random
+import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -60,6 +62,43 @@ def test_part_layout():
     assert list(g.part_vertices(1)) == [2, 3, 4]
     assert [g.part_of(v) for v in range(6)] == [0, 0, 1, 1, 1, 2]
     assert g.part_masks[1] == 0b011100
+    view = g.restrict([0b10, 0b1000, 0])
+    h = UniformHypergraph(2, [0, 2, 0, 1, 0])
+    assert h.part_start == [0, 0, 2, 2, 3] and h.n_total == 3
+    assert h.part_masks == [0, 0b11, 0, 0b100, 0]
+    assert [h.part_of(v) for v in range(3)] == [1, 1, 3]
+    assert list(h.part_vertices(3)) == [2]
+    # every id outside the structure raises the same typed error
+    for layout, outside in ((g, (-1, 6, 7, 1 << 70)),
+                            (view, (-1, 0, 2, 5, 6, 1 << 70)),
+                            (h, (-1, 3, 1 << 70))):
+        for v in outside:
+            with pytest.raises(InvalidParameterError):
+                layout.part_of(v)
+
+
+@pytest.mark.parametrize("make", [KPartiteGraph, partial(UniformHypergraph, 2)],
+                         ids=["graph", "hypergraph"])
+def test_negative_part_size_rejected(make):
+    for sizes in ([-1, 2, 2], [2, -1, 2], [3, 0, -3]):
+        with pytest.raises(InvalidParameterError, match="negative part size"):
+            make(sizes)
+
+
+@pytest.mark.parametrize("make, per_vertex", [
+    (KPartiteGraph, 10),        # its adjacency list alone takes 8
+    (partial(UniformHypergraph, 3), 1),
+], ids=["graph", "hypergraph"])
+def test_construction_allocates_no_per_vertex_part_table(make, per_vertex):
+    sizes = [1 << 20] * 4
+    tracemalloc.start()
+    try:
+        obj = make(sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obj.n_total == 1 << 22
+    assert peak < per_vertex * obj.n_total
 
 
 def test_from_edges_rejects_intra_part():

@@ -59,8 +59,6 @@ def test_recursion_params_validation():
         RecursionParams(depth_cap=-1, alpha=0.5)
     with pytest.raises(InvalidParameterError):
         RecursionParams(depth_cap=2, alpha=1.0)
-    child = RecursionParams(depth_cap=2, alpha=0.5).child()
-    assert child.depth == 1
 
 
 def test_find_heavy_vertex_complete_tiebreak():
