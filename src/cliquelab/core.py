@@ -123,6 +123,14 @@ class KPartiteGraph(PartLayout):
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adjacency[u] >> v) & 1 == 1
 
+    def is_cross_clique(self, verts: Sequence[int]) -> bool:
+        """True iff verts has one vertex in each part, in part order, and
+        every pair is an edge."""
+        return (len(verts) == self.k
+                and all((m >> v) & 1 for m, v in zip(self.part_masks, verts))
+                and all(self.has_edge(a, b)
+                        for a, b in combinations(verts, 2)))
+
     def _vertex_mask(self) -> int:
         keep = 0
         for mask in self.part_masks:
@@ -197,13 +205,19 @@ class UniformHypergraph(PartLayout):
         """``add_edge`` for a tuple already in ascending order."""
         if len(e) != self.r or len(set(e)) != self.r:
             raise InvalidParameterError(f"hyperedge {e} is not {self.r} distinct vertices")
-        parts = set()
+        n = self.n_total
+        if e[0] < 0 or e[-1] >= n:
+            bad = next(v for v in e if not 0 <= v < n)
+            raise InvalidParameterError(f"vertex id out of range: {bad}")
+        # ascending ids, so each vertex must lie past the end of the part
+        # of the one before it
+        start, sizes = self.part_start, self.part_sizes
+        end = 0
         for v in e:
-            if not 0 <= v < self.n_total:
-                raise InvalidParameterError(f"vertex id out of range: {v}")
-            parts.add(self.part_of(v))
-        if len(parts) != self.r:
-            raise InvalidParameterError(f"hyperedge {e} has vertices in a shared part")
+            if v < end:
+                raise InvalidParameterError(f"hyperedge {e} has vertices in a shared part")
+            i = bisect_right(start, v) - 1
+            end = start[i] + sizes[i]
         self.edges.add(e)
 
     def has_edge(self, verts: Iterable[int]) -> bool:

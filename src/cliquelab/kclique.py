@@ -1,21 +1,21 @@
 """Divide-and-conquer reduction from k-clique to triangle detection.
 
-The recursion: at depth cap D hand the graph to the leaf; while a heavy
-vertex exists (cross-part degree product >= alpha * product of part
-sizes), give its neighbourhood to the leaf at k-1 and recurse on the
-2^(k-1) - 1 split combinations that exclude the all-neighbour one;
-otherwise reduce to (k-1)-clique on every part-0 vertex's neighbourhood.
-The leaf applies that per-vertex reduction down to k = 3, where it calls
-the pluggable triangle detector, so every path ends in the detector and
-every level returns the clique it found: the detector's triple, extended.
+One recursive function, ``_search``.  At depth cap D it is the leaf: the
+per-vertex reduction to (k-1)-clique on each part-0 vertex's
+neighbourhood, whose children stay at the cap.  Below the cap, while a
+heavy vertex exists (cross-part degree product >= alpha * product of part
+sizes), its neighbourhood goes to the leaf at k-1 and the search recurses
+on the 2^(k-1) - 1 split combinations that exclude the all-neighbour one;
+otherwise the per-vertex reduction runs with fresh parameters.  Every
+path ends in the pluggable triangle detector at k = 3, and every level
+returns the clique it found: the detector's triple, extended.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
-from .bitops import iter_bits, mask_from_vertices
+from .bitops import iter_bits, split_bits
 from .core import KPartiteGraph
 from .errors import InternalInconsistencyError, InvalidParameterError
 from .triangle import detect_naive
@@ -90,24 +90,11 @@ def find_heavy_vertex(G: KPartiteGraph, alpha: float) -> Optional[int]:
 
 
 def _checked(G: KPartiteGraph, witness: Witness) -> Witness:
-    """The final check of every reported witness: one vertex in each part
-    of G, in part order, and every pair an edge."""
-    if witness is not None and not (
-            len(witness) == G.k
-            and all((m >> v) & 1 for m, v in zip(G.part_masks, witness))
-            and all(G.has_edge(a, b) for a, b in combinations(witness, 2))):
+    """The final check of every reported witness."""
+    if witness is not None and not G.is_cross_clique(witness):
         raise InternalInconsistencyError(
             f"witness {witness} is not a cross-part clique in part order")
     return witness
-
-
-def _leaf(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector
-          ) -> Witness:
-    """Per-vertex reduction from k-clique down to the triangle detector."""
-    if k == 3:
-        return triangle_detector(G)
-    return kclique_via_k1(
-        G, k, lambda sub: _leaf(sub, k - 1, triangle_detector))
 
 
 def kclique_via_k1(G: KPartiteGraph, k: int,
@@ -154,66 +141,62 @@ def detect_kclique(G: KPartiteGraph, k: int,
 def _search(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector,
             params: Optional[RecursionParams],
             trace: Optional[List[TraceNode]], depth: int) -> Witness:
-    """The recursion at depth ``depth`` of the heavy-vertex splits."""
+    """The recursion at depth ``depth`` of the heavy-vertex splits.
+
+    At the depth cap it is the per-vertex leaf: its children stay at the
+    cap, untraced, so every path ends in ``triangle_detector`` at k = 3.
+    A traced node is recorded once, after its children.
+    """
     if k == 3:
         return triangle_detector(G)
-    if any(s == 0 for s in G.part_sizes):
+    if 0 in G.part_sizes:
         return None
     if params is None:
         params = choose_params(max(2, G.n_total), k)
 
+    def leaf(child: KPartiteGraph) -> Witness:
+        return _search(child, k - 1, triangle_detector, params, None,
+                       params.depth_cap)
+
+    v = parent_product = child_sum = None
     # Step 1: depth cap reached -> the per-vertex leaf.
     if depth >= params.depth_cap:
-        if trace is not None:
-            trace.append(TraceNode(depth=depth,
-                                   part_sizes=list(G.part_sizes),
-                                   branch="depth-cap"))
-        return _leaf(G, k, triangle_detector)
-
+        branch = "depth-cap"
+        witness = kclique_via_k1(G, k, leaf)
     # Step 2: heavy vertex.
-    v = find_heavy_vertex(G, params.alpha)
-    if v is not None:
+    elif (v := find_heavy_vertex(G, params.alpha)) is not None:
+        branch = "heavy-vertex"
         # 2a: leaf (k-1)-clique test inside v's neighbourhood.
         nbr = [G.adjacency[v] & G.part_masks[i] for i in range(1, k)]
-        sub = _leaf(G.restrict(nbr), k - 1, triangle_detector)
-        if sub is not None:
-            if trace is not None:
-                trace.append(TraceNode(depth=depth,
-                                       part_sizes=list(G.part_sizes),
-                                       branch="heavy-vertex", heavy_vertex=v))
-            return (v,) + sub
-        # 2b: recurse on the 2^(k-1) - 1 combinations, omitting all-ones.
-        splits = [(G.part_masks[i] & ~nbr[i - 1], nbr[i - 1])
-                  for i in range(1, k)]
-        parent_product = math.prod(G.part_sizes)
-        child_sum = 0
-        witness = None
-        for combo in range((1 << (k - 1)) - 1):
-            chosen = [G.part_masks[0]] + [splits[i][(combo >> i) & 1]
-                                          for i in range(k - 1)]
-            prod = math.prod(m.bit_count() for m in chosen)
-            child_sum += prod
-            if prod == 0:
-                continue
-            witness = _search(G.restrict(chosen), k, triangle_detector,
-                              params, trace, depth + 1)
-            if witness is not None:
-                break
-        if trace is not None:
-            trace.append(TraceNode(
-                depth=depth, part_sizes=list(G.part_sizes),
-                branch="heavy-vertex", heavy_vertex=v,
-                parent_product=parent_product,
-                child_product_sum=child_sum))
-        return witness
-
+        witness = leaf(G.restrict(nbr))
+        if witness is not None:
+            witness = (v,) + witness
+        else:
+            # 2b: recurse on the 2^(k-1) - 1 combinations, omitting all-ones.
+            splits = [(G.part_masks[i] & ~nbr[i - 1], nbr[i - 1])
+                      for i in range(1, k)]
+            parent_product = math.prod(G.part_sizes)
+            child_sum = 0
+            for combo in range((1 << (k - 1)) - 1):
+                chosen = [G.part_masks[0]] + [splits[i][(combo >> i) & 1]
+                                              for i in range(k - 1)]
+                prod = math.prod(m.bit_count() for m in chosen)
+                child_sum += prod
+                if prod == 0:
+                    continue
+                witness = _search(G.restrict(chosen), k, triangle_detector,
+                                  params, trace, depth + 1)
+                if witness is not None:
+                    break
     # Step 3: all part-0 degrees are light -> trivial reduction to (k-1).
+    else:
+        branch = "sparse-base"
+        witness = kclique_via_k1(G, k, lambda child: _search(
+            child, k - 1, triangle_detector, None, None, 0))
     if trace is not None:
-        trace.append(TraceNode(depth=depth,
-                               part_sizes=list(G.part_sizes),
-                               branch="sparse-base"))
-    return kclique_via_k1(G, k, lambda child: _search(
-        child, k - 1, triangle_detector, None, None, 0))
+        trace.append(TraceNode(depth, list(G.part_sizes), branch, v,
+                               parent_product, child_sum))
+    return witness
 
 
 def find_witness(detector: Callable[[KPartiteGraph, int], bool],
@@ -233,14 +216,12 @@ def find_witness(detector: Callable[[KPartiteGraph, int], bool],
     cur = G
     while not all(s == 1 for s in cur.part_sizes):
         halves = []
-        for i in range(k):
-            verts = cur.part_vertices(i)
-            if len(verts) == 1:
-                halves.append((cur.part_masks[i], cur.part_masks[i]))
-            else:
-                mid = len(verts) // 2
-                halves.append((mask_from_vertices(verts[:mid]),
-                               mask_from_vertices(verts[mid:])))
+        for m, size in zip(cur.part_masks, cur.part_sizes):
+            if size > 1:    # the low floor(size / 2) vertices, the rest
+                low = split_bits(m, size // 2)[0]
+                halves.append((low, m ^ low))
+            else:           # a part of one vertex is both its halves
+                halves.append((m, m))
         for combo in range(1 << k):
             chosen = [halves[i][(combo >> i) & 1] for i in range(k)]
             if not all(chosen):

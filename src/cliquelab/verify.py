@@ -7,7 +7,6 @@ and on any mismatch greedily shrinks the instance to a small reproducer
 
 import io as _io
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Iterable, List, Optional
 
 from . import io as graphio
@@ -23,14 +22,18 @@ from .triangle import detect_four_russians, detect_naive
 
 
 def _witness_ok(G: KPartiteGraph, got, want) -> bool:
-    """Found exactly when the reference finds, and what was found has one
-    vertex in each part of G, in part order, with every pair an edge."""
+    """Found exactly when the reference finds, and what was found is a
+    cross-part clique of G in part order."""
     if (got is None) != (want is None):
         return False
-    return got is None or (
-        len(got) == G.k
-        and all((m >> v) & 1 for m, v in zip(G.part_masks, got))
-        and all(G.has_edge(a, b) for a, b in combinations(got, 2)))
+    return got is None or G.is_cross_clique(got)
+
+
+def _listing_ok(got, want: set) -> bool:
+    """Complete, untruncated and duplicate-free: equal sets alone would
+    pass a lister that emits a witness twice."""
+    return (not got.truncated and len(got.witnesses) == len(want)
+            and got.as_set() == want)
 
 
 def _triangle_detect_ok(G: KPartiteGraph) -> bool:
@@ -38,17 +41,14 @@ def _triangle_detect_ok(G: KPartiteGraph) -> bool:
 
 
 def _triangle_list_ok(G: KPartiteGraph) -> bool:
-    """Both listers complete, untruncated and duplicate-free: equal sets
-    alone would pass a lister that emits a triangle twice.  The pipeline
-    runs at epsilon 0.05, below the exact certificate's reach, so its
-    sampled partition check runs too."""
+    """Both listers pass ``_listing_ok``.  The pipeline runs at epsilon
+    0.05, below the exact certificate's reach, so its sampled partition
+    check runs too."""
     want = brute_triangles(G).as_set()
     sampled = RegularityConfig(epsilon=0.05)
-    return all(
-        not got.truncated and len(got.witnesses) == len(want)
-        and got.as_set() == want
-        for got in (list_all_triangles(G),
-                    list_triangles(G, None, sampled).result))
+    return all(_listing_ok(got, want)
+               for got in (list_all_triangles(G),
+                           list_triangles(G, None, sampled).result))
 
 
 def _kclique_ok(G: KPartiteGraph) -> bool:
@@ -61,11 +61,8 @@ def _hyperclique_detect_ok(H: UniformHypergraph) -> bool:
 
 
 def _hyperclique_list_ok(H: UniformHypergraph) -> bool:
-    """Complete, untruncated and duplicate-free, as for triangle-list."""
-    got = list_hypercliques(H, H.k)
-    want = brute_hypercliques(H, H.k).as_set()
-    return (not got.truncated and len(got.witnesses) == len(want)
-            and got.as_set() == want)
+    return _listing_ok(list_hypercliques(H, H.k),
+                       brute_hypercliques(H, H.k).as_set())
 
 
 CHECKS: dict = {

@@ -120,6 +120,35 @@ def test_parse_error_line_after_edges_and_at_end():
     assert exc.value.line == 0
 
 
+# A 3-uniform hypergraph on parts {0, 1}, {2, 3}, {4, 5}; its second edge
+# line, line 8, is the bad one.
+_HYPER_HEAD = "hypergraph 3 3\npart 2\npart 2\npart 2\nedges 2\n\n0 2 4\n"
+
+
+@pytest.mark.parametrize("bad,msg", [
+    ("0 2", "expected 3 vertex ids"),
+    ("0 2 4 5", "expected 3 vertex ids"),
+    ("2 0 2", "hyperedge (0, 2, 2) is not 3 distinct vertices"),
+    ("-1 2 4", "vertex id out of range: -1"),
+    ("1 3 6", "vertex id out of range: 6"),
+    ("1 7 9", "vertex id out of range: 7"),
+    ("5 0 1", "hyperedge (0, 1, 5) has vertices in a shared part"),
+    ("1 2 5 # parts 0, 1, 2", None),
+    ("0 1 9", "vertex id out of range: 9"),
+], ids=["too-few", "too-many", "repeated-vertex", "below-zero",
+        "at-n-total", "first-out-of-range", "shared-part", "valid",
+        "range-before-shared-part"])
+def test_hypergraph_edge_line_errors(bad, msg):
+    stream = io.StringIO(_HYPER_HEAD + bad + "\n")
+    if msg is None:
+        assert parse(stream).edges == {(0, 2, 4), (1, 2, 5)}
+        return
+    with pytest.raises(ParseError) as exc:
+        parse(stream)
+    assert str(exc.value).endswith(msg)
+    assert exc.value.line == 8
+
+
 def test_hypergraph_duplicate_line():
     text = ("hypergraph 2 3\npart 1\n\npart 1\npart 1\nedges 3\n"
             "0 1\n# comment\n\n1 2\n# comment\n1 0\n")

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import astuple
 from itertools import combinations
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cliquelab import kclique
 from cliquelab.bitops import iter_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InternalInconsistencyError, InvalidParameterError
@@ -351,6 +353,10 @@ PINNED_DIGESTS = {
     (5, None): "9cf519ca113572a4",
     (5, (2, 0.05)): "e9a1e641bd02a3a5",
     (5, (2, 0.3)): "6cbfae683961ecda",
+    # k = 6 is the first k at which two leaf levels recurse
+    (6, None): "a9cbaeccf11e359b",
+    (6, (2, 0.05)): "cb1ce3d195263644",
+    (6, (2, 0.3)): "29784d8a3a347515",
 }
 
 
@@ -359,3 +365,26 @@ PINNED_DIGESTS = {
 def test_decisions_traces_and_witnesses_pinned(k, manual, det):
     params = None if manual is None else RecursionParams(*manual)
     assert _pin_digest(k, det, params) == PINNED_DIGESTS[k, manual]
+
+
+def test_no_trace_node_without_a_trace(monkeypatch):
+    # (2, 0.05) reaches every branch on these instances, so every place a
+    # node could be recorded runs; with no trace none may be built
+    graphs = [generate(spec).graph for spec in _pin_specs(4)]
+    runs = [(G, manual) for G in graphs
+            for manual in (None, RecursionParams(2, 0.05))]
+    counts = Counter()
+    witnesses = []
+    for G, params in runs:
+        trace = []
+        witnesses.append(find_kclique(G, 4, detect_naive, params, trace))
+        if params is not None:
+            counts.update(node.branch for node in trace)
+    assert counts == {"heavy-vertex": 44, "depth-cap": 31, "sparse-base": 16}
+
+    def no_node(*args, **kwargs):
+        raise AssertionError("TraceNode built without a trace")
+
+    monkeypatch.setattr(kclique, "TraceNode", no_node)
+    assert [find_kclique(G, 4, detect_naive, params)
+            for G, params in runs] == witnesses
