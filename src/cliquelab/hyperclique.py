@@ -9,15 +9,18 @@ masks, so each comparison tests a few masks.
 
 Each (r-1)-tuple of parts 1..k-1 is placed once per call: its segment key
 (I, j_I) and its bit.  The segment cache groups G_v's segments by key, with
-the mask of the part-0 vertices that have one there; the probe visits a
-block tuple for v only if v lies in the AND of its keys' masks, and then
-ORs the rep together from int-keyed lookups.
+the mask of the part-0 vertices that have one there; the probe walks only
+the vertices in some mask, visits a block tuple for v only if v lies in
+the AND of its keys' masks, ORs the rep together from int-keyed lookups,
+and yields its hits for ``ListingResult.take`` to cut at t.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .bitops import bits_to_list, iter_bits
 from .core import UniformHypergraph
@@ -105,11 +108,11 @@ def table_bytes(H: UniformHypergraph, params: HypercliqueParams) -> int:
 class BlockGeometry:
     """Block decomposition of parts 1..k-1 plus segment offsets.
 
-    ``vertex_slot[u]``, ``vertex_block[u]`` and ``vertex_local[u]`` are the
-    slot (part - 1), the block index and the position inside the block of
-    vertex u; part-0 vertices have slot -1.  Raises ResourceLimitError
-    when ``table_bytes`` exceeds the table byte budget, before anything of
-    size C(k-1, r-1) is built.
+    Read from H's part layout, so nothing is built per vertex: vertex u of
+    part p >= 1 sits in slot p - 1, block ``(u - part_start[p]) // s``, at
+    offset ``(u - part_start[p]) % s`` inside it.  Raises
+    ResourceLimitError when ``table_bytes`` exceeds the table byte budget,
+    before anything of size C(k-1, r-1) is built.
     """
 
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
@@ -123,27 +126,24 @@ class BlockGeometry:
                 required=need, allowed=budget)
         self.params = params
         self.s = params.s
+        self.part_start = H.part_start
         self.blocks = [_blocks_of_part(H, p, params.s)
                        for p in range(1, H.k)]          # slot -> block list
         self.index_sets = params.index_sets
         self.seg_offset = {I: idx * params.segment_length
                            for idx, I in enumerate(self.index_sets)}
-        self.vertex_slot, self.vertex_block, self.vertex_local = [], [], []
-        for p, size in enumerate(H.part_sizes):
-            self.vertex_slot += [p - 1] * size
-            self.vertex_block += [i // self.s for i in range(size)]
-            self.vertex_local += [i % self.s for i in range(size)]
 
     def tuple_bit(self, verts: Sequence[int]) -> Tuple[Tuple[int, ...],
                                                        Tuple[int, ...], int]:
         """For a cross-slot (r-1)-tuple: (I, block indices, bit position)."""
-        us = sorted(verts)
-        I = tuple(map(self.vertex_slot.__getitem__, us))
-        pos = 0
-        for u in us:
-            pos = pos * self.s + self.vertex_local[u]
-        return (I, tuple(map(self.vertex_block.__getitem__, us)),
-                self.seg_offset[I] + pos)
+        start, s = self.part_start, self.s
+        I, jI, pos = (), (), 0
+        for u in sorted(verts):
+            # u's part is the last one starting at or below u; slot is one less
+            slot = bisect_right(start, u) - 2
+            block, local = divmod(u - start[slot + 1], s)
+            I, jI, pos = I + (slot,), jI + (block,), pos * s + local
+        return I, jI, self.seg_offset[I] + pos
 
 
 def encode_compact(edges: Iterable[Tuple[int, ...]], geometry: BlockGeometry,
@@ -236,13 +236,13 @@ class HypercliqueTables:
         self.placements = placements = {}
         for rest in links:
             # sorted, so a key meeting part 0 starts there
-            if geo.vertex_slot[rest[0]] >= 0:
+            if rest[0] >= H.part_sizes[0]:
                 I, jI, bit = geo.tuple_bit(rest)
                 placements[rest] = ((I, jI), 1 << bit)
         self.entries: Dict[Tuple[int, ...],
                            List[Tuple[int, Tuple[int, ...]]]] = {}
         rm1 = H.r - 1
-        block = geo.vertex_block
+        starts, s = H.part_start[1:], params.s
         stack: List[Tuple[int, ...]] = [()]
         while stack:
             prefix = stack.pop()
@@ -250,8 +250,8 @@ class HypercliqueTables:
                 required = 0
                 for sub in combinations(prefix, rm1):
                     required |= placements[sub][1]
-                self.entries.setdefault(tuple(map(block.__getitem__, prefix)),
-                                        []).append((required, prefix))
+                j = tuple((u - lo) // s for u, lo in zip(prefix, starts))
+                self.entries.setdefault(j, []).append((required, prefix))
                 continue
             cands = part_masks[len(prefix) + 1]
             for sub in combinations(prefix, rm1):
@@ -331,7 +331,16 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
         else:
             if mask:
                 plan.append((j, mask, segs))
-    for v in H.part_vertices(0):
+    return result.take(_probe(plan, tables))
+
+
+def _probe(plan, tables: HypercliqueTables) -> Iterator[Tuple[int, ...]]:
+    """Yield (v,) + cand for every table hit of every part-0 vertex v in
+    some plan mask, ascending in v, then in plan (j) order."""
+    reach = 0
+    for _, mask, _ in plan:
+        reach |= mask
+    for v in iter_bits(reach):
         bit = 1 << v
         for j, mask, segs in plan:
             if not mask & bit:
@@ -340,11 +349,7 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
             for seg in segs:
                 rep |= seg[v]
             for cand in tables.entry(j, rep):
-                if t is not UNBOUNDED and len(result.witnesses) == t:
-                    result.truncated = True
-                    return result
-                result.witnesses.append((v,) + cand)
-    return result
+                yield (v,) + cand
 
 
 def detect_hyperclique(H: UniformHypergraph, k: int,

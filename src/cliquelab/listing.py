@@ -3,13 +3,15 @@
 ``list_all_triangles`` is the row-AND lister, untruncated.
 ``list_triangles`` is the regularity pipeline: compute a weak regularity
 partition of G[V2 u V3]; for every piece pair (i, j) keep the V2_i vertices
-with a neighbour in V3_j; list each pair's triangles with the row-AND loop
-pivoting on V1; one t-cutoff spans all piece pairs.  Piece pairs are
-vertex masks of the one graph, not views.
+with a neighbour in V3_j; the row-AND loop pivoting on V1 yields each
+pair's triangles, and ``ListingResult.take`` keeps the first t of the
+pairs' runs chained in (i, j) order.  Piece pairs are vertex masks of the
+one graph, not views.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Tuple
 
 from .bitops import iter_bits
@@ -18,7 +20,7 @@ from .errors import InvalidParameterError
 from .oracles import ListingResult
 from .regularity import (RegularityConfig, default_epsilon,
                          edge_count_between, weak_regular_partition)
-from .triangle import _list_sparse, list_row_and, with_neighbour_in
+from .triangle import _row_and, list_row_and, with_neighbour_in
 
 
 @dataclass
@@ -62,17 +64,17 @@ def list_triangles(G: KPartiteGraph, t: Optional[int],
     sides2 = [(i, p & b2) for i, p in enumerate(partition.pieces) if p & b2]
     sides3 = [(j, p & b3) for j, p in enumerate(partition.pieces) if p & b3]
     root_eps = math.sqrt(partition.epsilon)
-    plans = []
+    runs, plans = [], []
     for i, s2 in sides2:
         for j, s3 in sides3:
             kept = with_neighbour_in(adj, s2, s3)
-            if kept and not result.truncated:
-                result.truncated = _list_sparse(adj, v1, kept, s3,
-                                                result.witnesses, t)
+            if kept:
+                runs.append(_row_and(adj, v1, kept, s3))
             dens = (edge_count_between(G, s2, s3)
                     / (s2.bit_count() * s3.bit_count()))
             plans.append(PairPlan(piece_pair=(i, j), density=dens,
                                   low_density=dens <= root_eps))
+    result.take(chain.from_iterable(runs))
     return RegularityListing(result=result, plans=plans,
                              partition_verified=partition.verified,
                              piece_count=partition.piece_count)

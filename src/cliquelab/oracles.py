@@ -2,12 +2,14 @@
 
 These are deliberately naive -- plain loops over vertex tuples with
 set-based membership, no bit-rows, no tables -- so that they share no
-decision logic with the engines they verify.
+search logic with the engines they verify.  The one piece they do share
+is the t-cutoff: every lister, oracle or engine, yields its witnesses in
+order and ``ListingResult.take`` keeps the first t.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from itertools import combinations, islice
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import KPartiteGraph, UniformHypergraph
 from .errors import InvalidParameterError
@@ -32,6 +34,19 @@ class ListingResult:
         if self.requested_t is not UNBOUNDED and self.requested_t < 0:
             raise InvalidParameterError(
                 f"t must be non-negative, got {self.requested_t}")
+
+    def take(self, hits: Iterable[Tuple[int, ...]]) -> "ListingResult":
+        """Fill ``witnesses`` with the first ``requested_t`` items of hits
+        (all of them when t is None) and set ``truncated`` iff one more
+        exists; at most t + 1 items are drawn.  Returns self."""
+        t = self.requested_t
+        if t is UNBOUNDED:
+            self.witnesses.extend(hits)
+        else:
+            hits = iter(hits)
+            self.witnesses.extend(islice(hits, t))
+            self.truncated = next(hits, None) is not None
+        return self
 
     def __len__(self) -> int:
         return len(self.witnesses)
@@ -59,17 +74,11 @@ def brute_triangles(G: KPartiteGraph,
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
     nbrs = _adjacency_sets(G)
     result = ListingResult(requested_t=t)
-    for v1 in G.part_vertices(0):
-        for v2 in G.part_vertices(1):
-            if v2 not in nbrs[v1]:
-                continue
-            for v3 in G.part_vertices(2):
-                if v3 in nbrs[v1] and v3 in nbrs[v2]:
-                    if t is not UNBOUNDED and len(result.witnesses) == t:
-                        result.truncated = True
-                        return result
-                    result.witnesses.append((v1, v2, v3))
-    return result
+    return result.take((v1, v2, v3)
+                       for v1 in G.part_vertices(0)
+                       for v2 in G.part_vertices(1) if v2 in nbrs[v1]
+                       for v3 in G.part_vertices(2)
+                       if v3 in nbrs[v1] and v3 in nbrs[v2])
 
 
 def brute_kclique(G: KPartiteGraph, k: int) -> Optional[Tuple[int, ...]]:
@@ -112,22 +121,14 @@ def brute_hypercliques(H: UniformHypergraph, k: int,
                 return False
         return True
 
-    def extend(prefix: List[int], part: int) -> bool:
-        """Returns False when the t-threshold was hit."""
+    def extend(prefix: List[int], part: int):
         if part == k:
-            if t is not UNBOUNDED and len(result.witnesses) == t:
-                result.truncated = True
-                return False
-            result.witnesses.append(tuple(prefix))
-            return True
+            yield tuple(prefix)
+            return
         for v in H.part_vertices(part):
             prefix.append(v)
-            good = len(prefix) < H.r or ok(prefix)
-            if good and not extend(prefix, part + 1):
-                prefix.pop()
-                return False
+            if len(prefix) < H.r or ok(prefix):
+                yield from extend(prefix, part + 1)
             prefix.pop()
-        return True
 
-    extend([], 0)
-    return result
+    return result.take(extend([], 0))

@@ -13,17 +13,19 @@ Three engines over 3-part graphs:
   of u's row with v's part-2 neighbourhood yields every w closing a
   triangle, so listing cost tracks sum_v d_1(v) big-int ANDs plus the
   output size.  Part-1 vertices with no part-2 neighbour are dropped once,
-  up front.
+  up front.  The loop ``_row_and`` yields its triangles and
+  ``ListingResult.take`` keeps the first t, so it runs only up to the
+  (t + 1)-th.
 """
 
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .bitops import iter_bits, mask_from_vertices, split_bits
 from .core import KPartiteGraph
 from .errors import (InternalInconsistencyError, InvalidParameterError,
                      ResourceLimitError)
-from .oracles import UNBOUNDED, ListingResult
+from .oracles import ListingResult
 
 MAX_BLOCK_SIZE = 13
 
@@ -164,17 +166,11 @@ def detect_four_russians(G: KPartiteGraph, block_size: Optional[int] = None
 # -- listing ---------------------------------------------------------------
 
 
-def _list_sparse(adj: List[int], pivots: Iterable[int], mask_a: int,
-                 mask_b: int, out: List[Tuple[int, int, int]],
-                 t: Optional[int]) -> bool:
-    """Row-AND listing into a shared witness list.
-
-    For each vertex v of ``pivots`` (ascending), each neighbour u in
-    ``mask_a`` and each w in N(u) & N(v) & ``mask_b``, all in ascending
-    order, append (v, u, w); the appended run is lexicographic.  ``t``
-    bounds ``len(out)``: return True (truncated) when one more triangle
-    exists once ``out`` holds t.
-    """
+def _row_and(adj: List[int], pivots: Iterable[int], mask_a: int,
+             mask_b: int) -> Iterator[Tuple[int, int, int]]:
+    """Row-AND listing: for each vertex v of ``pivots`` (ascending), each
+    neighbour u in ``mask_a`` and each w in N(u) & N(v) & ``mask_b``, all
+    in ascending order, yield (v, u, w); the run is lexicographic."""
     for v in pivots:
         row = adj[v]
         nb = row & mask_b
@@ -182,10 +178,7 @@ def _list_sparse(adj: List[int], pivots: Iterable[int], mask_a: int,
             continue
         for u in iter_bits(row & mask_a):
             for w in iter_bits(adj[u] & nb):
-                if t is not UNBOUNDED and len(out) == t:
-                    return True
-                out.append((v, u, w))
-    return False
+                yield (v, u, w)
 
 
 def with_neighbour_in(adj: List[int], mask: int, target: int) -> int:
@@ -201,8 +194,6 @@ def list_row_and(G: KPartiteGraph, t: Optional[int]) -> ListingResult:
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
     result = ListingResult(requested_t=t)
     _, mask2, mask3 = G.part_masks
-    result.truncated = _list_sparse(
-        G.adjacency, G.part_vertices(0),
-        with_neighbour_in(G.adjacency, mask2, mask3), mask3,
-        result.witnesses, t)
-    return result
+    return result.take(_row_and(G.adjacency, G.part_vertices(0),
+                                with_neighbour_in(G.adjacency, mask2, mask3),
+                                mask3))

@@ -102,18 +102,14 @@ def _remove_vertex_graph(G: KPartiteGraph, v: int) -> KPartiteGraph:
 
 
 def _remove_vertex_hyper(H: UniformHypergraph, v: int) -> UniformHypergraph:
+    """Copy without v: every id above v moves down by one, which keeps
+    each edge sorted."""
     sizes = list(H.part_sizes)
     sizes[H.part_of(v)] -= 1
-    remap = {}
-    new = 0
-    for old in range(H.n_total):
-        if old != v:
-            remap[old] = new
-            new += 1
     out = UniformHypergraph(H.r, sizes)
     for e in H.edges:
         if v not in e:
-            out.add_edge(tuple(remap[u] for u in e))
+            out.add_sorted_edge(tuple(u - (u > v) for u in e))
     return out
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -249,6 +250,26 @@ def test_listing_complete_16_and_truncated():
     res5 = list_hypercliques(h, 4, t=5)
     assert len(res5) == 5 and res5.truncated
     assert res5.as_set() <= res.as_set()
+
+
+def test_large_part0_costs_nothing_per_vertex():
+    # 2^18 - 6 part-0 vertices, one 4-hyperclique at the top of part 0 and
+    # two edges of vertex 0 that close none: the geometry is read from the
+    # part layout and the probe visits only vertices with a segment, so the
+    # listing allocates nothing per part-0 vertex
+    n0 = (1 << 18) - 6
+    a, b, c, d = n0 - 1, n0 + 1, n0 + 3, n0 + 5
+    h = UniformHypergraph(3, [n0, 2, 2, 2],
+                          list(combinations((a, b, c, d), 3))
+                          + [(0, n0, n0 + 2), (0, n0, n0 + 4)])
+    tracemalloc.start()
+    try:
+        res = list_hypercliques(h, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.witnesses == [(a, b, c, d)] and not res.truncated
+    assert peak < 2_000_000, peak
 
 
 def test_listing_missing_edge_excludes():

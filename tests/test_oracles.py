@@ -3,8 +3,11 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from cliquelab.core import KPartiteGraph, UniformHypergraph
-from cliquelab.oracles import brute_hypercliques, brute_kclique, brute_triangles
+from cliquelab.oracles import (ListingResult, brute_hypercliques,
+                               brute_kclique, brute_triangles)
 from tests.test_core import random_graph
 
 
@@ -17,6 +20,33 @@ def complete_kpartite(sizes):
                 g.adjacency[u] |= 1 << v
                 g.adjacency[v] |= 1 << u
     return g
+
+
+HITS = [(0, 3), (0, 4), (1, 3), (1, 4)]
+
+
+@pytest.mark.parametrize("t, hits, want, cut", [
+    (0, [], [], False),
+    (0, HITS, [], True),
+    (3, HITS[:3], HITS[:3], False),
+    (3, HITS, HITS[:3], True),
+    (None, HITS, HITS, False),
+    (None, [], [], False),
+])
+def test_take_keeps_first_t(t, hits, want, cut):
+    res = ListingResult(requested_t=t)
+    assert res.take(iter(hits)) is res
+    assert (res.witnesses, res.truncated) == (want, cut)
+
+
+@pytest.mark.parametrize("t", [0, 1, 3])
+def test_take_draws_at_most_t_plus_one(t):
+    def hits():
+        for i in range(t + 1):
+            yield (i,)
+        raise AssertionError("drawn past item t + 1")
+    res = ListingResult(requested_t=t).take(hits())
+    assert res.witnesses == [(i,) for i in range(t)] and res.truncated
 
 
 def test_triangles_complete_count():

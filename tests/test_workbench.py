@@ -13,7 +13,9 @@ import pytest
 from cliquelab.cli import build_parser, main
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
+from cliquelab.generate import GenSpec, generate
 from cliquelab.io import parse
+from cliquelab.oracles import brute_hypercliques
 from cliquelab.triangle import detect_naive
 from cliquelab.verify import CHECKS, gnp_sweep, run_verify, shrink
 from tests.scalar_reference import detect_scalar_reference
@@ -66,6 +68,17 @@ def test_shrink_keeps_failure_alive():
     small = shrink(g, lambda x: detect_naive(x) is None)
     assert detect_naive(small) is not None
     assert small.n_total == 3
+
+
+def test_shrink_hypergraph_to_one_hyperclique():
+    # a check that fails whenever a hyperclique exists: greedy removal
+    # ends at one vertex per part, still a hyperclique after renumbering
+    h = generate(GenSpec("planted-hyperclique", 5, 4, 0.4, 2, r=3,
+                         plant_count=1)).graph
+    assert brute_hypercliques(h, 4).witnesses
+    small = shrink(h, lambda x: not brute_hypercliques(x, 4, t=0).truncated)
+    assert small.part_sizes == [1, 1, 1, 1]
+    assert brute_hypercliques(small, 4).witnesses == [(0, 1, 2, 3)]
 
 
 # -- CLI -------------------------------------------------------------------
