@@ -1,8 +1,8 @@
 """Command-line workbench binding the engines together.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 invalid input, 3 resource
-limit exceeded.  A reader that closes the output pipe early (``| head``)
-ends the run quietly with exit 0.
+limit exceeded or memory exhausted.  A reader that closes the output pipe
+early (``| head``) ends the run quietly with exit 0.
 """
 
 import argparse
@@ -289,8 +289,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ bit-row per vertex spans all parts and one AND intersects neighbourhoods
 across parts.  ``PartLayout`` holds the parts of both structures, built
 once from the part sizes: no per-vertex table, so a declared vertex costs
 one mask bit until it gets an edge.  A view from ``KPartiteGraph.restrict``
-selects vertex subsets by per-part masks over the same rows.  All
+keeps one vertex mask's share of each part, over the same rows.  All
 structures are treated as immutable after construction.
 """
 
@@ -90,29 +90,19 @@ class KPartiteGraph(PartLayout):
                 f"adjacency has {len(adjacency)} rows, expected {n}")
         self.adjacency = adjacency
 
-    def restrict(self, masks: Sequence[int]) -> "KPartiteGraph":
-        """View of the subgraph induced by per-part vertex masks.
+    def restrict(self, keep: int, first: int = 0) -> "KPartiteGraph":
+        """View of the subgraph induced on the ``keep`` vertices of parts
+        ``first`` onward.
 
-        Part i of the view is ``masks[i]``.  The view shares ``adjacency``
-        and copies no row, so its vertices keep this graph's ids.  Each
-        mask must lie inside one part of this graph, and the masks must be
-        pairwise disjoint.
+        Part i of the view is ``keep & part_masks[first + i]``, so its
+        parts are disjoint and inside this graph's parts whatever ``keep``
+        holds: bits outside them are ignored.  The view shares
+        ``adjacency`` and copies no row, so its vertices keep this graph's
+        ids.
         """
-        seen = 0
-        for m in masks:
-            if m & seen:
-                raise InvalidParameterError("vertex masks overlap")
-            if m:
-                for p in self.part_masks:
-                    if not m & ~p:
-                        break
-                else:
-                    raise InvalidParameterError(
-                        "vertex mask does not lie inside one part")
-            seen |= m
         view = object.__new__(KPartiteGraph)
         view.adjacency = self.adjacency
-        view.part_masks = list(masks)
+        view.part_masks = [keep & m for m in self.part_masks[first:]]
         view.part_sizes = [m.bit_count() for m in view.part_masks]
         view.n_total = sum(view.part_sizes)
         view.part_start = None

@@ -112,8 +112,8 @@ def kclique_via_k1(G: KPartiteGraph, k: int,
     masks = G.part_masks[1:]
     for v in iter_bits(G.part_masks[0]):
         row = G.adjacency[v]
-        nbrs = [row & m for m in masks]
-        if all(nbrs) and (sub := k1_solver(G.restrict(nbrs))) is not None:
+        if (all(row & m for m in masks)
+                and (sub := k1_solver(G.restrict(row, 1))) is not None):
             return (v,) + sub
     return None
 
@@ -167,24 +167,25 @@ def _search(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector,
     elif (v := find_heavy_vertex(G, params.alpha)) is not None:
         branch = "heavy-vertex"
         # 2a: leaf (k-1)-clique test inside v's neighbourhood.
-        nbr = [G.adjacency[v] & G.part_masks[i] for i in range(1, k)]
-        witness = leaf(G.restrict(nbr))
+        row = G.adjacency[v]
+        witness = leaf(G.restrict(row, 1))
         if witness is not None:
             witness = (v,) + witness
         else:
             # 2b: recurse on the 2^(k-1) - 1 combinations, omitting all-ones.
-            splits = [(G.part_masks[i] & ~nbr[i - 1], nbr[i - 1])
-                      for i in range(1, k)]
+            splits = [(m & ~row, m & row) for m in G.part_masks[1:]]
             parent_product = math.prod(G.part_sizes)
             child_sum = 0
             for combo in range((1 << (k - 1)) - 1):
-                chosen = [G.part_masks[0]] + [splits[i][(combo >> i) & 1]
-                                              for i in range(k - 1)]
-                prod = math.prod(m.bit_count() for m in chosen)
+                keep, prod = G.part_masks[0], G.part_sizes[0]
+                for i, pair in enumerate(splits):
+                    m = pair[(combo >> i) & 1]
+                    keep |= m
+                    prod *= m.bit_count()
                 child_sum += prod
                 if prod == 0:
                     continue
-                witness = _search(G.restrict(chosen), k, triangle_detector,
+                witness = _search(G.restrict(keep), k, triangle_detector,
                                   params, trace, depth + 1)
                 if witness is not None:
                     break
@@ -203,30 +204,32 @@ def find_witness(detector: Callable[[KPartiteGraph, int], bool],
                  G: KPartiteGraph, k: int) -> Optional[Tuple[int, ...]]:
     """Turn a k-clique decision procedure into a finding procedure.
 
-    Repeated halving: split every part into two halves, keep a combination
-    of halves on which the detector still succeeds, and halve again until
-    every part has one vertex.  The returned tuple passes the same final
-    check as ``find_kclique``'s.
+    Repeated halving: split every part of two or more vertices into two
+    halves, keep a combination of halves on which the detector still
+    succeeds, and halve again until every part has one vertex.  Part 0
+    varies fastest, and each view is asked once.  A graph with an empty
+    part has no clique, so the detector is not asked.  The returned tuple
+    passes the same final check as ``find_kclique``'s.
     """
     if G.k != k:
         raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
-    if not detector(G, k):
+    if 0 in G.part_sizes or not detector(G, k):
         return None
 
     cur = G
-    while not all(s == 1 for s in cur.part_sizes):
-        halves = []
+    while any(s > 1 for s in cur.part_sizes):
+        whole, halves = 0, []
         for m, size in zip(cur.part_masks, cur.part_sizes):
             if size > 1:    # the low floor(size / 2) vertices, the rest
                 low = split_bits(m, size // 2)[0]
                 halves.append((low, m ^ low))
-            else:           # a part of one vertex is both its halves
-                halves.append((m, m))
-        for combo in range(1 << k):
-            chosen = [halves[i][(combo >> i) & 1] for i in range(k)]
-            if not all(chosen):
-                continue
-            sub = cur.restrict(chosen)
+            else:           # a part of one vertex is kept whole
+                whole |= m
+        for combo in range(1 << len(halves)):
+            keep = whole
+            for i, pair in enumerate(halves):
+                keep |= pair[(combo >> i) & 1]
+            sub = cur.restrict(keep)
             if detector(sub, k):
                 cur = sub
                 break

@@ -118,7 +118,7 @@ def detect_naive(G: KPartiteGraph) -> Optional[Tuple[int, int, int]]:
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
     mask1 = G.part_masks[0]
     mask3 = G.part_masks[2]
-    for v2 in G.part_vertices(1):
+    for v2 in iter_bits(G.part_masks[1]):
         row2 = G.adjacency[v2]
         for v3 in iter_bits(row2 & mask3):
             common = row2 & G.adjacency[v3] & mask1
@@ -145,7 +145,7 @@ def detect_four_russians(G: KPartiteGraph, block_size: Optional[int] = None
     mask2, mask3 = G.part_masks[1], G.part_masks[2]
     lookups = [(lo, block >> lo, sub) for block, lo, sub
                in zip(table.blocks, table.shifts, table.reach)]
-    for v1 in G.part_vertices(0):
+    for v1 in iter_bits(G.part_masks[0]):
         row = G.adjacency[v1]
         row3 = row & mask3
         if not row & mask2 or not row3:

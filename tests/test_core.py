@@ -62,7 +62,7 @@ def test_part_layout():
     assert list(g.part_vertices(1)) == [2, 3, 4]
     assert [g.part_of(v) for v in range(6)] == [0, 0, 1, 1, 1, 2]
     assert g.part_masks[1] == 0b011100
-    view = g.restrict([0b10, 0b1000, 0])
+    view = g.restrict(0b1010)
     h = UniformHypergraph(2, [0, 2, 0, 1, 0])
     assert h.part_start == [0, 0, 2, 2, 3] and h.n_total == 3
     assert h.part_masks == [0, 0b11, 0, 0b100, 0]
@@ -136,8 +136,7 @@ def test_edges_and_count():
 def test_restrict_keeps_global_ids_and_shares_rows():
     rng = random.Random(7)
     g = random_graph(rng, [4, 4, 4], 0.5)
-    keep = [mask_from_vertices(s) for s in ({1, 3}, {5, 6}, {9, 11})]
-    sub = g.restrict(keep)
+    sub = g.restrict(mask_from_vertices({1, 3, 5, 6, 9, 11}))
     assert sub.adjacency is g.adjacency
     assert sub.part_sizes == [2, 2, 2] and sub.n_total == 6
     assert sub.part_start is None
@@ -153,22 +152,20 @@ def test_restrict_keeps_global_ids_and_shares_rows():
 
 def test_restrict_empty_part():
     g = random_graph(random.Random(1), [3, 3, 3], 0.5)
-    sub = g.restrict([0b11, 0, 1 << 6])
+    sub = g.restrict(0b11 | 1 << 6)
     assert sub.part_sizes == [2, 0, 1]
     assert list(sub.part_vertices(1)) == []
 
 
 def test_subset_family_validation():
     g = KPartiteGraph([2, 2])
-    with pytest.raises(InvalidParameterError):
-        g.restrict([0b101])                 # spans two parts
-    with pytest.raises(InvalidParameterError):
-        g.restrict([0b1, 0b1])              # overlap
-    with pytest.raises(InvalidParameterError):
-        g.restrict([1 << 4])                # outside the graph
-    view = g.restrict([0b1000, 0b1])        # parts may come in any order
-    with pytest.raises(InvalidParameterError):
-        view.restrict([0b10])               # inside g, outside the view
+    # every keep mask gives a valid view: bits outside the graph drop out
+    assert g.restrict(0b101 | 1 << 4 | 1 << 70).part_masks == [0b1, 0b100]
+    assert g.restrict(0b1110, 1).part_masks == [0b1100]
+    view = g.restrict(0b1001)
+    assert view.part_masks == [0b1, 0b1000]
+    assert view.restrict(0b10).part_masks == [0, 0]   # in g, not the view
+    assert view.restrict(0b10).n_total == 0
     with pytest.raises(InvalidParameterError):
         view.part_of(1)
 
@@ -181,16 +178,19 @@ def test_find_heavy_vertex_products():
         (1, 4), (1, 5), (1, 6),
         (2, 4), (2, 5), (2, 6), (2, 7),
         (3, 4), (3, 5), (3, 6), (3, 7)])
-    p0, p1, p2 = g.part_masks
-    for a, b in ((p1, p2), (p2, p1)):       # either order of parts 1 and 2
-        whole = g.restrict([p0, a, b])
+    # the same graph with parts 1 and 2 swapped: 4, 5 <-> 6, 7
+    swap = {4: 6, 5: 7, 6: 4, 7: 5}
+    swapped = KPartiteGraph.from_edges(
+        [4, 2, 2], [(u, swap[v]) for u, v in g.edges()])
+    for h in (g, swapped):                  # either order of parts 1 and 2
+        whole = h.restrict(mask_range(0, 8))
         assert find_heavy_vertex(whole, 0.2) == 2      # tie: lowest id
-        no_two = g.restrict([p0 & ~(1 << 2), a, b])
+        no_two = h.restrict(mask_range(0, 8) & ~(1 << 2))
         assert find_heavy_vertex(no_two, 0.2) == 3     # maximum product
-        light = g.restrict([0b0011, a, b])
+        light = h.restrict(mask_range(0, 8) & ~0b1100)
         assert find_heavy_vertex(light, 0.4) == 1      # 2 >= 0.4 * 4
         assert find_heavy_vertex(light, 0.6) is None   # 2 < 0.6 * 4
-    assert find_heavy_vertex(g, 0.2) == 2
+        assert find_heavy_vertex(h, 0.2) == 2
 
 
 def test_hypergraph_edge_validation():

@@ -103,7 +103,7 @@ def test_kclique_via_k1_basics():
     g = complete_kpartite([3, 3, 3, 3])
     # the first part-0 vertex, then the solver's triangle in its neighbours
     assert kclique_via_k1(g, 4, detect_naive) == (0,) + detect_naive(
-        g.restrict(g.part_masks[1:]))
+        g.restrict(g.adjacency[0], 1))
     lonely = KPartiteGraph([1, 3, 3, 3])
     assert kclique_via_k1(lonely, 4, detect_naive) is None
 
@@ -199,6 +199,29 @@ def test_find_witness_on_planted_instances():
         assert w is not None
         for a, b in combinations(w, 2):
             assert inst.graph.has_edge(a, b)
+
+
+def _find_witness_views(G, k):
+    views = []
+
+    def detector(sub, kk):
+        views.append(tuple(sub.part_masks))
+        return detect_kclique(sub, kk)
+
+    return find_witness(detector, G, k), views
+
+
+def test_find_witness_asks_each_view_once():
+    # Part 0 is the one vertex 0, and only the high vertices of parts 1-3
+    # (2, 4, 6) close a clique with it, so the first combinations of the
+    # first level fail; halving part 0 as well would ask each view twice.
+    g = KPartiteGraph.from_edges([1, 2, 2, 2], combinations((0, 2, 4, 6), 2))
+    witness, views = _find_witness_views(g, 4)
+    assert witness == (0, 2, 4, 6)
+    assert len(views) == 9 and len(set(views)) == len(views)
+    for spec in _pin_specs(4):
+        views = _find_witness_views(generate(spec).graph, 4)[1]
+        assert len(set(views)) == len(views)
 
 
 def test_find_witness_flags_inconsistent_detector():
@@ -342,21 +365,23 @@ def _pin_digest(k, det, params):
     return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
 
 
-# Recorded before the per-vertex leaf replaced exhaustive search and the
-# neighbourhood tiling, which must not change any decision, trace,
-# witness or witness-detector call.  Both detectors give the same digest,
-# since only detector booleans reach the record.
+# Decisions, traces and witnesses are those recorded before the
+# per-vertex leaf replaced exhaustive search and the neighbourhood tiling;
+# the witness-detector calls are those of that time with each repeated
+# view dropped, since find_witness no longer halves one-vertex parts.
+# Both detectors give the same digest, since only detector booleans reach
+# the record.
 PINNED_DIGESTS = {
-    (4, None): "eb48deab008c10c9",
-    (4, (2, 0.05)): "116de63f2e5ab4b1",
-    (4, (2, 0.3)): "6f1ab94275051571",
-    (5, None): "9cf519ca113572a4",
-    (5, (2, 0.05)): "e9a1e641bd02a3a5",
-    (5, (2, 0.3)): "6cbfae683961ecda",
+    (4, None): "533fd603a03351d7",
+    (4, (2, 0.05)): "eeb3fe8d8086fb17",
+    (4, (2, 0.3)): "c0c1556fdfcd4577",
+    (5, None): "602e7229649a549d",
+    (5, (2, 0.05)): "18d450e10ad0e379",
+    (5, (2, 0.3)): "0618150328df08d1",
     # k = 6 is the first k at which two leaf levels recurse
-    (6, None): "a9cbaeccf11e359b",
-    (6, (2, 0.05)): "cb1ce3d195263644",
-    (6, (2, 0.3)): "29784d8a3a347515",
+    (6, None): "5df53bdae1f8af9e",
+    (6, (2, 0.05)): "1fb1fd438f1764a1",
+    (6, (2, 0.3)): "61d48fbcc4d450ac",
 }
 
 

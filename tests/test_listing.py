@@ -187,7 +187,7 @@ def _view_reference(G, t, cfg):
     b1, b2, b3 = G.part_masks
     if not (b2 and b3):
         return [], False, [], []
-    pieces = weak_regular_partition(G.restrict([b1, b2, b3]), cfg).pieces
+    pieces = weak_regular_partition(G.restrict(b1 | b2 | b3), cfg).pieces
     out, plans, views = [], [], []
     for (i, pi), (j, pj) in product(enumerate(pieces), repeat=2):
         s2, s3 = pi & b2, pj & b3
@@ -195,7 +195,7 @@ def _view_reference(G, t, cfg):
             continue
         dens = float(density(G, s2, s3))
         plans.append(((i, j), dens, dens <= math.sqrt(cfg.epsilon)))
-        views.append(G.restrict([b1, s2, s3]))
+        views.append(G.restrict(b1 | s2 | s3))
     for view in views:
         part = list_row_and(
             view, None if t is None else t - len(out))

@@ -219,9 +219,9 @@ def test_batched_check_matches_loop_reference():
         for trial in range(12):
             G = random_graph(rng, sizes, rng.choice([0.0, 0.2, 0.5, 0.9]))
             if trial % 2:
-                G = G.restrict([
-                    sum(1 << v for v in G.part_vertices(i)
-                        if rng.random() < 0.7) for i in range(3)])
+                G = G.restrict(sum(1 << v for i in range(3)
+                                   for v in G.part_vertices(i)
+                                   if rng.random() < 0.7))
             universe = G.part_masks[1] | G.part_masks[2]
             if not universe:
                 continue
@@ -266,8 +266,8 @@ def certificate_cases(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     G = random_graph(rng, sizes, p)
     if draw(st.booleans()):
-        G = G.restrict([draw(st.integers(0, (1 << s) - 1)) << G.part_start[i]
-                        for i, s in enumerate(sizes)])
+        G = G.restrict(sum(draw(st.integers(0, (1 << s) - 1))
+                           << G.part_start[i] for i, s in enumerate(sizes)))
     parts = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
     universe = G.part_masks[parts[0]] | G.part_masks[parts[1]]
     assume(universe)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cliquelab.bitops import mask_range
 from cliquelab.core import KPartiteGraph
 from cliquelab.generate import GenSpec, generate
 from cliquelab.hyperclique import detect_hyperclique, list_hypercliques
@@ -34,15 +35,18 @@ SETTINGS = settings(max_examples=60, deadline=None,
 
 @st.composite
 def views(draw, k):
-    """A random k-partite graph and a view on per-part masks, which may be
-    empty, single vertices or non-contiguous."""
-    sizes = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    """A random graph and a k-part view of it, on parts ``first`` onward:
+    its parts may be empty, single vertices or non-contiguous, and the
+    keep mask may have bits outside the view."""
+    first = draw(st.integers(0, 1))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=first + k,
+                          max_size=first + k))
     p = draw(st.sampled_from([0.0, 0.3, 0.6, 1.0]))
     g = random_graph(random.Random(draw(st.integers(0, 2**32))), sizes, p)
-    masks = [draw(st.integers(0, (1 << s) - 1)) << g.part_start[i]
-             for i, s in enumerate(sizes)]
-    view = g.restrict(masks)
+    keep = draw(st.integers(0, (1 << (g.n_total + 3)) - 1))
+    view = g.restrict(keep, first)
     assert view.adjacency is g.adjacency
+    assert view.part_masks == [keep & m for m in g.part_masks[first:]]
     return g, view
 
 
@@ -98,7 +102,7 @@ def _check_regularity_listers(view, truth):
     ([10, 1, 7], 0.6), ([0, 1, 0], 1.0)])
 def test_regularity_listers_on_edge_case_views(sizes, p):
     g = random_graph(random.Random(sum(sizes)), sizes, p)
-    view = g.restrict(g.part_masks)
+    view = g.restrict(mask_range(0, g.n_total))
     _check_regularity_listers(view, brute_triangles(view).as_set())
 
 
@@ -139,14 +143,14 @@ def test_kclique_engines_on_k5_views_match_oracle(case):
     ([2, 1, 2, 1, 2], 1.0), ([4, 1, 4, 1, 4], 0.5)])
 def test_kclique_engines_on_edge_case_views(k, sizes, p):
     g = random_graph(random.Random(sum(sizes)), sizes[:k], p)
-    _check_kclique_view(g, g.restrict(g.part_masks), k)
+    _check_kclique_view(g, g.restrict(mask_range(0, g.n_total)), k)
 
 
 def test_sampled_check_draws_ids_above_the_view_size():
     # The view's 12 vertices carry ids 6..17: pairs drawn over 12 bits
     # would never reach part 2, and every sample would read zero error.
     g = random_graph(random.Random(4), [6, 6, 6], 0.5)
-    view = g.restrict([0, g.part_masks[1], g.part_masks[2]])
+    view = g.restrict(g.part_masks[1] | g.part_masks[2])
     cfg = RegularityConfig(epsilon=0.2, refinement_budget=1)
     P = weak_regular_partition(view, cfg)
     assert check_pseudoregular_sampled(view, P, 0.2, 50, seed=0).max_error > 0

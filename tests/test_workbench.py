@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cliquelab import cli
 from cliquelab.cli import build_parser, main
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
@@ -443,8 +444,15 @@ GEN_FLAGS = ["--kind", "gnp-kpartite", "--n", "3", "--k", "3", "--p", "0.5"]
     (["--kind", "planted-clique", "--n", "1", "--plant-count", "2"], True,
      2),
     ([], False, 2),
+    # 2^23 vertices per part: numpy cannot allocate the 72 TiB matrix
+    (["--n", "8388608"], True, 3),
 ])
-def test_cli_gen_exit_codes(tmp_path, capsys, flags, out_dir, code):
+def test_cli_gen_exit_codes(tmp_path, capsys, monkeypatch, flags, out_dir,
+                            code):
+    if code == 3:   # fail as numpy would; a real attempt may be granted
+        def out_of_memory(spec):
+            raise MemoryError("Unable to allocate 72.0 TiB")
+        monkeypatch.setattr(cli, "generate", out_of_memory)
     path = tmp_path / ("." if out_dir else "missing") / "g.txt"
     got = main(["gen", *GEN_FLAGS, *flags, "-o", str(path)])
     out, err = capsys.readouterr()
