@@ -96,10 +96,13 @@ class KPartiteGraph(PartLayout):
 
         Part i of the view is ``keep & part_masks[first + i]``, so its
         parts are disjoint and inside this graph's parts whatever ``keep``
-        holds: bits outside them are ignored.  The view shares
-        ``adjacency`` and copies no row, so its vertices keep this graph's
-        ids.
+        holds: bits outside them are ignored.  ``first`` is a part index,
+        ``0 <= first < k``.  The view shares ``adjacency`` and copies no
+        row, so its vertices keep this graph's ids.
         """
+        if not 0 <= first < len(self.part_masks):
+            raise InvalidParameterError(
+                f"first part {first} is not in 0..{self.k - 1}")
         view = object.__new__(KPartiteGraph)
         view.adjacency = self.adjacency
         view.part_masks = [keep & m for m in self.part_masks[first:]]
@@ -115,9 +118,10 @@ class KPartiteGraph(PartLayout):
 
     def is_cross_clique(self, verts: Sequence[int]) -> bool:
         """True iff verts has one vertex in each part, in part order, and
-        every pair is an edge."""
+        every pair is an edge; False for any id not in the graph."""
         return (len(verts) == self.k
-                and all((m >> v) & 1 for m, v in zip(self.part_masks, verts))
+                and all(v >= 0 and (m >> v) & 1
+                        for m, v in zip(self.part_masks, verts))
                 and all(self.has_edge(a, b)
                         for a, b in combinations(verts, 2)))
 

@@ -19,15 +19,29 @@ after the declared edges with line-numbered errors.  A declared vertex
 total above ``MAX_DECLARED_VERTICES`` is refused with ``ResourceLimitError``
 before any row is allocated.  Part membership is read from the part
 bounds, not from a per-vertex table, so a hypergraph costs O(m) memory
-beyond one bit per declared vertex.  The graph parser collects each
-vertex's neighbours and builds its row once (``core.fill_rows``), so a
-file costs one row slot per declared vertex plus O(m), and no big-int
-copy per edge.
+beyond one bit per declared vertex.
+
+A graph's edge section is first read as a buffer, in chunks: at most as
+many characters as m canonical lines ``<u> <v>`` can take, plus the rest
+of the last line.  If its first m lines are all two runs of digits split
+by one space, the ids are converted a chunk at a time, each touched
+vertex's row is built once (``core.fill_rows``), and the ids' range,
+duplicates and intra-part edges are checked on the whole structure at
+once.  Any other section (comments, blank lines, other whitespace, too
+few lines) or any failed check drops that work, and the line parser runs
+over the text read and then the rest of the stream: it alone knows which
+line is the first bad one, so every error keeps its exact text and line
+number, and it alone reads non-canonical whitespace.  The text read is
+split into lines at newline characters, as a text stream with universal
+newlines is.  Either way a file costs one row slot per declared vertex
+plus O(m), and no big-int copy per edge.  Hypergraph files always take
+the line parser.
 """
 
 from collections import defaultdict
-from itertools import compress
-from typing import Iterator, List, TextIO, Tuple, Union
+from io import StringIO
+from itertools import chain, compress
+from typing import Iterator, List, Optional, TextIO, Tuple, Union
 
 from .core import KPartiteGraph, UniformHypergraph, fill_rows
 from .errors import InvalidParameterError, ParseError, ResourceLimitError
@@ -59,7 +73,7 @@ def parse(stream: TextIO) -> Union[KPartiteGraph, UniformHypergraph]:
     except StopIteration:
         raise ParseError("empty input", 1)
     if toks[0] == "kpartite":
-        return _parse_graph(it, lines, toks, lineno)
+        return _parse_graph(stream, it, toks, lineno)
     if toks[0] == "hypergraph":
         return _parse_hypergraph(it, toks, lineno)
     raise ParseError(f"unknown header {toks[0]!r}", lineno)
@@ -107,63 +121,150 @@ def _parse_edge_count(it) -> Tuple[int, int]:
     return lineno, m
 
 
-def _parse_graph(it, lines, header, header_line) -> KPartiteGraph:
+def _parse_graph(stream, it, header, header_line) -> KPartiteGraph:
     if len(header) != 2:
         raise ParseError("expected 'kpartite <k>'", header_line)
     (k,) = _ints(header[1:], header_line)
     if k < 2:
         raise ParseError("k must be >= 2", header_line)
     sizes = _parse_parts(it, k)
-    _, m = _parse_edge_count(it)
+    edges_line, m = _parse_edge_count(it)
     g = KPartiteGraph(sizes)
+    # ``it`` stops right after the edges line, so ``stream`` resumes at
+    # the first edge line.
+    read = []
+    tail = _edges_from_buffer(g, m, stream, read)
+    if tail is None:
+        lines = enumerate(chain(StringIO("".join(read)), stream),
+                          edges_line + 1)
+        _edges_from_lines(g, m, lines)
+    else:
+        lines = enumerate(chain(StringIO(tail), stream), edges_line + 1 + m)
+    _expect_end(_tokens(lines))
+    return g
+
+
+_CHUNK = 1 << 16            # characters of edge lines read at a time
+
+
+def _edges_from_buffer(g: KPartiteGraph, m: int, stream,
+                       read: List[str]) -> Optional[str]:
+    """Fill ``g``'s rows from the next m lines of ``stream`` and return
+    the text read past them, if each is ``<digits> <digits>`` and a
+    newline and the edges are valid; else return None.  Every piece read
+    is appended to ``read``.
+
+    A canonical line holds two ids below n, so m of them take at most
+    ``m·(2·len(str(n)) + 2)`` characters: no more is read, plus the rest
+    of the last line.  The text is read, checked and converted a chunk at
+    a time: a chunk of c lines must be ASCII, read space, newline c times
+    over once its digits are deleted, and split into 2c tokens.  The edges
+    are checked at the end, on the rows: popcounts summing to 2m (no
+    duplicate) and no row meeting its own part's mask (no intra-part
+    edge).  Every step costs O(m + touched vertices), never O(n).
+    """
     n = g.n_total
-    # Edge lines are read from ``lines`` directly (``it`` resumes after
-    # them), with the checks of ``_tokens`` and ``_ints`` inlined, in this
-    # order: integers, token count, range, duplicate, intra-part.  An edge
-    # is intra-part iff v lies in [lo, hi), the ids of u's part; ``write``
-    # groups edges by u, so the bounds are looked up once per run of u.
+    neighbours = defaultdict(list)
+    budget, left, tail = m * (2 * len(str(n)) + 2), m, ""
+    table, converted = None, 0
+    while left:
+        chunk = stream.read(min(_CHUNK, budget))
+        if chunk[-1:] != "\n":
+            chunk += stream.readline()
+        read.append(chunk)
+        budget -= len(chunk)
+        lines = chunk.count("\n")
+        if lines >= left:       # the m-th line ends in this chunk
+            tail = chunk.split("\n", left)[-1]
+            chunk = chunk[:len(chunk) - len(tail)]
+            lines = left
+        elif budget <= 0 or not chunk:
+            return None
+        tokens = chunk.split()
+        if (len(tokens) != 2 * lines or not chunk.isascii()
+                or chunk.encode().translate(None, b"0123456789")
+                != b" \n" * lines):
+            return None
+        # Once as many tokens are converted as there are ids, a lookup
+        # among the decimal forms of 0..n-1 converts the rest about three
+        # times as fast as int() and checks their range.  Built no
+        # sooner, the table costs no more than the text already read.
+        if table is None and converted >= n:
+            table = {str(i): i for i in range(n)}
+        if table is None:
+            ids = list(map(int, tokens))
+            if max(ids) >= n:
+                return None
+            converted += len(ids)
+        else:
+            try:
+                ids = list(map(table.__getitem__, tokens))
+            except KeyError:
+                return None
+        pairs = iter(ids)
+        for u, v in zip(pairs, pairs):
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        left -= lines
+    # Past this point the m lines are the line parser's m edges, so a
+    # failed check means that parser raises: the rows need no undoing.
+    adj = g.adjacency
+    fill_rows(adj, neighbours)
+    if (sum(adj[u].bit_count() for u in neighbours) != 2 * m
+            or any(adj[u] & g.part_masks[g.part_of(u)] for u in neighbours)):
+        return None
+    return tail
+
+
+def _edges_from_lines(g: KPartiteGraph, m: int, lines) -> None:
+    """Fill ``g``'s rows from the next m >= 1 edge lines of ``lines``, a
+    ``(line number, line)`` iterator, raising the first bad line's error.
+
+    The checks of ``_tokens`` and ``_ints`` are inlined, in this order:
+    integers, token count, range, duplicate, intra-part.  An edge is
+    intra-part iff v lies in [lo, hi), the ids of u's part; ``write``
+    groups edges by u, so the bounds are looked up once per run of u.
+    """
+    n, sizes = g.n_total, g.part_sizes
     seen = set()            # u * n + v for each accepted edge, u < v
     neighbours = defaultdict(list)
     left = m
     last_u = lo = hi = -1
-    if m:
-        for lineno, raw in lines:
-            if "#" in raw:
-                raw = raw[:raw.index("#")]
-            toks = raw.split()
-            if len(toks) != 2:
-                if not toks:
-                    continue
-                _ints(toks, lineno)
-                raise ParseError("expected '<u> <v>'", lineno)
-            try:
-                u = int(toks[0])
-                v = int(toks[1])
-            except ValueError:
-                raise ParseError(f"expected integers, got {toks!r}", lineno)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"vertex id out of range: {u} {v}", lineno)
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
-                raise ParseError(f"duplicate edge {u} {v}", lineno)
-            seen.add(key)
-            if u != last_u:
-                i = g.part_of(u)
-                last_u, lo = u, g.part_start[i]
-                hi = lo + sizes[i]
-            if lo <= v < hi:
-                raise ParseError(f"intra-part edge {u} {v}", lineno)
-            neighbours[u].append(v)
-            neighbours[v].append(u)
-            left -= 1
-            if not left:
-                break
-        else:
-            raise ParseError("unexpected end of input", 0)
+    for lineno, raw in lines:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        toks = raw.split()
+        if len(toks) != 2:
+            if not toks:
+                continue
+            _ints(toks, lineno)
+            raise ParseError("expected '<u> <v>'", lineno)
+        try:
+            u = int(toks[0])
+            v = int(toks[1])
+        except ValueError:
+            raise ParseError(f"expected integers, got {toks!r}", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"vertex id out of range: {u} {v}", lineno)
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise ParseError(f"duplicate edge {u} {v}", lineno)
+        seen.add(key)
+        if u != last_u:
+            i = g.part_of(u)
+            last_u, lo = u, g.part_start[i]
+            hi = lo + sizes[i]
+        if lo <= v < hi:
+            raise ParseError(f"intra-part edge {u} {v}", lineno)
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+        left -= 1
+        if not left:
+            break
+    else:
+        raise ParseError("unexpected end of input", 0)
     del seen
     fill_rows(g.adjacency, neighbours)
-    _expect_end(it)
-    return g
 
 
 def _parse_hypergraph(it, header, header_line) -> UniformHypergraph:

@@ -168,6 +168,20 @@ def test_subset_family_validation():
     assert view.restrict(0b10).n_total == 0
     with pytest.raises(InvalidParameterError):
         view.part_of(1)
+    # ``first`` names a part: a negative one does not count from the end
+    for first in (-1, -2, 2, 3):
+        with pytest.raises(InvalidParameterError):
+            g.restrict(0b1111, first)
+
+
+def test_is_cross_clique_rejects_ids_outside_the_graph():
+    assert not KPartiteGraph([2, 2, 2]).is_cross_clique((-1, 2, 4))
+    g = KPartiteGraph.from_edges([2, 2, 2], [(0, 2), (0, 4), (2, 4)])
+    assert g.is_cross_clique((0, 2, 4))
+    for verts in ((-1, 2, 4), (0, -2, 4), (0, 2, -1), (0, 2, 6),
+                  (0, 2, 1 << 70), (0, 2), (0, 4, 2)):
+        assert not g.is_cross_clique(verts)
+    assert not g.restrict(0b11110).is_cross_clique((0, 2, 4))
 
 
 def test_find_heavy_vertex_products():

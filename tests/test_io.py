@@ -300,3 +300,221 @@ def test_written_graph_digests_pinned(spec, digest):
 @pytest.mark.parametrize("spec,digest", HYPER_DIGESTS)
 def test_generated_hypergraph_digests_pinned(spec, digest):
     assert _sha(repr(sorted(generate(spec).graph.edges))) == digest
+
+
+# -- the edge-section buffer and the line parser ------------------------------
+
+def _line_by_line(text: str, sizes):
+    """Rows, or (error text, line), from reading a graph file's edge lines
+    one at a time with the checks in the parser's order: integers, token
+    count, range, duplicate, intra-part.  The header must be canonical:
+    ``kpartite``, one ``part`` line per part, ``edges``."""
+    g = KPartiteGraph(sizes)
+    n, k = g.n_total, len(sizes)
+    lines = text.split("\n")
+    left = int(lines[k + 1].split()[1])
+    seen, edges = set(), []
+    for lineno, raw in enumerate(lines[k + 2:], k + 3):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        if not left:
+            return "content after the declared edges", lineno
+        try:
+            ids = [int(t) for t in toks]
+        except ValueError:
+            return f"expected integers, got {toks!r}", lineno
+        if len(ids) != 2:
+            return "expected '<u> <v>'", lineno
+        u, v = ids
+        if not (0 <= u < n and 0 <= v < n):
+            return f"vertex id out of range: {u} {v}", lineno
+        if (min(u, v), max(u, v)) in seen:
+            return f"duplicate edge {u} {v}", lineno
+        seen.add((min(u, v), max(u, v)))
+        if g.part_of(u) == g.part_of(v):
+            return f"intra-part edge {u} {v}", lineno
+        edges.append((u, v))
+        left -= 1
+    if left:
+        return "unexpected end of input", 0
+    return KPartiteGraph.from_edges(sizes, edges).adjacency
+
+
+def _parsed(text: str):
+    """``parse``'s rows, or (error text, line) of its ``ParseError``."""
+    try:
+        return parse(io.StringIO(text)).adjacency
+    except ParseError as exc:
+        return str(exc).split(": ", 1)[1], exc.line
+
+
+@st.composite
+def canonical_graph_files(draw):
+    """A canonical graph file (parts of 0 to 6 vertices, k in {2, 3, 4},
+    p in {0, 1, random}, so ``edges 0`` too), its part sizes and edges.
+    Edges come in random order and orientation, as ``<u> <v>`` lines."""
+    sizes = draw(st.lists(st.integers(0, 6), min_size=2, max_size=4))
+    p = draw(st.sampled_from([0.0, 1.0, None]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if p is None:
+        p = rng.random()
+    g = KPartiteGraph(sizes)
+    edges = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u in range(g.n_total) for v in range(u + 1, g.n_total)
+             if g.part_of(u) != g.part_of(v) and rng.random() < p]
+    rng.shuffle(edges)
+    text = (f"kpartite {len(sizes)}\n"
+            + "".join(f"part {s}\n" for s in sizes)
+            + f"edges {len(edges)}\n"
+            + "".join(f"{u} {v}\n" for u, v in edges))
+    return text, sizes, edges
+
+
+def _no_line_parser(g, m, lines):
+    raise AssertionError("a canonical edge section reached the line parser")
+
+
+# Characters read per chunk: one line per chunk, a few lines, one chunk.
+_CHUNKS = st.sampled_from([1, 5, 24, 1 << 16])
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_graph_files(), _CHUNKS)
+def test_canonical_edge_section_takes_the_buffer(case, chunk):
+    from cliquelab import io as graphio
+    text, sizes, edges = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_CHUNK", chunk)
+        mp.setattr(graphio, "_edges_from_lines", _no_line_parser)
+        g = parse(io.StringIO(text))
+        # what follows the edges is still read as lines
+        tail = parse(io.StringIO(text + "\n# done\n  \n"))
+    expected = KPartiteGraph.from_edges(sizes, edges).adjacency
+    assert g.adjacency == tail.adjacency == expected
+
+
+# ``int`` reads any Unicode decimal digits, such as these.
+_ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _mutations(g: KPartiteGraph, lines, rng):
+    """Ways to turn the edge lines of a canonical file into one that only
+    the line parser can accept or reject."""
+    n = g.n_total
+    i = rng.randrange(len(lines) + 1)       # where a line goes in
+    j = min(i, len(lines) - 1)              # a line that exists, if any
+    cases = {
+        "comment": lines[:i] + ["# note"] + lines[i:],
+        "blank": lines[:i] + [""] + lines[i:],
+        "extra": lines + [f"{rng.randrange(n)} {rng.randrange(n)}"],
+        "one id": lines[:i] + [str(rng.randrange(n))] + lines[i:],
+        "out of range": lines[:i] + [f"0 {n + rng.randrange(3)}"] + lines[i:],
+    }
+    if j >= 0:
+        u, v = lines[j].split()
+        cases.update({
+            "trailing comment": lines[:j] + [f"{u} {v} # e"] + lines[j + 1:],
+            "tab": lines[:j] + [f"{u}\t{v}"] + lines[j + 1:],
+            "crlf": lines[:j] + [f"{u} {v}\r"] + lines[j + 1:],
+            "leading zero": lines[:j] + [f"0{u} {v}"] + lines[j + 1:],
+            "other digits": lines[:j] + [f"{u} {v}".translate(_ARABIC)]
+            + lines[j + 1:],
+            "surrogate": lines[:j] + [f"{u} \udc80{v}"] + lines[j + 1:],
+            "missing": lines[:j] + lines[j + 1:],
+            "duplicate": lines[:i] + [lines[j]] + lines[i:],
+            "reversed duplicate": lines[:i] + [f"{v} {u}"] + lines[i:],
+            "three ids": lines[:j] + [f"{u} {v} {v}"] + lines[j + 1:],
+            "two spaces": lines[:j] + [f"{u}  {v}"] + lines[j + 1:],
+            "self-loop": lines[:j] + [f"{u} {u}"] + lines[j + 1:],
+        })
+        part = g.part_vertices(g.part_of(int(v)))
+        if len(part) > 1:
+            w = part[0] if int(v) != part[0] else part[1]
+            cases["intra-part"] = (lines[:j] + [f"{u} {v}", f"{w} {v}"]
+                                   + lines[j + 1:])
+    return cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_graph_files(), st.integers(0, 2 ** 32 - 1), _CHUNKS)
+def test_non_canonical_edge_sections_parse_line_by_line(case, seed, chunk):
+    from cliquelab import io as graphio
+    text, sizes, edges = case
+    head, body = text.split(f"edges {len(edges)}\n")
+    lines = body.split("\n")[:-1]
+    g = KPartiteGraph(sizes)
+    if not g.n_total:
+        return
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_CHUNK", chunk)
+        for name, mutated in _mutations(g, lines, rng).items():
+            for declared in {len(edges), len(mutated)}:
+                file = (head + f"edges {declared}\n"
+                        + "".join(line + "\n" for line in mutated))
+                assert _parsed(file) == _line_by_line(file, sizes), name
+
+
+class _CountingReader:
+    """A text stream that counts the characters it hands out."""
+
+    def __init__(self, text: str):
+        self._inner = io.StringIO(text)
+        self.chars = 0
+
+    def _count(self, s: str) -> str:
+        self.chars += len(s)
+        return s
+
+    def read(self, size: int = -1) -> str:
+        return self._count(self._inner.read(size))
+
+    def readline(self) -> str:
+        return self._count(self._inner.readline())
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        return self._count(next(self._inner))
+
+
+def test_edge_section_read_is_bounded():
+    head = "kpartite 2\npart 3\npart 3\nedges 3\n0 3\n1 4\n2 5\n"
+    stream = _CountingReader(head + "1 3\n" * 10 ** 5)
+    with pytest.raises(ParseError) as exc:
+        parse(stream)
+    assert "content after the declared edges" in str(exc.value)
+    assert exc.value.line == 8
+    # the header, three lines of at most 2 * 1 + 2 characters, one more line
+    assert stream.chars <= len(head) + 4
+    # lines longer than canonical ones end the buffer at its bound too
+    padded = head.replace("\n0 3\n", "\n000000 3\n")
+    stream = _CountingReader(padded + "1 3\n" * 10 ** 5)
+    with pytest.raises(ParseError) as exc:
+        parse(stream)
+    assert exc.value.line == 8
+    assert stream.chars <= len(padded) + 4
+    huge = _CountingReader("kpartite 2\npart 1\npart 1\n"
+                           "edges 99999999999999999999\n0 1\n")
+    with pytest.raises(ParseError) as exc:
+        parse(huge)
+    assert "unexpected end of input" in str(exc.value)
+    assert exc.value.line == 0
+
+
+def test_edge_section_from_a_file(tmp_path):
+    # a real text file: iteration over the header, then reads of the edges
+    g = generate(GenSpec("gnp-kpartite", 30, 3, 0.5, 4)).graph
+    buf = io.StringIO()
+    write(g, buf)
+    path = tmp_path / "g.txt"
+    path.write_text(buf.getvalue() + "# end\n\n")
+    with open(path) as fh:
+        assert parse(fh).adjacency == g.adjacency
+    path.write_text(buf.getvalue().replace("\n", "\r\n") + "0 1\r\n")
+    with open(path) as fh, pytest.raises(ParseError) as exc:
+        parse(fh)
+    assert "content after the declared edges" in str(exc.value)
+    assert exc.value.line == buf.getvalue().count("\n") + 1

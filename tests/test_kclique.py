@@ -234,6 +234,14 @@ def test_find_witness_flags_inconsistent_detector():
         find_witness(bad_detector, g, 3)
 
 
+def test_negative_witness_id_is_an_inconsistency():
+    # a detector reporting an id outside the graph is caught by the final
+    # check as an inconsistency, not by a failing shift
+    with pytest.raises(InternalInconsistencyError):
+        find_kclique(complete_kpartite([2, 2, 2]), 3,
+                     triangle_detector=lambda G: (-1, 2, 4))
+
+
 def test_find_witness_edge_checks_its_result():
     # a detector that says yes everywhere halves down to a non-clique
     with pytest.raises(InternalInconsistencyError):
