@@ -3,8 +3,9 @@
 Builds a planted 3-uniform 4-partite instance, shows the chosen block
 side and representation length, inspects one compact encoding assembled
 from the grouped segment cache, counts the (v, j) pairs the part-0 masks
-let through to a table probe, and lists hypercliques against the
-brute-force count.
+let through to a table probe, and lists hypercliques with the table
+engine against the brute-force count.  The closing t=2 run passes no
+params, so it uses the default lister, the link-mask DFS.
 """
 
 from itertools import islice
@@ -67,8 +68,10 @@ def main() -> None:
           f"set match = {res.as_set() == truth.as_set()})")
     print("first few:", list(islice(res.witnesses, 4)))
 
+    # no params: the default link-mask DFS, in lexicographic order
     bounded = list_hypercliques(H, 4, t=2)
-    print(f"t=2 run: {len(bounded)} witnesses, truncated={bounded.truncated}")
+    print(f"t=2 run (link-mask DFS): {len(bounded)} witnesses, "
+          f"truncated={bounded.truncated}, {bounded.witnesses}")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Core pieces: k-partite bit-row graphs, Four-Russians style triangle
 detection and row-AND triangle listing, weak regularity partitions driving a
 triangle-listing pipeline, a divide-and-conquer k-clique reduction, and a
-compressed-table hyperclique lister, with generators, oracles and a
-verification harness around them.  The engine benchmark is ``perfbench/``.
+link-mask DFS hyperclique lister with the paper's compressed-table engine
+as its reference, with generators, oracles and a verification harness
+around them.  The engine benchmark is ``perfbench/``.
 """
 
 from .core import KPartiteGraph, UniformHypergraph

@@ -1,18 +1,23 @@
 """r-uniform k-partite hyperclique listing and detection.
 
-Strategy: for each vertex v of part 0, the adjacency subgraph G_v (tuples
+By default a DFS over link masks walks parts 0..k-1, narrows each next
+part to the AND of the links of the prefix's (r-1)-subsets, and yields
+the hits in lexicographic order for ``ListingResult.take`` to cut at t.
+
+With ``params`` the paper's compressed-table engine runs, as the
+reference: for each vertex v of part 0, the adjacency subgraph G_v (tuples
 completing a hyperedge with v) is compared block-tuple by block-tuple
 against precomputed lookup tables.  G_v on a block tuple is a fixed-order
 L-bit compact representation; the table of a block tuple lists its
-(k-1)-hypercliques with the bits each requires, found by a DFS over link
-masks, so each comparison tests a few masks.
+(k-1)-hypercliques with the bits each requires, found by the same DFS
+over parts 1..k-1, so each comparison tests a few masks.
 
 Each (r-1)-tuple of parts 1..k-1 is placed once per call: its segment key
 (I, j_I) and its bit.  The segment cache groups G_v's segments by key, with
 the mask of the part-0 vertices that have one there; the probe walks only
 the vertices in some mask, visits a block tuple for v only if v lies in
 the AND of its keys' masks, ORs the rep together from int-keyed lookups,
-and yields its hits for ``ListingResult.take`` to cut at t.
+and yields its hits in block-major order.
 """
 
 import math
@@ -105,25 +110,31 @@ def table_bytes(H: UniformHypergraph, params: HypercliqueParams) -> int:
                 * (n_sets + params.s ** (H.k - 1) * entry_words))
 
 
+def check_table_budget(H: UniformHypergraph,
+                       params: HypercliqueParams) -> None:
+    """Raise unless params fit H and ``table_bytes`` fits the budget.  Both
+    engines run it first, as the DFS ANDs C(d, r-1) links at depth d."""
+    params.validate()
+    if H.k != params.k or H.r != params.r:
+        raise InvalidParameterError("params do not match hypergraph shape")
+    need, budget = table_bytes(H, params), table_byte_budget()
+    if need > budget:
+        raise ResourceLimitError(
+            f"tables need ~{need} bytes, budget is {budget}",
+            required=need, allowed=budget)
+
+
 class BlockGeometry:
     """Block decomposition of parts 1..k-1 plus segment offsets.
 
     Read from H's part layout, so nothing is built per vertex: vertex u of
     part p >= 1 sits in slot p - 1, block ``(u - part_start[p]) // s``, at
-    offset ``(u - part_start[p]) % s`` inside it.  Raises
-    ResourceLimitError when ``table_bytes`` exceeds the table byte budget,
-    before anything of size C(k-1, r-1) is built.
+    offset ``(u - part_start[p]) % s`` inside it.  ``check_table_budget``
+    runs first, before anything of size C(k-1, r-1) is built.
     """
 
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
-        params.validate()
-        if H.k != params.k or H.r != params.r:
-            raise InvalidParameterError("params do not match hypergraph shape")
-        need, budget = table_bytes(H, params), table_byte_budget()
-        if need > budget:
-            raise ResourceLimitError(
-                f"tables need ~{need} bytes, budget is {budget}",
-                required=need, allowed=budget)
+        check_table_budget(H, params)
         self.params = params
         self.s = params.s
         self.part_start = H.part_start
@@ -199,8 +210,8 @@ SegmentKey = Tuple[Tuple[int, ...], Tuple[int, ...]]      # (I, j_I)
 
 def _link_masks(H: UniformHypergraph) -> Dict[Tuple[int, ...], int]:
     """Sorted (r-1)-tuple -> mask of the vertices completing it to a
-    hyperedge.  Built from ``H.edges`` on every call, which callers may
-    reassign or mutate."""
+    hyperedge; the DFS of both engines ANDs them.  Built from ``H.edges``
+    once per listing, which callers may reassign or mutate."""
     links: Dict[Tuple[int, ...], int] = {}
     rm1 = H.r - 1
     for e in H.edges:
@@ -217,11 +228,11 @@ class HypercliqueTables:
     ``links`` are the link masks of H, ``part_masks`` are H's, and
     ``placements`` maps every link key outside part 0 to its
     segment key (I, j_I) and its representation bit (as a one-bit int);
-    each key is placed once, and the DFS below and ``compress_all`` read
+    each key is placed once, and the loop below and ``compress_all`` read
     it.  ``entries[j]`` lists (required, cand) in lexicographic order of
-    cand, found by a DFS over link masks: a vertex of the next slot must
-    complete every (r-1)-subset of the prefix, so it lies in all their
-    links.  required has the bit of every (r-1)-subset of cand.
+    cand, found by ``_dfs`` over parts 1..k-1: a vertex of the next slot
+    must complete every (r-1)-subset of the prefix, so it lies in all
+    their links.  required has the bit of every (r-1)-subset of cand.
     entry(j, rep) lists the tuples (v_2..v_k) in the block tuple that are
     (k-1)-hypercliques both in the induced subgraph G^j of the input and
     in the rep-encoded hypergraph: those whose required bits lie in rep.
@@ -243,21 +254,12 @@ class HypercliqueTables:
                            List[Tuple[int, Tuple[int, ...]]]] = {}
         rm1 = H.r - 1
         starts, s = H.part_start[1:], params.s
-        stack: List[Tuple[int, ...]] = [()]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == H.k - 1:
-                required = 0
-                for sub in combinations(prefix, rm1):
-                    required |= placements[sub][1]
-                j = tuple((u - lo) // s for u, lo in zip(prefix, starts))
-                self.entries.setdefault(j, []).append((required, prefix))
-                continue
-            cands = part_masks[len(prefix) + 1]
-            for sub in combinations(prefix, rm1):
-                cands &= links.get(sub, 0)
-            # pushed highest first, so prefixes pop in lexicographic order
-            stack.extend(prefix + (u,) for u in reversed(bits_to_list(cands)))
+        for cand in _dfs(part_masks[1:], links, rm1, [()]):
+            required = 0
+            for sub in combinations(cand, rm1):
+                required |= placements[sub][1]
+            j = tuple((u - lo) // s for u, lo in zip(cand, starts))
+            self.entries.setdefault(j, []).append((required, cand))
 
     def entry(self, j: Tuple[int, ...], rep: int) -> List[Tuple[int, ...]]:
         return [cand for required, cand in self.entries.get(j, ())
@@ -303,15 +305,21 @@ def compress_all(tables: HypercliqueTables
 def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED,
                       params: Optional[HypercliqueParams] = None
                       ) -> ListingResult:
-    """List up to t k-hypercliques via the compressed-table pipeline."""
+    """List up to t k-hypercliques: by the link-mask DFS in lexicographic
+    order, or with ``params`` by the compressed-table engine at that
+    geometry, in block-major order."""
     if H.k != k:
         raise InvalidParameterError(f"hypergraph has {H.k} parts, expected {k}")
     if not 2 <= H.r < k:
         raise InvalidParameterError("need 2 <= r < k")
     result = ListingResult(requested_t=t)
     if params is None:
-        n = max(2, max(H.part_sizes))
-        params = choose_block_size(n, k, H.r)
+        check_table_budget(H, choose_block_size(max(2, max(H.part_sizes)),
+                                                k, H.r))
+        # part 0 starts from the vertices in some hyperedge, not all of it
+        firsts = {e[0] for e in H.edges if e[0] < H.part_sizes[0]}
+        return result.take(_dfs(H.part_masks, _link_masks(H), H.r - 1,
+                                [(v,) for v in sorted(firsts, reverse=True)]))
     tables = build_tables(H, params)
     cache = compress_all(tables)
     # One record per populated j, in sorted order: the part-0 vertices
@@ -334,6 +342,25 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
     return result.take(_probe(plan, tables))
 
 
+def _dfs(part_masks: Sequence[int], links: Dict[Tuple[int, ...], int],
+         rm1: int, stack: List[Tuple[int, ...]]) -> Iterator[Tuple[int, ...]]:
+    """Extend the prefixes on stack (last pops first) by one vertex of each
+    next part of part_masks, in the AND of the links of the prefix's
+    rm1-subsets, and yield the full tuples in lexicographic order."""
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == len(part_masks):
+            yield prefix
+            continue
+        cands = part_masks[len(prefix)]
+        for sub in combinations(prefix, rm1):
+            cands &= links.get(sub, 0)
+            if not cands:
+                break
+        # pushed highest first, so prefixes pop in lexicographic order
+        stack.extend(prefix + (u,) for u in reversed(bits_to_list(cands)))
+
+
 def _probe(plan, tables: HypercliqueTables) -> Iterator[Tuple[int, ...]]:
     """Yield (v,) + cand for every table hit of every part-0 vertex v in
     some plan mask, ascending in v, then in plan (j) order."""
@@ -354,5 +381,5 @@ def _probe(plan, tables: HypercliqueTables) -> Iterator[Tuple[int, ...]]:
 
 def detect_hyperclique(H: UniformHypergraph, k: int,
                        params: Optional[HypercliqueParams] = None) -> bool:
-    """Detection by listing with t = 1."""
-    return bool(list_hypercliques(H, k, t=1, params=params).witnesses)
+    """Detection by listing with t = 0, which draws at most one hit."""
+    return list_hypercliques(H, k, t=0, params=params).truncated

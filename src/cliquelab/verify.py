@@ -13,7 +13,8 @@ from . import io as graphio
 from .core import KPartiteGraph, UniformHypergraph
 from .errors import InvalidParameterError
 from .generate import GenSpec, generate
-from .hyperclique import detect_hyperclique, list_hypercliques
+from .hyperclique import (choose_block_size, detect_hyperclique,
+                          list_hypercliques)
 from .kclique import find_kclique
 from .listing import list_all_triangles, list_triangles
 from .oracles import brute_hypercliques, brute_kclique, brute_triangles
@@ -55,14 +56,22 @@ def _kclique_ok(G: KPartiteGraph) -> bool:
     return _witness_ok(G, find_kclique(G, G.k), brute_kclique(G, G.k))
 
 
+def _hyperclique_engines(H: UniformHypergraph) -> tuple:
+    """params of the default DFS (None) and of the table engine."""
+    return None, choose_block_size(max(2, max(H.part_sizes)), H.k, H.r)
+
+
 def _hyperclique_detect_ok(H: UniformHypergraph) -> bool:
     want = len(brute_hypercliques(H, H.k, t=1).witnesses) > 0
-    return detect_hyperclique(H, H.k) == want
+    return all(detect_hyperclique(H, H.k, params) == want
+               for params in _hyperclique_engines(H))
 
 
 def _hyperclique_list_ok(H: UniformHypergraph) -> bool:
-    return _listing_ok(list_hypercliques(H, H.k),
-                       brute_hypercliques(H, H.k).as_set())
+    """Both engines pass ``_listing_ok``, as for triangle-list."""
+    want = brute_hypercliques(H, H.k).as_set()
+    return all(_listing_ok(list_hypercliques(H, H.k, params=params), want)
+               for params in _hyperclique_engines(H))
 
 
 CHECKS: dict = {

@@ -213,34 +213,65 @@ def test_compress_all_matches_direct_encoding():
                 assert rep == encode_compact(direct, geo, j)
 
 
-def test_listing_builds_one_geometry_and_one_link_map(monkeypatch):
-    # the tables, the segment cache and the probe plan share one geometry
-    # (one byte-budget check) and one set of link masks, and place each
-    # (r-1)-tuple of parts 1..k-1 at most once
-    calls = Counter()
+def _count_builds(monkeypatch):
+    """Count BlockGeometry and _link_masks calls, and tuple_bit placements
+    per tuple."""
+    calls, placed = Counter(), Counter()
     for name in ("BlockGeometry", "_link_masks"):
         def counting(*args, real=getattr(hyperclique, name), name=name):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(hyperclique, name, counting)
-    placed = Counter()
 
     def counting_bit(geo, verts, real=BlockGeometry.tuple_bit):
         placed[tuple(verts)] += 1
         return real(geo, verts)
     monkeypatch.setattr(BlockGeometry, "tuple_bit", counting_bit)
+    return calls, placed
+
+
+def _count_cases():
     planted = generate(GenSpec("planted-hyperclique", 6, 4, 0.4, 3, r=3,
                                plant_count=1)).graph
-    cases = [(complete_hypergraph(3, [2, 2, 2, 2]), 16),
-             (planted, len(brute_hypercliques(planted, 4)))]
-    for h, hits in cases:
-        for params in (None, HypercliqueParams(s=2, k=4, r=3)):
+    return [(complete_hypergraph(3, [2, 2, 2, 2]), 16),
+            (planted, len(brute_hypercliques(planted, 4)))]
+
+
+def test_listing_builds_one_geometry_and_one_link_map(monkeypatch):
+    # the tables, the segment cache and the probe plan share one geometry
+    # and one set of link masks, and place each (r-1)-tuple of parts
+    # 1..k-1 at most once
+    calls, placed = _count_builds(monkeypatch)
+    for h, hits in _count_cases():
+        for s in (1, 2):
             calls.clear()
             placed.clear()
+            params = HypercliqueParams(s=s, k=4, r=3)
             assert len(list_hypercliques(h, 4, params=params)) == hits
             assert calls == {"BlockGeometry": 1, "_link_masks": 1}
             assert placed and max(placed.values()) == 1
             assert all(h.part_of(u) > 0 for sub in placed for u in sub)
+
+
+def test_default_listing_builds_link_masks_once_and_no_geometry(monkeypatch):
+    # the DFS reads the link masks alone: no geometry, no placement
+    calls, placed = _count_builds(monkeypatch)
+    for h, hits in _count_cases():
+        calls.clear()
+        assert len(list_hypercliques(h, 4)) == hits
+        assert calls == {"_link_masks": 1}
+        assert not placed
+
+
+def test_dfs_matches_table_engine_order_at_s1():
+    for n in (10, 24):
+        for seed in (1, 2):
+            h = generate(GenSpec("planted-hyperclique", n, 4, 0.4, seed, r=3,
+                                 plant_count=1)).graph
+            table = list_hypercliques(h, 4, params=HypercliqueParams(1, 4, 3))
+            default = list_hypercliques(h, 4)
+            assert default.witnesses == table.witnesses
+            assert default.witnesses
 
 
 def test_listing_complete_16_and_truncated():
@@ -360,3 +391,15 @@ def test_listing_order_matches_sorted_oracle(case):
     assert detect_hyperclique(h, k, params) == bool(want)
     tables = build_tables(h, params)
     assert all(len(lst) <= s ** (k - 1) for lst in tables.entries.values())
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hyper_cases())
+def test_default_listing_is_sorted_oracle_prefix(case):
+    h, _, t = case
+    want = sorted(brute_hypercliques(h, h.k).as_set())
+    res = list_hypercliques(h, h.k, t=t)
+    assert res.witnesses == want[:t]
+    assert res.truncated == (t is not None and len(want) > t)
+    assert detect_hyperclique(h, h.k) == bool(want)

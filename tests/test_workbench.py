@@ -724,8 +724,8 @@ def test_verify_hyperclique_list_rejects_duplicates_and_truncation(
     from cliquelab import verify as vmod
     from cliquelab.hyperclique import list_hypercliques
 
-    def faulty(h, k):
-        res = list_hypercliques(h, k)
+    def faulty(h, k, **engine):
+        res = list_hypercliques(h, k, **engine)
         if fault == "duplicate":
             res.witnesses.extend(res.witnesses[:1])
         else:
