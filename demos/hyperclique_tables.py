@@ -12,7 +12,7 @@ from itertools import islice
 
 from cliquelab import (GenSpec, HypercliqueParams, brute_hypercliques,
                        build_tables, choose_block_size, compress_all,
-                       decode_compact, generate, list_hypercliques)
+                       generate, list_hypercliques)
 
 
 def main() -> None:
@@ -44,10 +44,14 @@ def main() -> None:
     rep = 0
     for I in geo.index_sets:
         rep |= segments.get((I, (0, 0)), 0)
+    # the rep's pairs, read back from the placements tuple_bit made: those
+    # whose segment key lies in j0 and whose bit is set
+    pairs = sorted(sub for sub, ((I, jI), bit) in tables.placements.items()
+                   if jI == tuple(j0[slot] for slot in I) and rep & bit)
     print(f"adjacency subgraph of vertex {v}: "
           f"{sum(seg.bit_count() for seg in segments.values())} pair edges "
           f"in {len(segments)} segments; compact rep of block tuple {j0}: "
-          f"{rep:#x} = {sorted(decode_compact(rep, geo, j0))}")
+          f"{rep:#x} = {pairs}")
 
     # the probe visits block tuple j for vertex v only if v lies in the AND
     # of the part-0 masks of j's segment keys

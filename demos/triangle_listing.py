@@ -14,7 +14,7 @@ def main() -> None:
     spec = GenSpec("gnp-kpartite", n_per_part=48, k=3, p=0.1, seed=7)
     G = generate(spec).graph
     print(f"instance: 3 parts x {spec.n_per_part} vertices, "
-          f"p={spec.p}, seed={spec.seed}, {G.edge_count()} edges")
+          f"p={spec.p}, seed={spec.seed}, {len(list(G.edges()))} edges")
 
     w = detect_naive(G)
     print(f"bit-parallel detector: witness {w}")

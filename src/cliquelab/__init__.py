@@ -13,8 +13,7 @@ from .errors import (CliquelabError, InternalInconsistencyError,
                      InvalidParameterError, ParseError, ResourceLimitError)
 from .generate import GenSpec, GeneratedInstance, generate
 from .hyperclique import (BlockGeometry, HypercliqueParams, build_tables,
-                          choose_block_size, compress_all, decode_compact,
-                          detect_hyperclique, encode_compact,
+                          choose_block_size, compress_all, detect_hyperclique,
                           formula_block_side, list_hypercliques)
 from .io import parse, write
 from .kclique import (RecursionParams, TraceNode, choose_params,
@@ -25,7 +24,7 @@ from .oracles import (UNBOUNDED, ListingResult, brute_hypercliques,
                       brute_kclique, brute_triangles)
 from .regularity import (PseudoregularPartition, RegularityConfig,
                          check_pseudoregular_sampled, default_epsilon,
-                         density, edge_count_between, weak_regular_partition)
+                         edge_count_between, weak_regular_partition)
 from .triangle import (BlockEdgeTable, build_block_edge_table,
                        default_block_size, detect_four_russians, detect_naive,
                        list_row_and)

@@ -138,11 +138,6 @@ class KPartiteGraph(PartLayout):
             for v in iter_bits((self.adjacency[u] & keep) >> (u + 1)):
                 yield (u, u + 1 + v)
 
-    def edge_count(self) -> int:
-        keep = self._vertex_mask()
-        return sum((self.adjacency[u] & keep).bit_count()
-                   for u in iter_bits(keep)) // 2
-
     # -- construction ------------------------------------------------------
 
     @classmethod

@@ -12,20 +12,20 @@ L-bit compact representation; the table of a block tuple lists its
 (k-1)-hypercliques with the bits each requires, found by the same DFS
 over parts 1..k-1, so each comparison tests a few masks.
 
-Each (r-1)-tuple of parts 1..k-1 is placed once per call: its segment key
-(I, j_I) and its bit.  The segment cache groups G_v's segments by key, with
-the mask of the part-0 vertices that have one there; the probe walks only
-the vertices in some mask, visits a block tuple for v only if v lies in
-the AND of its keys' masks, ORs the rep together from int-keyed lookups,
-and yields its hits in block-major order.
+Each (r-1)-tuple of parts 1..k-1 is placed once per call by
+``BlockGeometry.tuple_bit``, the only writer of the layout: its segment key
+(I, j_I) and its bit.  The segment cache groups G_v's segments by key,
+with the mask of the part-0 vertices that have one there; the probe walks
+only the vertices in some mask, visits a block tuple for v only if v lies
+in the AND of its keys' masks, ORs the rep together from int-keyed
+lookups, and yields its hits in block-major order.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bitops import bits_to_list, iter_bits
 from .core import UniformHypergraph
@@ -89,14 +89,6 @@ def choose_block_size(n: int, k: int, r: int) -> HypercliqueParams:
 # -- compact representation ------------------------------------------------
 
 
-def _blocks_of_part(H: UniformHypergraph, part: int, s: int) -> List[range]:
-    start = H.part_start[part]
-    size = H.part_sizes[part]
-    out = [range(start + lo, start + min(lo + s, size))
-           for lo in range(0, size, s)]
-    return out or [range(start, start)]
-
-
 def table_bytes(H: UniformHypergraph, params: HypercliqueParams) -> int:
     """Estimated bytes (8 per word) of the geometry, tables and probe plan,
     from the sizes alone: C(k-1, r-1) index sets and segment offsets, and
@@ -125,7 +117,8 @@ def check_table_budget(H: UniformHypergraph,
 
 
 class BlockGeometry:
-    """Block decomposition of parts 1..k-1 plus segment offsets.
+    """Block decomposition of parts 1..k-1 plus segment offsets; its
+    ``tuple_bit`` is the one place the compact layout is written.
 
     Read from H's part layout, so nothing is built per vertex: vertex u of
     part p >= 1 sits in slot p - 1, block ``(u - part_start[p]) // s``, at
@@ -135,18 +128,20 @@ class BlockGeometry:
 
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
         check_table_budget(H, params)
-        self.params = params
         self.s = params.s
         self.part_start = H.part_start
-        self.blocks = [_blocks_of_part(H, p, params.s)
-                       for p in range(1, H.k)]          # slot -> block list
         self.index_sets = params.index_sets
         self.seg_offset = {I: idx * params.segment_length
                            for idx, I in enumerate(self.index_sets)}
 
     def tuple_bit(self, verts: Sequence[int]) -> Tuple[Tuple[int, ...],
                                                        Tuple[int, ...], int]:
-        """For a cross-slot (r-1)-tuple: (I, block indices, bit position)."""
+        """For a cross-slot (r-1)-tuple: (I, block indices, bit position).
+
+        The bit lies in I's segment, the ``index_sets.index(I)``-th run of
+        s^(r-1) bits, at the offsets of the tuple's vertices read as base-s
+        digits, the lowest slot most significant.
+        """
         start, s = self.part_start, self.s
         I, jI, pos = (), (), 0
         for u in sorted(verts):
@@ -155,52 +150,6 @@ class BlockGeometry:
             block, local = divmod(u - start[slot + 1], s)
             I, jI, pos = I + (slot,), jI + (block,), pos * s + local
         return I, jI, self.seg_offset[I] + pos
-
-
-def encode_compact(edges: Iterable[Tuple[int, ...]], geometry: BlockGeometry,
-                   block_tuple: Tuple[int, ...]) -> int:
-    """L-bit encoding of an (r-1)-uniform hypergraph living on one block
-    tuple.  Edges are given as tuples of global ids of parts 1..k-1."""
-    rep = 0
-    for e in edges:
-        I, jI, bit = geometry.tuple_bit(e)
-        expect = tuple(block_tuple[slot] for slot in I)
-        if jI != expect:
-            raise InvalidParameterError(
-                f"edge {tuple(e)} lies outside block tuple {block_tuple}")
-        rep |= 1 << bit
-    return rep
-
-
-def decode_compact(rep: int, geometry: BlockGeometry,
-                   block_tuple: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
-    """Inverse of encode_compact: the set of sorted global-id edge tuples."""
-    s = geometry.s
-    rm1 = geometry.params.r - 1
-    out: Set[Tuple[int, ...]] = set()
-    seg_len = geometry.params.segment_length
-    for I in geometry.index_sets:
-        base = geometry.seg_offset[I]
-        seg = (rep >> base) & ((1 << seg_len) - 1)
-        while seg:
-            low = seg & -seg
-            pos = low.bit_length() - 1
-            seg ^= low
-            locals_rev = []
-            p = pos
-            for _ in range(rm1):
-                locals_rev.append(p % s)
-                p //= s
-            verts = []
-            for t, slot in enumerate(I):
-                local = locals_rev[rm1 - 1 - t]
-                block = geometry.blocks[slot][block_tuple[slot]]
-                if local >= len(block):
-                    raise InvalidParameterError(
-                        "set bit in zero-padded block position")
-                verts.append(block[local])
-            out.add(tuple(sorted(verts)))
-    return out
 
 
 # -- lookup tables ---------------------------------------------------------

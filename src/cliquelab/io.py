@@ -28,12 +28,14 @@ by one space, the ids are converted a chunk at a time, each touched
 vertex's row is built once (``core.fill_rows``), and the ids' range,
 duplicates and intra-part edges are checked on the whole structure at
 once.  Any other section (comments, blank lines, other whitespace, too
-few lines) or any failed check drops that work, and the line parser runs
-over the text read and then the rest of the stream: it alone knows which
-line is the first bad one, so every error keeps its exact text and line
-number, and it alone reads non-canonical whitespace.  The text read is
-split into lines at newline characters, as a text stream with universal
-newlines is.  Either way a file costs one row slot per declared vertex
+few lines) or any failed check drops that work, seeks the stream back to
+the start of the edge section and runs the line parser over it: it alone
+knows which line is the first bad one, so every error keeps its exact text
+and line number, and it alone reads non-canonical whitespace and line ends
+other than ``\n``.  The header is read with ``readline``, which keeps a
+file's ``tell`` allowed.  A stream that cannot seek, or whose first line
+does not end in a bare ``\n`` (so it may not split lines there), takes the
+line parser at once.  Either way a file costs one row slot per declared vertex
 plus O(m), and no big-int copy per edge.  Hypergraph files always take
 the line parser.
 """
@@ -66,14 +68,17 @@ def _ints(toks: List[str], lineno: int) -> List[int]:
 
 def parse(stream: TextIO) -> Union[KPartiteGraph, UniformHypergraph]:
     """Parse either format, dispatching on the header keyword."""
-    lines = enumerate(stream, start=1)
+    # A line that ends in a bare \n shows that the stream splits at \n.
+    first = stream.readline()
+    at_newline = first.endswith("\n") and not first.endswith("\r\n")
+    lines = enumerate(chain([first], iter(stream.readline, "")), start=1)
     it = _tokens(lines)
     try:
         lineno, toks = next(it)
     except StopIteration:
         raise ParseError("empty input", 1)
     if toks[0] == "kpartite":
-        return _parse_graph(stream, it, toks, lineno)
+        return _parse_graph(stream, it, toks, lineno, at_newline)
     if toks[0] == "hypergraph":
         return _parse_hypergraph(it, toks, lineno)
     raise ParseError(f"unknown header {toks[0]!r}", lineno)
@@ -121,7 +126,8 @@ def _parse_edge_count(it) -> Tuple[int, int]:
     return lineno, m
 
 
-def _parse_graph(stream, it, header, header_line) -> KPartiteGraph:
+def _parse_graph(stream, it, header, header_line,
+                 at_newline: bool) -> KPartiteGraph:
     if len(header) != 2:
         raise ParseError("expected 'kpartite <k>'", header_line)
     (k,) = _ints(header[1:], header_line)
@@ -131,12 +137,15 @@ def _parse_graph(stream, it, header, header_line) -> KPartiteGraph:
     edges_line, m = _parse_edge_count(it)
     g = KPartiteGraph(sizes)
     # ``it`` stops right after the edges line, so ``stream`` resumes at
-    # the first edge line.
-    read = []
-    tail = _edges_from_buffer(g, m, stream, read)
+    # the first edge line.  The buffer needs a stream that splits at \n
+    # and can seek back, unless m = 0: then it reads nothing.
+    start = stream.tell() if at_newline and stream.seekable() else None
+    tail = (_edges_from_buffer(g, m, stream) if start is not None or not m
+            else None)
     if tail is None:
-        lines = enumerate(chain(StringIO("".join(read)), stream),
-                          edges_line + 1)
+        if start is not None:
+            stream.seek(start)
+        lines = enumerate(stream, edges_line + 1)
         _edges_from_lines(g, m, lines)
     else:
         lines = enumerate(chain(StringIO(tail), stream), edges_line + 1 + m)
@@ -147,12 +156,11 @@ def _parse_graph(stream, it, header, header_line) -> KPartiteGraph:
 _CHUNK = 1 << 16            # characters of edge lines read at a time
 
 
-def _edges_from_buffer(g: KPartiteGraph, m: int, stream,
-                       read: List[str]) -> Optional[str]:
+def _edges_from_buffer(g: KPartiteGraph, m: int, stream) -> Optional[str]:
     """Fill ``g``'s rows from the next m lines of ``stream`` and return
     the text read past them, if each is ``<digits> <digits>`` and a
-    newline and the edges are valid; else return None.  Every piece read
-    is appended to ``read``.
+    newline, the text past them holds no ``\r`` (which a stream may or
+    may not split lines at) and the edges are valid; else return None.
 
     A canonical line holds two ids below n, so m of them take at most
     ``m·(2·len(str(n)) + 2)`` characters: no more is read, plus the rest
@@ -171,7 +179,6 @@ def _edges_from_buffer(g: KPartiteGraph, m: int, stream,
         chunk = stream.read(min(_CHUNK, budget))
         if chunk[-1:] != "\n":
             chunk += stream.readline()
-        read.append(chunk)
         budget -= len(chunk)
         lines = chunk.count("\n")
         if lines >= left:       # the m-th line ends in this chunk
@@ -206,6 +213,8 @@ def _edges_from_buffer(g: KPartiteGraph, m: int, stream,
             neighbours[u].append(v)
             neighbours[v].append(u)
         left -= lines
+    if "\r" in tail:
+        return None
     # Past this point the m lines are the line parser's m edges, so a
     # failed check means that parser raises: the rows need no undoing.
     adj = g.adjacency

@@ -1,5 +1,5 @@
-"""Densities, weak (Frieze-Kannan style) regularity partitions, and a
-sampled pseudoregularity checker.
+"""Exact edge counts, weak (Frieze-Kannan style) regularity partitions, and
+a sampled pseudoregularity checker.
 
 The partitioner works on the bipartite view G[V2 u V3] of a 3-part graph.
 It starts from one piece per side and iteratively refines by the worst
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .bitops import iter_bits, mask_from_vertices
+from .bitops import iter_bits
 from .core import KPartiteGraph
 from .errors import InvalidParameterError
 
@@ -35,10 +35,6 @@ def default_epsilon(n_total: int) -> float:
     return min(hi, max(lo, 1.0 / math.sqrt(math.log2(n_total))))
 
 
-def _as_mask(S) -> int:
-    return S if isinstance(S, int) else mask_from_vertices(S)
-
-
 def _pair_count(G: KPartiteGraph, S: int, T: int) -> int:
     """Ordered pair count |{(u,v) in E : u in S, v in T}|."""
     total = 0
@@ -51,21 +47,11 @@ def _pair_count(G: KPartiteGraph, S: int, T: int) -> int:
     return total
 
 
-def edge_count_between(G: KPartiteGraph, S, T) -> int:
-    """Exact e(S, T) for disjoint vertex sets, via word-AND popcounts."""
-    Sm, Tm = _as_mask(S), _as_mask(T)
-    if Sm & Tm:
+def edge_count_between(G: KPartiteGraph, S: int, T: int) -> int:
+    """Exact e(S, T) for disjoint vertex masks, via word-AND popcounts."""
+    if S & T:
         raise InvalidParameterError("S and T must be disjoint")
-    return _pair_count(G, Sm, Tm)
-
-
-def density(G: KPartiteGraph, S, T) -> Fraction:
-    """delta(S, T) = e(S, T) / (|S| * |T|), exact rational."""
-    Sm, Tm = _as_mask(S), _as_mask(T)
-    ns, nt = Sm.bit_count(), Tm.bit_count()
-    if ns == 0 or nt == 0:
-        raise InvalidParameterError("S and T must be nonempty")
-    return Fraction(edge_count_between(G, Sm, Tm), ns * nt)
+    return _pair_count(G, S, T)
 
 
 @dataclass
@@ -116,10 +102,6 @@ class SampledCheckReport:
     violations: int
     max_error: float       # max |e(S,T) - estimate| / n^2
     worst_pair: Optional[Tuple[int, int]] = None   # (S, T) masks
-
-    @property
-    def pass_fraction(self) -> float:
-        return 1.0 - self.violations / self.samples
 
 
 def _density_matrix(G: KPartiteGraph, pieces: List[int]) -> List[List[Fraction]]:

@@ -56,9 +56,9 @@ def test_genspec_validation():
 
 def test_gnp_extremes():
     g0 = generate(GenSpec("gnp-kpartite", 4, 3, 0.0, 1)).graph
-    assert g0.edge_count() == 0
+    assert not any(g0.edges())
     g1 = generate(GenSpec("gnp-kpartite", 4, 3, 1.0, 1)).graph
-    assert g1.edge_count() == 3 * 16
+    assert len(list(g1.edges())) == 3 * 16
     g1.validate()
 
 

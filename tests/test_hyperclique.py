@@ -17,8 +17,7 @@ from cliquelab.generate import GenSpec, generate
 from cliquelab.hyperclique import (BlockGeometry, HypercliqueParams,
                                    _link_masks, build_tables,
                                    choose_block_size, compress_all,
-                                   decode_compact, detect_hyperclique,
-                                   encode_compact, formula_block_side,
+                                   detect_hyperclique, formula_block_side,
                                    list_hypercliques)
 from cliquelab.kclique import detect_kclique
 from cliquelab.oracles import brute_hypercliques, brute_kclique
@@ -88,50 +87,21 @@ def test_choose_block_size_guard():
 
 
 def test_segment_encoding_row_major_example():
-    # s=2, r-1=2: edges at local (0,0) and (1,1) give segment bits 1001;
+    # s=2, r-1=2: edges at local (0,0) and (1,1) take segment bits 0 and 3;
     # the first index-set segment sits in the low bits of the rep
     h = UniformHypergraph(3, [1, 2, 2, 1])
-    params = HypercliqueParams(s=2, k=4, r=3)
-    geo = BlockGeometry(h, params)
-    edges = {(1, 3), (2, 4)}     # locals (0,0) and (1,1) in parts 1 and 2
-    rep = encode_compact(edges, geo, (0, 0, 0))
-    assert rep == 0b1001
-    assert decode_compact(rep, geo, (0, 0, 0)) == edges
-
-
-def test_encode_rejects_out_of_block_vertex():
-    h = UniformHypergraph(3, [1, 4, 4, 1])
     geo = BlockGeometry(h, HypercliqueParams(s=2, k=4, r=3))
-    with pytest.raises(InvalidParameterError):
-        encode_compact({(1, 7)}, geo, (0, 0, 0))    # vertex 7 is in block 1
+    # locals (0,0) and (1,1) in parts 1 and 2
+    assert geo.tuple_bit((1, 3)) == ((0, 1), (0, 0), 0)
+    assert geo.tuple_bit((2, 4)) == ((0, 1), (0, 0), 3)
 
 
-def test_decode_rejects_padded_bit():
-    h = UniformHypergraph(3, [1, 3, 3, 1])       # last blocks are short
-    geo = BlockGeometry(h, HypercliqueParams(s=2, k=4, r=3))
-    # bit for local pair (1,1) in block tuple (1,1,0) addresses padding
-    with pytest.raises(InvalidParameterError):
-        decode_compact(0b1000, geo, (1, 1, 0))
-
-
-def test_roundtrip_random_subgraphs():
-    rng = random.Random(0)
-    h = UniformHypergraph(3, [2, 5, 4, 5])
-    params = HypercliqueParams(s=2, k=4, r=3)
-    geo = BlockGeometry(h, params)
-    for _ in range(300):
-        j = tuple(rng.randrange(len(geo.blocks[slot])) for slot in range(3))
-        edges = set()
-        for _ in range(rng.randrange(5)):
-            slots = sorted(rng.sample(range(3), 2))
-            verts = []
-            for slot in slots:
-                block = geo.blocks[slot][j[slot]]
-                verts.append(block[rng.randrange(len(block))])
-            edges.add(tuple(sorted(verts)))
-        rep = encode_compact(edges, geo, j)
-        assert decode_compact(rep, geo, j) == edges
-        assert rep.bit_length() <= params.L
+def blocks_of(h, s):
+    """Per slot (part p >= 1 is slot p - 1), its blocks of s ids in order,
+    the last one short, read from the part layout."""
+    return [[range(lo, min(lo + s, start + size))
+             for lo in range(start, start + size, s)]
+            for start, size in zip(h.part_start[1:], h.part_sizes[1:])]
 
 
 def test_tables_edgeless_and_complete():
@@ -153,29 +123,20 @@ def test_table_entries_match_exhaustive_check():
     params = HypercliqueParams(s=2, k=4, r=3)
     tables = build_tables(h, params)
     geo = tables.geometry
+    blocks = blocks_of(h, 2)
     for _ in range(300):
-        j = tuple(rng.randrange(len(geo.blocks[slot])) for slot in range(3))
+        j = tuple(rng.randrange(len(blocks[slot])) for slot in range(3))
         rep = rng.getrandbits(params.L)
         got = set(tables.entry(j, rep))
-        decoded = decode_compact(
-            rep & _settable_mask(geo, j, params), geo, j)
+        # the rep holds a pair iff its bit is set; bits of no pair of j
+        # (padding) hold nothing
         want = set()
-        for cand in product(*[geo.blocks[slot][j[slot]] for slot in range(3)]):
+        for cand in product(*[blocks[slot][j[slot]] for slot in range(3)]):
             if h.is_hyperclique(cand) and all(
-                    tuple(sorted(sub)) in decoded
+                    rep >> geo.tuple_bit(sub)[2] & 1
                     for sub in combinations(cand, 2)):
                 want.add(cand)
         assert got == want
-
-
-def _settable_mask(geo, j, params):
-    """Bits of the rep addressing real (non padded) positions."""
-    mask = 0
-    for I in geo.index_sets:
-        for verts in product(*[geo.blocks[slot][j[slot]] for slot in I]):
-            _, _, bit = geo.tuple_bit(verts)
-            mask |= 1 << bit
-    return mask
 
 
 def test_table_memory_guard():
@@ -200,17 +161,19 @@ def test_compress_all_matches_direct_encoding():
         for v in h.part_vertices(0):
             gv_edges = [tuple(u for u in e if u != v)
                         for e in h.edges if v in e]
-            for j in product(*[range(len(b)) for b in geo.blocks]):
-                direct = [e for e in gv_edges
-                          if geo.tuple_bit(e)[1] ==
-                          tuple(j[slot] for slot in geo.tuple_bit(e)[0])]
+            for j in product(*[range(len(b)) for b in blocks_of(h, 2)]):
+                direct = 0
+                for e in gv_edges:
+                    I, jI, bit = geo.tuple_bit(e)
+                    if jI == tuple(j[slot] for slot in I):
+                        direct |= 1 << bit
                 rep = 0
                 for I in geo.index_sets:
                     jI = tuple(j[slot] for slot in I)
                     mask, segs = cache.get((I, jI), (0, {}))
                     assert (mask >> v) & 1 == (v in segs)
                     rep |= segs.get(v, 0)
-                assert rep == encode_compact(direct, geo, j)
+                assert rep == direct
 
 
 def _count_builds(monkeypatch):
@@ -403,3 +366,27 @@ def test_default_listing_is_sorted_oracle_prefix(case):
     assert res.witnesses == want[:t]
     assert res.truncated == (t is not None and len(want) > t)
     assert detect_hyperclique(h, h.k) == bool(want)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hyper_cases())
+def test_tuple_bit_is_injective_inside_segments(case):
+    # on every block tuple (an empty part has one empty block), distinct
+    # cross-slot (r-1)-tuples take distinct bits, each in its index set's
+    # segment and below L, and the block indices of j
+    h, s, _ = case
+    params = HypercliqueParams(s=s, k=h.k, r=h.r)
+    geo = BlockGeometry(h, params)
+    width = params.segment_length
+    for j in product(*[list(enumerate(b)) or [(0, range(0))]
+                       for b in blocks_of(h, s)]):
+        seen = {}
+        for I in params.index_sets:
+            for verts in product(*[j[slot][1] for slot in I]):
+                got_I, jI, bit = geo.tuple_bit(verts)
+                assert got_I == I
+                assert jI == tuple(j[slot][0] for slot in I)
+                assert geo.seg_offset[I] <= bit < geo.seg_offset[I] + width
+                assert bit < params.L
+                assert seen.setdefault(bit, verts) == verts

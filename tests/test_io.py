@@ -304,14 +304,14 @@ def test_generated_hypergraph_digests_pinned(spec, digest):
 
 # -- the edge-section buffer and the line parser ------------------------------
 
-def _line_by_line(text: str, sizes):
+def _line_by_line(lines, sizes):
     """Rows, or (error text, line), from reading a graph file's edge lines
     one at a time with the checks in the parser's order: integers, token
-    count, range, duplicate, intra-part.  The header must be canonical:
-    ``kpartite``, one ``part`` line per part, ``edges``."""
+    count, range, duplicate, intra-part.  ``lines`` are the file's lines;
+    the header must be canonical: ``kpartite``, one ``part`` line per
+    part, ``edges``."""
     g = KPartiteGraph(sizes)
     n, k = g.n_total, len(sizes)
-    lines = text.split("\n")
     left = int(lines[k + 1].split()[1])
     seen, edges = set(), []
     for lineno, raw in enumerate(lines[k + 2:], k + 3):
@@ -341,10 +341,10 @@ def _line_by_line(text: str, sizes):
     return KPartiteGraph.from_edges(sizes, edges).adjacency
 
 
-def _parsed(text: str):
+def _parsed(stream):
     """``parse``'s rows, or (error text, line) of its ``ParseError``."""
     try:
-        return parse(io.StringIO(text)).adjacency
+        return parse(stream).adjacency
     except ParseError as exc:
         return str(exc).split(": ", 1)[1], exc.line
 
@@ -436,36 +436,120 @@ def _mutations(g: KPartiteGraph, lines, rng):
     return cases
 
 
-@settings(max_examples=150, deadline=None)
-@given(canonical_graph_files(), st.integers(0, 2 ** 32 - 1), _CHUNKS)
-def test_non_canonical_edge_sections_parse_line_by_line(case, seed, chunk):
-    from cliquelab import io as graphio
+def _mutated_files(case, seed):
+    """(name, file) for each mutation of a canonical file's edge lines,
+    declaring the canonical and the mutated edge count."""
     text, sizes, edges = case
     head, body = text.split(f"edges {len(edges)}\n")
     lines = body.split("\n")[:-1]
     g = KPartiteGraph(sizes)
     if not g.n_total:
         return
-    rng = random.Random(seed)
+    for name, mutated in _mutations(g, lines, random.Random(seed)).items():
+        for declared in {len(edges), len(mutated)}:
+            yield name, (head + f"edges {declared}\n"
+                         + "".join(line + "\n" for line in mutated))
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_graph_files(), st.integers(0, 2 ** 32 - 1), _CHUNKS)
+def test_non_canonical_edge_sections_parse_line_by_line(case, seed, chunk):
+    from cliquelab import io as graphio
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphio, "_CHUNK", chunk)
-        for name, mutated in _mutations(g, lines, rng).items():
-            for declared in {len(edges), len(mutated)}:
-                file = (head + f"edges {declared}\n"
-                        + "".join(line + "\n" for line in mutated))
-                assert _parsed(file) == _line_by_line(file, sizes), name
+        for name, file in _mutated_files(case, seed):
+            assert (_parsed(io.StringIO(file))
+                    == _line_by_line(file.split("\n"), case[1])), name
+
+
+def test_bare_cr_line_ends_parse_as_lines():
+    text = "kpartite 3\rpart 1\rpart 1\rpart 1\redges 2\r0 1\r1 2\r"
+    for newline in ("", "\r"):
+        g = parse(io.StringIO(text, newline=newline))
+        assert g.adjacency == [2, 5, 2]
+    # a "\r" stream does not end a line at "\n"
+    data = b"kpartite 2\rpart 2\rpart 2\redges 2\r0 2\n1 3\n"
+    stream = io.TextIOWrapper(io.BytesIO(data), "ascii", newline="\r")
+    assert _parsed(stream) == ("expected '<u> <v>'", 5)
+
+
+def _streams(text: str, end: str):
+    """``text`` with every line end made ``end``, opened as text files with
+    universal newlines and with newline ``end``, and as StringIOs with
+    newline "" and "\n".  A "\n" stream reads a file of bare "\r" as one
+    line, so it is left out there."""
+    text = text.replace("\n", end)
+    data = text.encode("utf-8", "surrogateescape")
+    for newline in (None, end):
+        yield io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape",
+                               newline)
+    yield io.StringIO(text, newline="")
+    if end == "\r\n":
+        yield io.StringIO(text, newline="\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_graph_files(), st.integers(0, 2 ** 32 - 1), _CHUNKS)
+def test_cr_and_crlf_files_parse_as_the_stream_splits_lines(case, seed,
+                                                             chunk):
+    # each stream is compared with the line parser over its own lines
+    from cliquelab import io as graphio
+    files = [("canonical", case[0]), *_mutated_files(case, seed)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_CHUNK", chunk)
+        for name, file in files:
+            for end in ("\r", "\r\n"):
+                for stream, again in zip(_streams(file, end),
+                                         _streams(file, end)):
+                    assert (_parsed(stream)
+                            == _line_by_line(list(again), case[1])), name
+
+
+class _Unseekable(io.BytesIO):
+    def seekable(self) -> bool:
+        return False
+
+
+@settings(max_examples=50, deadline=None)
+@given(canonical_graph_files(), st.integers(0, 2 ** 32 - 1))
+def test_unseekable_stream_takes_the_line_parser(case, seed):
+    from cliquelab import io as graphio
+    real = graphio._edges_from_buffer
+
+    def empty_only(g, m, stream):
+        assert m == 0, "an unseekable stream reached the buffer"
+        return real(g, m, stream)
+    files = [("canonical", case[0]), *_mutated_files(case, seed)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_edges_from_buffer", empty_only)
+        for name, file in files:
+            data = file.encode("utf-8", "surrogateescape")
+            stream = io.TextIOWrapper(_Unseekable(data), "utf-8",
+                                      "surrogateescape")
+            assert (_parsed(stream)
+                    == _line_by_line(file.split("\n"), case[1])), name
 
 
 class _CountingReader:
-    """A text stream that counts the characters it hands out."""
+    """A text stream that counts how far into its text it has read."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, seekable: bool = True):
         self._inner = io.StringIO(text)
+        self._seekable = seekable
         self.chars = 0
 
     def _count(self, s: str) -> str:
-        self.chars += len(s)
+        self.chars = max(self.chars, self._inner.tell())
         return s
+
+    def seekable(self) -> bool:
+        return self._seekable
+
+    def tell(self) -> int:
+        return self._inner.tell()
+
+    def seek(self, pos: int) -> int:
+        return self._inner.seek(pos)
 
     def read(self, size: int = -1) -> str:
         return self._count(self._inner.read(size))
@@ -481,31 +565,34 @@ class _CountingReader:
 
 
 def test_edge_section_read_is_bounded():
-    head = "kpartite 2\npart 3\npart 3\nedges 3\n0 3\n1 4\n2 5\n"
-    stream = _CountingReader(head + "1 3\n" * 10 ** 5)
-    with pytest.raises(ParseError) as exc:
-        parse(stream)
-    assert "content after the declared edges" in str(exc.value)
-    assert exc.value.line == 8
-    # the header, three lines of at most 2 * 1 + 2 characters, one more line
-    assert stream.chars <= len(head) + 4
-    # lines longer than canonical ones end the buffer at its bound too
-    padded = head.replace("\n0 3\n", "\n000000 3\n")
-    stream = _CountingReader(padded + "1 3\n" * 10 ** 5)
-    with pytest.raises(ParseError) as exc:
-        parse(stream)
-    assert exc.value.line == 8
-    assert stream.chars <= len(padded) + 4
-    huge = _CountingReader("kpartite 2\npart 1\npart 1\n"
-                           "edges 99999999999999999999\n0 1\n")
-    with pytest.raises(ParseError) as exc:
-        parse(huge)
-    assert "unexpected end of input" in str(exc.value)
-    assert exc.value.line == 0
+    # the buffer of a seekable stream and the line parser alike
+    for seekable in (True, False):
+        head = "kpartite 2\npart 3\npart 3\nedges 3\n0 3\n1 4\n2 5\n"
+        stream = _CountingReader(head + "1 3\n" * 10 ** 5, seekable)
+        with pytest.raises(ParseError) as exc:
+            parse(stream)
+        assert "content after the declared edges" in str(exc.value)
+        assert exc.value.line == 8
+        # the header, three lines of at most 2 * 1 + 2 characters, one more
+        assert stream.chars <= len(head) + 4
+        # lines longer than canonical ones end the buffer at its bound too
+        padded = head.replace("\n0 3\n", "\n000000 3\n")
+        stream = _CountingReader(padded + "1 3\n" * 10 ** 5, seekable)
+        with pytest.raises(ParseError) as exc:
+            parse(stream)
+        assert exc.value.line == 8
+        assert stream.chars <= len(padded) + 4
+        huge = _CountingReader("kpartite 2\npart 1\npart 1\n"
+                               "edges 99999999999999999999\n0 1\n",
+                               seekable)
+        with pytest.raises(ParseError) as exc:
+            parse(huge)
+        assert "unexpected end of input" in str(exc.value)
+        assert exc.value.line == 0
 
 
 def test_edge_section_from_a_file(tmp_path):
-    # a real text file: iteration over the header, then reads of the edges
+    # a real text file: readline over the header, then reads of the edges
     g = generate(GenSpec("gnp-kpartite", 30, 3, 0.5, 4)).graph
     buf = io.StringIO()
     write(g, buf)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cliquelab import regularity
-from cliquelab.bitops import iter_bits, mask_range
+from cliquelab.bitops import iter_bits, mask_from_vertices, mask_range
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.generate import GenSpec, generate
@@ -21,8 +21,7 @@ from cliquelab.regularity import (EPSILON_CLAMP, PseudoregularPartition,
                                   _density_matrix, _pair_count, _refine,
                                   _sample_disjoint_pair,
                                   check_pseudoregular_sampled, default_epsilon,
-                                  density, edge_count_between,
-                                  weak_regular_partition)
+                                  edge_count_between, weak_regular_partition)
 from tests.test_core import random_graph
 
 
@@ -47,14 +46,11 @@ def complete_bipartite(m):
 
 def test_edge_count_and_density_basic():
     G = complete_bipartite(4)
-    S, T = {0, 1, 2}, {4, 5, 6, 7}
+    S, T = 0b111, 0b11110000                 # {0, 1, 2} and {4, 5, 6, 7}
     assert edge_count_between(G, S, T) == 12
-    assert density(G, S, T) == 1
-    assert density(KPartiteGraph([4, 4]), S, T) == 0
+    assert edge_count_between(KPartiteGraph([4, 4]), S, T) == 0
     with pytest.raises(InvalidParameterError):
-        edge_count_between(G, {0, 1}, {1, 4})
-    with pytest.raises(InvalidParameterError):
-        density(G, set(), {4})
+        edge_count_between(G, 0b11, 0b10010)     # both hold vertex 1
 
 
 def test_edge_count_matches_double_loop():
@@ -64,7 +60,8 @@ def test_edge_count_matches_double_loop():
         S = {v for v in range(10) if rng.random() < 0.5}
         T = {v for v in range(10, 20) if rng.random() < 0.5}
         want = sum(1 for u in S for v in T if G.has_edge(u, v))
-        assert edge_count_between(G, S, T) == want
+        assert edge_count_between(G, mask_from_vertices(S),
+                                  mask_from_vertices(T)) == want
 
 
 def test_density_arithmetic_example():
@@ -74,7 +71,9 @@ def test_density_arithmetic_example():
     for u, v in pairs:
         G.adjacency[u] |= 1 << v
         G.adjacency[v] |= 1 << u
-    assert density(G, {0, 1, 2}, {3, 4, 5, 6}) == Fraction(1, 2)
+    S, T = 0b111, 0b1111000                  # {0, 1, 2} and {3, 4, 5, 6}
+    assert edge_count_between(G, S, T) == 6
+    assert _density_matrix(G, [S, T])[0][1] == Fraction(1, 2)
 
 
 def test_default_epsilon_clamped():
