@@ -44,8 +44,9 @@ def main() -> None:
     rep = 0
     for I in geo.index_sets:
         rep |= segments.get((I, (0, 0)), 0)
-    # the rep's pairs, read back from the placements tuple_bit made: those
-    # whose segment key lies in j0 and whose bit is set
+    # the rep's pairs, read back from the placements tuple_bit made for the
+    # tuples the engine read (G_v's among them): those whose segment key
+    # lies in j0 and whose bit is set
     pairs = sorted(sub for sub, ((I, jI), bit) in tables.placements.items()
                    if jI == tuple(j0[slot] for slot in I) and rep & bit)
     print(f"adjacency subgraph of vertex {v}: "

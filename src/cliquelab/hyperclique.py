@@ -12,13 +12,14 @@ L-bit compact representation; the table of a block tuple lists its
 (k-1)-hypercliques with the bits each requires, found by the same DFS
 over parts 1..k-1, so each comparison tests a few masks.
 
-Each (r-1)-tuple of parts 1..k-1 is placed once per call by
-``BlockGeometry.tuple_bit``, the only writer of the layout: its segment key
-(I, j_I) and its bit.  The segment cache groups G_v's segments by key,
-with the mask of the part-0 vertices that have one there; the probe walks
-only the vertices in some mask, visits a block tuple for v only if v lies
-in the AND of its keys' masks, ORs the rep together from int-keyed
-lookups, and yields its hits in block-major order.
+Each (r-1)-tuple of parts 1..k-1 is placed on its first read, once per
+call, by ``BlockGeometry.tuple_bit``, the only writer of the layout: its
+segment key (I, j_I) and its bit.  The segment cache groups G_v's
+segments, read off the hyperedges meeting part 0, by key, with the mask of
+the part-0 vertices that have one there; the probe walks only the vertices
+in some mask, visits a block tuple for v only if v lies in the AND of its
+keys' masks, ORs the rep together from int-keyed lookups, and yields its
+hits in block-major order.
 """
 
 import math
@@ -158,30 +159,37 @@ SegmentKey = Tuple[Tuple[int, ...], Tuple[int, ...]]      # (I, j_I)
 
 
 def _link_masks(H: UniformHypergraph) -> Dict[Tuple[int, ...], int]:
-    """Sorted (r-1)-tuple -> mask of the vertices completing it to a
-    hyperedge; the DFS of both engines ANDs them.  Built from ``H.edges``
-    once per listing, which callers may reassign or mutate."""
+    """Sorted (r-1)-tuple -> mask of the later vertices completing it, one
+    update per hyperedge: e[-1] under e[:-1], the only completions the DFS
+    reads.  Built from ``H.edges`` once per listing, which callers may
+    reassign or mutate."""
     links: Dict[Tuple[int, ...], int] = {}
-    rm1 = H.r - 1
     for e in H.edges:
-        # the i-th (r-1)-subset in lexicographic order omits e[-1 - i]
-        for key, w in zip(combinations(e, rm1), reversed(e)):
-            links[key] = links.get(key, 0) | (1 << w)
+        key = e[:-1]
+        links[key] = links.get(key, 0) | (1 << e[-1])
     return links
+
+
+class _Placements(dict):
+    """Tuple -> (segment key, one-bit int), by ``tuple_bit`` on first read."""
+
+    def __init__(self, geometry: BlockGeometry):
+        self.geometry = geometry
+
+    def __missing__(self, rest: Tuple[int, ...]) -> Tuple[SegmentKey, int]:
+        I, jI, bit = self.geometry.tuple_bit(rest)
+        self[rest] = placed = ((I, jI), 1 << bit)
+        return placed
 
 
 class HypercliqueTables:
     """Per populated block tuple j, the (k-1)-hypercliques of parts 1..k-1
     inside j with their required bits.
 
-    ``links`` are the link masks of H, ``part_masks`` are H's, and
-    ``placements`` maps every link key outside part 0 to its
-    segment key (I, j_I) and its representation bit (as a one-bit int);
-    each key is placed once, and the loop below and ``compress_all`` read
-    it.  ``entries[j]`` lists (required, cand) in lexicographic order of
-    cand, found by ``_dfs`` over parts 1..k-1: a vertex of the next slot
-    must complete every (r-1)-subset of the prefix, so it lies in all
-    their links.  required has the bit of every (r-1)-subset of cand.
+    ``edges`` are H's, for ``compress_all``; ``placements`` places each
+    tuple that it or the loop below reads, once.  ``entries[j]`` lists
+    (required, cand) in lexicographic order of cand, found by ``_dfs`` over
+    parts 1..k-1; required has the bit of every (r-1)-subset of cand.
     entry(j, rep) lists the tuples (v_2..v_k) in the block tuple that are
     (k-1)-hypercliques both in the induced subgraph G^j of the input and
     in the rep-encoded hypergraph: those whose required bits lie in rep.
@@ -189,21 +197,14 @@ class HypercliqueTables:
     """
 
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
-        self.geometry = geo = BlockGeometry(H, params)
-        self.links = links = _link_masks(H)
-        self.part_masks = part_masks = H.part_masks
-        self.placements: Dict[Tuple[int, ...], Tuple[SegmentKey, int]]
-        self.placements = placements = {}
-        for rest in links:
-            # sorted, so a key meeting part 0 starts there
-            if rest[0] >= H.part_sizes[0]:
-                I, jI, bit = geo.tuple_bit(rest)
-                placements[rest] = ((I, jI), 1 << bit)
+        self.geometry = BlockGeometry(H, params)
+        self.edges = H.edges
+        self.placements = placements = _Placements(self.geometry)
         self.entries: Dict[Tuple[int, ...],
                            List[Tuple[int, Tuple[int, ...]]]] = {}
         rm1 = H.r - 1
         starts, s = H.part_start[1:], params.s
-        for cand in _dfs(part_masks[1:], links, rm1, [()]):
+        for cand in _dfs(H.part_masks[1:], _link_masks(H), rm1, [()]):
             required = 0
             for sub in combinations(cand, rm1):
                 required |= placements[sub][1]
@@ -227,24 +228,22 @@ def compress_all(tables: HypercliqueTables
     bits is the segment of G_v^j for index set I, at its place in the
     representation, for every part-0 vertex v with a non-empty one; mask
     has the bit of each such v.  The representation of G_v^j is then the
-    OR of its C(k-1, r-1) segments.  Read from the link masks, part-0
-    mask and placements of ``tables``, so a listing places each tuple
-    once.
+    OR of its C(k-1, r-1) segments.  Each hyperedge e meeting part 0 gives
+    v = e[0] and G_v's tuple e[1:], placed through ``tables.placements``.
     """
-    links = tables.links
-    part0 = tables.part_masks[0]
+    end0 = tables.geometry.part_start[1]
+    placements = tables.placements
     segments: Dict[SegmentKey, Dict[int, int]] = {}
     masks: Dict[SegmentKey, int] = {}
-    for rest, (key, bit) in tables.placements.items():
-        # edges are cross-part, so only part-0-free keys have part-0
-        # completions
-        completions = links[rest] & part0
-        if not completions:
+    for e in tables.edges:
+        v = e[0]
+        # sorted, so an edge meeting part 0 starts there
+        if v >= end0:
             continue
-        masks[key] = masks.get(key, 0) | completions
+        key, bit = placements[e[1:]]
+        masks[key] = masks.get(key, 0) | (1 << v)
         segs = segments.setdefault(key, {})
-        for v in iter_bits(completions):
-            segs[v] = segs.get(v, 0) | bit
+        segs[v] = segs.get(v, 0) | bit
     return {key: (masks[key], segs) for key, segs in segments.items()}
 
 
@@ -265,9 +264,10 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
     if params is None:
         check_table_budget(H, choose_block_size(max(2, max(H.part_sizes)),
                                                 k, H.r))
+        links = _link_masks(H)
         # part 0 starts from the vertices in some hyperedge, not all of it
-        firsts = {e[0] for e in H.edges if e[0] < H.part_sizes[0]}
-        return result.take(_dfs(H.part_masks, _link_masks(H), H.r - 1,
+        firsts = {key[0] for key in links if key[0] < H.part_sizes[0]}
+        return result.take(_dfs(H.part_masks, links, H.r - 1,
                                 [(v,) for v in sorted(firsts, reverse=True)]))
     tables = build_tables(H, params)
     cache = compress_all(tables)

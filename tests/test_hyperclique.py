@@ -32,32 +32,37 @@ def complete_hypergraph(r, sizes):
     return h
 
 
-def link_subgraph(links, v):
-    """G_v read off the link masks: the (r-1)-tuples that v completes."""
-    return {sub for sub, mask in links.items() if (mask >> v) & 1}
+def part0_subgraph(h, v):
+    """G_v of a part-0 vertex v, as the table engine reads it: the tails
+    e[1:] of the hyperedges that start at v."""
+    return {e[1:] for e in h.edges if e[0] == v}
 
 
 def test_adjacency_subgraph_single_edge():
+    # the link map holds the edge once, under its head, with its last
+    # vertex; G_v comes from the edge's tail
     h = UniformHypergraph(3, [2, 2, 2, 2])
     h.add_edge((0, 2, 4))
-    links = _link_masks(h)
-    assert links == {(2, 4): 1 << 0, (0, 4): 1 << 2, (0, 2): 1 << 4}
-    assert link_subgraph(links, 0) == {(2, 4)}
-    assert link_subgraph(links, 1) == set()
+    assert _link_masks(h) == {(0, 2): 1 << 4}
+    assert part0_subgraph(h, 0) == {(2, 4)}
+    assert part0_subgraph(h, 1) == set()
 
 
 def test_adjacency_subgraph_matches_filter_scan():
     for seed in range(5):
         h = generate(GenSpec("gnp-hypergraph", 5, 4, 0.4, seed, r=3)).graph
         links = _link_masks(h)
-        assert set(links) == {e[:i] + e[i + 1:] for e in h.edges
-                              for i in range(3)}
+        # one bit per hyperedge, not one per (r-1)-subset of it
+        assert sum(mask.bit_count() for mask in links.values()) \
+            == len(h.edges)
+        assert set(links) == {e[:-1] for e in h.edges}
+        # each mask holds exactly the later vertices completing its key
         for sub, mask in links.items():
             assert mask == sum(1 << w for w in range(h.n_total)
-                               if tuple(sorted(sub + (w,))) in h.edges)
+                               if w > sub[-1] and sub + (w,) in h.edges)
         for v in h.part_vertices(0):
             want = {tuple(u for u in e if u != v) for e in h.edges if v in e}
-            assert link_subgraph(links, v) == want
+            assert part0_subgraph(h, v) == want
 
 
 def test_choose_block_size_arithmetic():
@@ -203,9 +208,15 @@ def _count_cases():
 def test_listing_builds_one_geometry_and_one_link_map(monkeypatch):
     # the tables, the segment cache and the probe plan share one geometry
     # and one set of link masks, and place each (r-1)-tuple of parts
-    # 1..k-1 at most once
+    # 1..k-1 at most once: exactly the tails of the part-0 hyperedges,
+    # which the segment cache reads, and the pairs of the table
+    # candidates, which their required bits read
     calls, placed = _count_builds(monkeypatch)
     for h, hits in _count_cases():
+        tails = {e[1:] for e in h.edges if h.part_of(e[0]) == 0}
+        pairs = {sub for cand in product(*map(h.part_vertices, (1, 2, 3)))
+                 if h.is_hyperclique(cand)
+                 for sub in combinations(cand, 2)}
         for s in (1, 2):
             calls.clear()
             placed.clear()
@@ -213,6 +224,7 @@ def test_listing_builds_one_geometry_and_one_link_map(monkeypatch):
             assert len(list_hypercliques(h, 4, params=params)) == hits
             assert calls == {"BlockGeometry": 1, "_link_masks": 1}
             assert placed and max(placed.values()) == 1
+            assert set(placed) == tails | pairs
             assert all(h.part_of(u) > 0 for sub in placed for u in sub)
 
 
@@ -285,6 +297,9 @@ def test_listing_matches_oracle_random():
 
 
 def test_observation_subgraph_equivalence():
+    # (v_1..v_k) is a hyperclique iff G_v holds every pair of the rest and
+    # the rest is one, and iff each vertex lies in the links of every pair
+    # before it, which is all the DFS reads
     rng = random.Random(30)
     for seed in range(5):
         h = generate(GenSpec("gnp-hypergraph", 4, 4, 0.6, seed, r=3)).graph
@@ -293,11 +308,14 @@ def test_observation_subgraph_equivalence():
             verts = tuple(h.part_vertices(i)[rng.randrange(h.part_sizes[i])]
                           for i in range(4))
             lhs = h.is_hyperclique(verts)
-            gv = link_subgraph(links, verts[0])
+            gv = part0_subgraph(h, verts[0])
             rest = verts[1:]
             rhs = (set(combinations(rest, 2)) <= gv
                    and h.is_hyperclique(rest))
             assert lhs == rhs
+            assert lhs == all(links.get(sub, 0) >> verts[d] & 1
+                              for d in range(2, 4)
+                              for sub in combinations(verts[:d], 2))
 
 
 def test_r2_cross_checks_kclique_module():
