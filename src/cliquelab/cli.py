@@ -18,7 +18,7 @@ from .core import KPartiteGraph, UniformHypergraph
 from .errors import (InvalidParameterError, ParseError, ResourceLimitError)
 from .generate import KINDS, GenSpec, generate
 from .hyperclique import detect_hyperclique, list_hypercliques
-from .kclique import RecursionParams, TraceNode, choose_params, find_kclique
+from .kclique import RecursionParams, TraceNode, find_kclique
 from .listing import list_triangles
 from .regularity import (RegularityConfig, check_pseudoregular_sampled,
                          default_epsilon, weak_regular_partition)
@@ -114,12 +114,11 @@ def cmd_list_triangles(args) -> int:
 def cmd_detect_clique(args) -> int:
     G = _load_graph(args.file)
     base = detect_naive if args.base == "naive" else detect_four_russians
+    params = None       # find_kclique's own choose_params default
     if args.alpha is not None or args.depth is not None:
         if args.alpha is None or args.depth is None:
             raise InvalidParameterError("--alpha and --depth go together")
         params = RecursionParams(depth_cap=args.depth, alpha=args.alpha)
-    else:
-        params = choose_params(max(2, G.n_total), args.k)
     trace: Optional[List[TraceNode]] = [] if args.trace else None
     witness = find_kclique(G, args.k, base, params, trace)
     payload = {"found": witness is not None}
@@ -286,16 +285,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ParseError, InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -2,7 +2,9 @@
 
 By default a DFS over link masks walks parts 0..k-1, narrows each next
 part to the AND of the links of the prefix's (r-1)-subsets, and yields
-the hits in lexicographic order for ``ListingResult.take`` to cut at t.
+the hits in lexicographic order for ``ListingResult.take`` to cut at t;
+its part 0 is narrowed to the heads of the link keys.  Both engines run
+``check_table_budget`` first; ``triangle.check_table_bytes`` checks bytes.
 
 With ``params`` the paper's compressed-table engine runs, as the
 reference: for each vertex v of part 0, the adjacency subgraph G_v (tuples
@@ -28,11 +30,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .bitops import bits_to_list, iter_bits
+from .bitops import bits_to_list, iter_bits, mask_from_vertices
 from .core import UniformHypergraph
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError
 from .oracles import UNBOUNDED, ListingResult
-from .triangle import table_byte_budget
+from .triangle import check_table_bytes
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,13 @@ def table_bytes(H: UniformHypergraph, params: HypercliqueParams) -> int:
 def check_table_budget(H: UniformHypergraph,
                        params: HypercliqueParams) -> None:
     """Raise unless params fit H and ``table_bytes`` fits the budget.  Both
-    engines run it first, as the DFS ANDs C(d, r-1) links at depth d."""
+    engines run it first: at s = 1 its block-tuple count, the product of
+    the sizes of parts 1..k-1, caps the prefixes the DFS can expand, the
+    levels below depth r-1 that no link prunes included."""
     params.validate()
     if H.k != params.k or H.r != params.r:
         raise InvalidParameterError("params do not match hypergraph shape")
-    need, budget = table_bytes(H, params), table_byte_budget()
-    if need > budget:
-        raise ResourceLimitError(
-            f"tables need ~{need} bytes, budget is {budget}",
-            required=need, allowed=budget)
+    check_table_bytes(table_bytes(H, params))
 
 
 class BlockGeometry:
@@ -204,7 +204,7 @@ class HypercliqueTables:
                            List[Tuple[int, Tuple[int, ...]]]] = {}
         rm1 = H.r - 1
         starts, s = H.part_start[1:], params.s
-        for cand in _dfs(H.part_masks[1:], _link_masks(H), rm1, [()]):
+        for cand in _dfs(H.part_masks[1:], _link_masks(H), rm1):
             required = 0
             for sub in combinations(cand, rm1):
                 required |= placements[sub][1]
@@ -265,37 +265,20 @@ def list_hypercliques(H: UniformHypergraph, k: int, t: Optional[int] = UNBOUNDED
         check_table_budget(H, choose_block_size(max(2, max(H.part_sizes)),
                                                 k, H.r))
         links = _link_masks(H)
-        # part 0 starts from the vertices in some hyperedge, not all of it
-        firsts = {key[0] for key in links if key[0] < H.part_sizes[0]}
-        return result.take(_dfs(H.part_masks, links, H.r - 1,
-                                [(v,) for v in sorted(firsts, reverse=True)]))
+        # every hit starts a link key, so part 0 narrows to the key heads
+        heads = mask_from_vertices({key[0] for key in links})
+        return result.take(_dfs([H.part_masks[0] & heads, *H.part_masks[1:]],
+                                links, H.r - 1))
     tables = build_tables(H, params)
-    cache = compress_all(tables)
-    # One record per populated j, in sorted order: the part-0 vertices
-    # with every segment of j non-empty (the AND of the keys' masks; every
-    # candidate has a required bit in every segment, so only they can
-    # hit) and the segment dicts.
-    plan = []
-    for j in sorted(tables.entries):
-        mask = H.part_masks[0]
-        segs = []
-        for I in tables.geometry.index_sets:
-            group = cache.get((I, tuple(map(j.__getitem__, I))))
-            if group is None:
-                break
-            mask &= group[0]
-            segs.append(group[1])
-        else:
-            if mask:
-                plan.append((j, mask, segs))
-    return result.take(_probe(plan, tables))
+    return result.take(_probe(tables, compress_all(tables), H.part_masks[0]))
 
 
 def _dfs(part_masks: Sequence[int], links: Dict[Tuple[int, ...], int],
-         rm1: int, stack: List[Tuple[int, ...]]) -> Iterator[Tuple[int, ...]]:
-    """Extend the prefixes on stack (last pops first) by one vertex of each
-    next part of part_masks, in the AND of the links of the prefix's
-    rm1-subsets, and yield the full tuples in lexicographic order."""
+         rm1: int) -> Iterator[Tuple[int, ...]]:
+    """Extend the empty prefix by one vertex of each next part of
+    part_masks, in the AND of the links of the prefix's rm1-subsets, and
+    yield the full tuples in lexicographic order."""
+    stack: List[Tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
         if len(prefix) == len(part_masks):
@@ -310,12 +293,26 @@ def _dfs(part_masks: Sequence[int], links: Dict[Tuple[int, ...], int],
         stack.extend(prefix + (u,) for u in reversed(bits_to_list(cands)))
 
 
-def _probe(plan, tables: HypercliqueTables) -> Iterator[Tuple[int, ...]]:
-    """Yield (v,) + cand for every table hit of every part-0 vertex v in
-    some plan mask, ascending in v, then in plan (j) order."""
-    reach = 0
-    for _, mask, _ in plan:
-        reach |= mask
+def _probe(tables: HypercliqueTables, cache: dict, part0: int
+           ) -> Iterator[Tuple[int, ...]]:
+    """Yield (v,) + cand for every table hit of every part-0 vertex v,
+    ascending in v, then in sorted j order.  A populated j is planned with
+    the ``part0`` vertices whose every segment of j is in ``cache`` (the AND
+    of the keys' masks: every candidate has a required bit in every
+    segment, so only they can hit); only v in some plan mask are walked."""
+    plan, reach = [], 0
+    for j in sorted(tables.entries):
+        mask, segs = part0, []
+        for I in tables.geometry.index_sets:
+            group = cache.get((I, tuple(map(j.__getitem__, I))))
+            if group is None:
+                break
+            mask &= group[0]
+            segs.append(group[1])
+        else:
+            if mask:
+                plan.append((j, mask, segs))
+                reach |= mask
     for v in iter_bits(reach):
         bit = 1 << v
         for j, mask, segs in plan:

@@ -325,21 +325,21 @@ def _bit_list(bits: int, offset: int) -> List[int]:
 
 
 def write(obj: Union[KPartiteGraph, UniformHypergraph], stream: TextIO) -> None:
-    """Write in the canonical text form (edges sorted ascending)."""
+    """Write in the canonical text form (edges sorted ascending).  A view
+    (``KPartiteGraph.restrict``) keeps its parent's ids, so it is refused."""
+    if obj.part_start is None:
+        raise InvalidParameterError("a view keeps its parent's ids")
     if isinstance(obj, KPartiteGraph):
         stream.write(f"kpartite {obj.k}\n")
         for s in obj.part_sizes:
             stream.write(f"part {s}\n")
         # Edge (u, v), u < v, in order of u, then v: each row's bits above
         # u, one string per row.  Rows without an edge are skipped in C.
-        keep = obj._vertex_mask()
         adj = obj.adjacency
         chunks = []
         m = 0
         for u in compress(range(len(adj)), adj):
-            if not keep >> u & 1:
-                continue
-            vs = _bit_list((adj[u] & keep) >> (u + 1), u + 1)
+            vs = _bit_list(adj[u] >> (u + 1), u + 1)
             if vs:
                 m += len(vs)
                 prefix = f"{u} "

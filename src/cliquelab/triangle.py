@@ -8,6 +8,7 @@ Three engines over 3-part graphs:
   of its part-2 neighbourhoods, so a part-0 vertex's question "is there an
   edge under my row?" is one lookup per block, OR'd, plus one AND.  Tables
   are keyed by block-local masks; b defaults to floor(log2(n) / 2).
+  ``check_table_bytes`` is the byte-budget guard of every table engine.
 * ``list_row_and`` -- output-sensitive listing by row ANDs, with no
   table: for each part-0 vertex v and each neighbour u in part 1, one AND
   of u's row with v's part-2 neighbourhood yields every w closing a
@@ -49,6 +50,15 @@ def table_byte_budget() -> int:
     return budget
 
 
+def check_table_bytes(need: int) -> None:
+    """Raise ``ResourceLimitError`` if ~need table bytes exceed the budget."""
+    budget = table_byte_budget()
+    if need > budget:
+        raise ResourceLimitError(
+            f"table needs ~{need} bytes, budget is {budget} (set "
+            f"{_ENV_BUDGET} to raise)", required=need, allowed=budget)
+
+
 def block_table_bytes(G: KPartiteGraph, b: int) -> int:
     """Estimated reach-table bytes at block size b: 2^b masks of
     ``len(adjacency)`` bits per part-1 block."""
@@ -61,8 +71,8 @@ def default_block_size(G: KPartiteGraph) -> int:
     build + query time on dense triangle-free graphs (96-1024 per part),
     stepped down while ``block_table_bytes`` exceeds the byte budget; at
     b = 1 ``BlockEdgeTable`` raises if the table still does not fit."""
-    b = max(1, (G.n_total.bit_length() - 1) // 2)
-    while b > 1 and block_table_bytes(G, b) > table_byte_budget():
+    b, budget = max(1, (G.n_total.bit_length() - 1) // 2), table_byte_budget()
+    while b > 1 and block_table_bytes(G, b) > budget:
         b -= 1
     return b
 
@@ -87,11 +97,7 @@ class BlockEdgeTable:
                 f"block size {b} needs 2^{b} reach entries per block, cap is "
                 f"2^{MAX_BLOCK_SIZE}",
                 required=b, allowed=MAX_BLOCK_SIZE)
-        need, budget = block_table_bytes(G, b), table_byte_budget()
-        if need > budget:
-            raise ResourceLimitError(
-                f"table needs ~{need} bytes, budget is {budget} (set "
-                f"{_ENV_BUDGET} to raise)", required=need, allowed=budget)
+        check_table_bytes(block_table_bytes(G, b))
         self.blocks = split_bits(G.part_masks[1], b)
         self.shifts = [(bl & -bl).bit_length() - 1 for bl in self.blocks]
 

@@ -38,7 +38,9 @@ def _listing_ok(got, want: set) -> bool:
 
 
 def _triangle_detect_ok(G: KPartiteGraph) -> bool:
-    return _witness_ok(G, detect_four_russians(G), detect_naive(G))
+    want = brute_kclique(G, 3)
+    return all(_witness_ok(G, detect(G), want)
+               for detect in (detect_four_russians, detect_naive))
 
 
 def _triangle_list_ok(G: KPartiteGraph) -> bool:

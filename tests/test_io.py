@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cliquelab.core import KPartiteGraph, UniformHypergraph
-from cliquelab.errors import ParseError, ResourceLimitError
+from cliquelab.errors import (InvalidParameterError, ParseError,
+                              ResourceLimitError)
 from cliquelab.generate import GenSpec, generate
 from cliquelab.io import MAX_DECLARED_VERTICES, parse, write
 
@@ -30,6 +31,16 @@ def test_graph_roundtrip_exact():
         # writing the parsed graph again is byte-identical
         _, text2 = roundtrip(back)
         assert text2 == text
+
+
+def test_write_refuses_a_view():
+    # The view's parts hold 1, 1 and 2 vertices under the parent's ids, so
+    # its file would declare 4 vertices with an edge "0 4".
+    g = KPartiteGraph.from_edges([2, 2, 2], [(0, 2), (2, 4), (0, 4), (1, 3)])
+    with pytest.raises(InvalidParameterError):
+        write(g.restrict(0b110101), io.StringIO())
+    back, text = roundtrip(g)
+    assert back.adjacency == g.adjacency and roundtrip(back)[1] == text
 
 
 def test_hypergraph_roundtrip_exact():

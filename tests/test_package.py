@@ -1,4 +1,5 @@
-"""Package exports: every name ``cliquelab`` exports is used by the code."""
+"""Package exports and imports: every name ``cliquelab`` exports is used
+by the code, and every name a module imports is read in it."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,21 @@ def test_every_export_runs_on_a_package_or_benchmark_path():
     paths = [*init.parent.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     used = set().union(*(_references(p) for p in paths if p != init))
     assert sorted(exported - used) == []
+
+
+def test_every_module_import_is_read():
+    unread = []
+    for path in sorted((ROOT / "src" / "cliquelab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            unread += [f"{path.name}: {name}" for name in
+                       (a.asname or a.name.split(".")[0] for a in node.names)
+                       if name not in read]
+    assert unread == []

@@ -134,6 +134,29 @@ def test_cli_clique_trace(tmp_path, capsys):
     assert traces[0] == traces[1]
 
 
+def test_cli_clique_default_params_are_choose_params(tmp_path, capsys):
+    # without --alpha/--depth the search runs at choose_params(n, k): the
+    # same stdout and trace as those values passed by hand
+    from cliquelab.kclique import choose_params
+    gpath = tmp_path / "c.txt"
+    run_cli(["gen", "--kind", "planted-clique", "--n", "8", "--k", "4",
+             "--p", "0.3", "--plant-count", "1", "--seed", "2",
+             "-o", str(gpath)], capsys)
+    with open(gpath) as fh:
+        auto = choose_params(max(2, parse(fh).n_total), 4)
+    runs = []
+    for flags in ([], ["--alpha", repr(auto.alpha),
+                       "--depth", str(auto.depth_cap)]):
+        tpath = tmp_path / f"trace{len(runs)}.json"
+        code, out = run_cli(["detect-clique", "--k", "4", "--witness",
+                             "--trace", str(tpath), *flags, str(gpath)],
+                            capsys)
+        assert code == 0
+        runs.append((out.replace(str(tpath), "TRACE"), tpath.read_text()))
+    assert runs[0] == runs[1]
+    assert "witness: [" in runs[0][0]
+
+
 def test_cli_witness_is_one_search(tmp_path, capsys, monkeypatch):
     from cliquelab import cli, kclique
     path = tmp_path / "k4.txt"
@@ -345,6 +368,23 @@ def test_cli_detect_triangle_exit_codes(tmp_path, capsys, monkeypatch, cmd,
         assert out == ""
     else:
         assert json.loads(out) == {"found": True, "witness": [0, 3, 6]}
+
+
+# "tri" needs 12 table bytes at b = 1, "hyper" 496 at s = 1
+@pytest.mark.parametrize("cmd, fname, need", [
+    (["detect-triangle", "--algo", "fr"], "tri", 12),
+    (["detect-hyperclique", "--k", "4"], "hyper", 496),
+    (["list-hypercliques", "--k", "4"], "hyper", 496),
+])
+def test_cli_table_engines_refuse_with_one_text(tmp_path, capsys, monkeypatch,
+                                                cmd, fname, need):
+    path = tmp_path / f"{fname}.txt"
+    path.write_text({**TRIANGLE_FILES, **HYPER_FILES}[fname])
+    monkeypatch.setenv("CLIQUELAB_MAX_TABLE_BYTES", "10")
+    assert main(cmd + [str(path)]) == 3
+    assert capsys.readouterr() == ("", (
+        f"error: table needs ~{need} bytes, budget is 10 (set "
+        "CLIQUELAB_MAX_TABLE_BYTES to raise)\n"))
 
 
 LIST_FILES = {
@@ -652,6 +692,20 @@ def test_verify_triangle_detect_rejects_non_triangle_witness(monkeypatch):
     report = run_verify("triangle-detect",
                         gnp_sweep("gnp-kpartite", 6, 3, [0.6], range(3)))
     assert not report.ok
+
+
+def test_verify_triangle_detect_checks_against_the_oracle(monkeypatch):
+    # two detectors that agree with each other and miss every triangle
+    from cliquelab import verify as vmod
+    from cliquelab.oracles import brute_kclique
+    monkeypatch.setattr(vmod, "detect_four_russians", lambda g: None)
+    monkeypatch.setattr(vmod, "detect_naive", lambda g: None)
+    specs = gnp_sweep("gnp-kpartite", 6, 3, [0.2, 0.6], range(2))
+    with_triangle = [spec for spec in specs
+                     if brute_kclique(generate(spec).graph, 3) is not None]
+    assert with_triangle
+    report = run_verify("triangle-detect", specs)
+    assert [fail.spec for fail in report.failures] == with_triangle
 
 
 @pytest.mark.parametrize("fault", ["part-order", "non-edge"])
