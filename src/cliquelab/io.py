@@ -21,28 +21,35 @@ before any row is allocated.  Part membership is read from the part
 bounds, not from a per-vertex table, so a hypergraph costs O(m) memory
 beyond one bit per declared vertex.
 
-A graph's edge section is first read as a buffer, in chunks: at most as
-many characters as m canonical lines ``<u> <v>`` can take, plus the rest
-of the last line.  If its first m lines are all two runs of digits split
-by one space, the ids are converted a chunk at a time, each touched
-vertex's row is built once (``core.fill_rows``), and the ids' range,
-duplicates and intra-part edges are checked on the whole structure at
-once.  Any other section (comments, blank lines, other whitespace, too
-few lines) or any failed check drops that work, seeks the stream back to
-the start of the edge section and runs the line parser over it: it alone
-knows which line is the first bad one, so every error keeps its exact text
-and line number, and it alone reads non-canonical whitespace and line ends
-other than ``\n``.  The header is read with ``readline``, which keeps a
-file's ``tell`` allowed.  A stream that cannot seek, or whose first line
-does not end in a bare ``\n`` (so it may not split lines there), takes the
-line parser at once.  Either way a file costs one row slot per declared vertex
-plus O(m), and no big-int copy per edge.  Hypergraph files always take
-the line parser.
+Either format's edge section is first read as a buffer, in chunks, by
+one reader (``_read_ids``): at most as many characters as m canonical
+lines of w ids (w = 2 for a graph, r for a hypergraph) can take, plus the
+rest of the last line.  If its first m lines are all w runs of digits
+split by single spaces, the ids are converted a chunk at a time and handed
+to the format's consumer.  A graph's builds each touched vertex's row once
+(``core.fill_rows``) and checks range, duplicates and intra-part edges on
+the whole structure at once.  A hypergraph's checks each chunk in bulk:
+every line's parts must rise strictly, which means sorted, distinct and one
+vertex per part; the lines go into the edge set, and m distinct ones at the
+end mean no duplicate.  Any other section (comments, blank lines, other
+whitespace, too few lines, an unsorted hyperedge) or any failed check
+drops that work, seeks the stream back to the start of the edge section
+and runs the format's line parser over it: it alone knows which line is
+the first bad one, so every error keeps its exact text and line number,
+and it alone reads non-canonical whitespace and line ends other than
+``\n``.  The header is read with ``readline``, which keeps a file's
+``tell`` allowed.  A stream that cannot seek, or whose first line does not
+end in a bare ``\n`` (so it may not split lines there), takes the line
+parser at once.  Either way a graph costs one row slot per declared
+vertex plus O(m), and no big-int copy per edge; a hypergraph costs O(m)
+beyond its part masks.
 """
 
+from bisect import bisect_right
 from collections import defaultdict
 from io import StringIO
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import lt
 from typing import Iterator, List, Optional, TextIO, Tuple, Union
 
 from .core import KPartiteGraph, UniformHypergraph, fill_rows
@@ -78,10 +85,28 @@ def parse(stream: TextIO) -> Union[KPartiteGraph, UniformHypergraph]:
     except StopIteration:
         raise ParseError("empty input", 1)
     if toks[0] == "kpartite":
-        return _parse_graph(stream, it, toks, lineno, at_newline)
-    if toks[0] == "hypergraph":
-        return _parse_hypergraph(it, toks, lineno)
-    raise ParseError(f"unknown header {toks[0]!r}", lineno)
+        obj, edges_line, m = _graph_head(it, toks, lineno)
+        from_buffer, from_lines = _edges_from_buffer, _edges_from_lines
+    elif toks[0] == "hypergraph":
+        obj, edges_line, m = _hypergraph_head(it, toks, lineno)
+        from_buffer = _hyperedges_from_buffer
+        from_lines = _hyperedges_from_lines
+    else:
+        raise ParseError(f"unknown header {toks[0]!r}", lineno)
+    # ``it`` stops right after the edges line, so ``stream`` resumes at
+    # the first edge line.  The buffer needs a stream that splits at \n
+    # and can seek back, unless m = 0: then it reads nothing.
+    start = stream.tell() if at_newline and stream.seekable() else None
+    tail = from_buffer(obj, m, stream) if start is not None or not m else None
+    if tail is None:
+        if start is not None:
+            stream.seek(start)
+        lines = enumerate(stream, edges_line + 1)
+        from_lines(obj, m, lines)
+    else:
+        lines = enumerate(chain(StringIO(tail), stream), edges_line + 1 + m)
+    _expect_end(_tokens(lines))
+    return obj
 
 
 def _parse_parts(it, k: int) -> List[int]:
@@ -126,8 +151,8 @@ def _parse_edge_count(it) -> Tuple[int, int]:
     return lineno, m
 
 
-def _parse_graph(stream, it, header, header_line,
-                 at_newline: bool) -> KPartiteGraph:
+def _graph_head(it, header, header_line) -> Tuple[KPartiteGraph, int, int]:
+    """The empty graph, its ``edges`` line number and m."""
     if len(header) != 2:
         raise ParseError("expected 'kpartite <k>'", header_line)
     (k,) = _ints(header[1:], header_line)
@@ -135,45 +160,42 @@ def _parse_graph(stream, it, header, header_line,
         raise ParseError("k must be >= 2", header_line)
     sizes = _parse_parts(it, k)
     edges_line, m = _parse_edge_count(it)
-    g = KPartiteGraph(sizes)
-    # ``it`` stops right after the edges line, so ``stream`` resumes at
-    # the first edge line.  The buffer needs a stream that splits at \n
-    # and can seek back, unless m = 0: then it reads nothing.
-    start = stream.tell() if at_newline and stream.seekable() else None
-    tail = (_edges_from_buffer(g, m, stream) if start is not None or not m
-            else None)
-    if tail is None:
-        if start is not None:
-            stream.seek(start)
-        lines = enumerate(stream, edges_line + 1)
-        _edges_from_lines(g, m, lines)
-    else:
-        lines = enumerate(chain(StringIO(tail), stream), edges_line + 1 + m)
-    _expect_end(_tokens(lines))
-    return g
+    return KPartiteGraph(sizes), edges_line, m
+
+
+def _hypergraph_head(it, header,
+                     header_line) -> Tuple[UniformHypergraph, int, int]:
+    """The empty hypergraph, its ``edges`` line number and m."""
+    if len(header) != 3:
+        raise ParseError("expected 'hypergraph <r> <k>'", header_line)
+    r, k = _ints(header[1:], header_line)
+    if r < 1 or k < r:
+        raise ParseError("need 1 <= r <= k", header_line)
+    sizes = _parse_parts(it, k)
+    edges_line, m = _parse_edge_count(it)
+    return UniformHypergraph(r, sizes), edges_line, m
 
 
 _CHUNK = 1 << 16            # characters of edge lines read at a time
 
 
-def _edges_from_buffer(g: KPartiteGraph, m: int, stream) -> Optional[str]:
-    """Fill ``g``'s rows from the next m lines of ``stream`` and return
-    the text read past them, if each is ``<digits> <digits>`` and a
-    newline, the text past them holds no ``\r`` (which a stream may or
-    may not split lines at) and the edges are valid; else return None.
+def _read_ids(stream, m: int, width: int, n: int, take) -> Optional[str]:
+    """Pass the ids of the next m lines of ``stream`` to ``take``, a chunk
+    at a time, and return the text read past them, if each line is
+    ``width`` runs of digits split by single spaces and ended by a
+    newline, each id is below n, ``take`` accepts every chunk and the text
+    past the m lines holds no ``\r`` (which a stream may or may not split
+    lines at); else return None.
 
-    A canonical line holds two ids below n, so m of them take at most
-    ``m·(2·len(str(n)) + 2)`` characters: no more is read, plus the rest
-    of the last line.  The text is read, checked and converted a chunk at
-    a time: a chunk of c lines must be ASCII, read space, newline c times
-    over once its digits are deleted, and split into 2c tokens.  The edges
-    are checked at the end, on the rows: popcounts summing to 2m (no
-    duplicate) and no row meeting its own part's mask (no intra-part
-    edge).  Every step costs O(m + touched vertices), never O(n).
+    A canonical line holds ``width`` ids below n, so m of them take at
+    most ``m·width·(len(str(n)) + 1)`` characters: no more is read, plus
+    the rest of the last line.  A chunk of c lines must be ASCII, read
+    ``width − 1`` spaces and a newline c times over once its digits are
+    deleted, and split into ``width·c`` tokens.  ``take`` gets the ids of
+    whole lines, in file order, and returns whether they pass its checks.
     """
-    n = g.n_total
-    neighbours = defaultdict(list)
-    budget, left, tail = m * (2 * len(str(n)) + 2), m, ""
+    budget, left, tail = m * width * (len(str(n)) + 1), m, ""
+    shape = b" " * (width - 1) + b"\n"
     table, converted = None, 0
     while left:
         chunk = stream.read(min(_CHUNK, budget))
@@ -188,9 +210,9 @@ def _edges_from_buffer(g: KPartiteGraph, m: int, stream) -> Optional[str]:
         elif budget <= 0 or not chunk:
             return None
         tokens = chunk.split()
-        if (len(tokens) != 2 * lines or not chunk.isascii()
+        if (len(tokens) != width * lines or not chunk.isascii()
                 or chunk.encode().translate(None, b"0123456789")
-                != b" \n" * lines):
+                != shape * lines):
             return None
         # Once as many tokens are converted as there are ids, a lookup
         # among the decimal forms of 0..n-1 converts the rest about three
@@ -208,12 +230,35 @@ def _edges_from_buffer(g: KPartiteGraph, m: int, stream) -> Optional[str]:
                 ids = list(map(table.__getitem__, tokens))
             except KeyError:
                 return None
+        if not take(ids):
+            return None
+        left -= lines
+    if "\r" in tail:
+        return None
+    return tail
+
+
+def _edges_from_buffer(g: KPartiteGraph, m: int, stream) -> Optional[str]:
+    """Fill ``g``'s rows from the next m lines of ``stream`` through
+    ``_read_ids`` and return the text read past them, if each is
+    ``<digits> <digits>`` and a newline and the edges are valid; else
+    return None.
+
+    The edges are checked at the end, on the rows: popcounts summing to
+    2m (no duplicate) and no row meeting its own part's mask (no
+    intra-part edge).
+    """
+    neighbours = defaultdict(list)
+
+    def take(ids: List[int]) -> bool:
         pairs = iter(ids)
         for u, v in zip(pairs, pairs):
             neighbours[u].append(v)
             neighbours[v].append(u)
-        left -= lines
-    if "\r" in tail:
+        return True
+
+    tail = _read_ids(stream, m, 2, g.n_total, take)
+    if tail is None:
         return None
     # Past this point the m lines are the line parser's m edges, so a
     # failed check means that parser raises: the rows need no undoing.
@@ -221,6 +266,34 @@ def _edges_from_buffer(g: KPartiteGraph, m: int, stream) -> Optional[str]:
     fill_rows(adj, neighbours)
     if (sum(adj[u].bit_count() for u in neighbours) != 2 * m
             or any(adj[u] & g.part_masks[g.part_of(u)] for u in neighbours)):
+        return None
+    return tail
+
+
+def _hyperedges_from_buffer(h: UniformHypergraph, m: int,
+                            stream) -> Optional[str]:
+    """``_edges_from_buffer`` for a hypergraph: fill ``h.edges``, if each
+    line is r ids, sorted and one to a part, and no two lines are the same
+    hyperedge; else return None with ``h.edges`` empty.
+
+    A line's parts (bisects on the part starts) rising strictly is the one
+    test for sorted, distinct and one to a part; an unsorted line fails it
+    too, and the line parser sorts it.  m distinct r-tuples at the end mean
+    no duplicate.
+    """
+    r, start, edges = h.r, h.part_start, h.edges
+
+    def take(ids: List[int]) -> bool:
+        parts = list(map(bisect_right, repeat(start), ids))
+        if not all(all(map(lt, parts[i::r], parts[i + 1::r]))
+                   for i in range(r - 1)):
+            return False
+        edges.update(zip(*[iter(ids)] * r))
+        return True
+
+    tail = _read_ids(stream, m, r, h.n_total, take)
+    if tail is None or len(edges) != m:
+        edges.clear()
         return None
     return tail
 
@@ -276,20 +349,17 @@ def _edges_from_lines(g: KPartiteGraph, m: int, lines) -> None:
     fill_rows(g.adjacency, neighbours)
 
 
-def _parse_hypergraph(it, header, header_line) -> UniformHypergraph:
-    if len(header) != 3:
-        raise ParseError("expected 'hypergraph <r> <k>'", header_line)
-    r, k = _ints(header[1:], header_line)
-    if r < 1 or k < r:
-        raise ParseError("need 1 <= r <= k", header_line)
-    sizes = _parse_parts(it, k)
-    _, m = _parse_edge_count(it)
-    h = UniformHypergraph(r, sizes)
+def _hyperedges_from_lines(h: UniformHypergraph, m: int, lines) -> None:
+    """Add the next m hyperedge lines of ``lines``, a ``(line number,
+    line)`` iterator, to ``h``, raising the first bad line's error: in
+    this order integers, token count, duplicate, then ``add_sorted_edge``'s
+    checks."""
+    it = _tokens(lines)
     for _ in range(m):
         lineno, toks = _next(it)
         verts = _ints(toks, lineno)
-        if len(verts) != r:
-            raise ParseError(f"expected {r} vertex ids", lineno)
+        if len(verts) != h.r:
+            raise ParseError(f"expected {h.r} vertex ids", lineno)
         key = tuple(sorted(verts))
         if key in h.edges:
             raise ParseError(f"duplicate hyperedge {verts}", lineno)
@@ -297,8 +367,6 @@ def _parse_hypergraph(it, header, header_line) -> UniformHypergraph:
             h.add_sorted_edge(key)
         except InvalidParameterError as exc:
             raise ParseError(str(exc), lineno)
-    _expect_end(it)
-    return h
 
 
 # Set-bit offsets of every byte value, for ``_bit_list``.
@@ -353,5 +421,5 @@ def write(obj: Union[KPartiteGraph, UniformHypergraph], stream: TextIO) -> None:
             stream.write(f"part {s}\n")
         edges = sorted(obj.edges)
         stream.write(f"edges {len(edges)}\n")
-        for e in edges:
-            stream.write(" ".join(str(v) for v in e) + "\n")
+        line = " ".join(["%d"] * obj.r) + "\n"
+        stream.write("".join(map(line.__mod__, edges)))

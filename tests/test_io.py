@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -299,6 +300,27 @@ HYPER_DIGESTS = [
     (GenSpec("gnp-hypergraph", 5, 4, 0.3, 7, r=3),
      "0d790c5c492c1db4798ce89eaaed3cb7db6cffd188185559c2c303ea22f6cc03"),
 ]
+
+
+# Digests of the written text of the hypergraphs above and of one r = 2
+# hypergraph: they pin the writer's hyperedge lines byte for byte.
+WRITTEN_HYPER_DIGESTS = [
+    (HYPER_DIGESTS[0][0],
+     "b5233cfef95fd17c7f2467a1337bfa0971234e8211d4c95e33ea1b10e00c5714"),
+    (HYPER_DIGESTS[1][0],
+     "b1e5d5f1b12f2b004a306257862832d8db604b8f8b0949516e85d8bc162b6561"),
+    (HYPER_DIGESTS[2][0],
+     "fb0aaae508b1d6d4ba9eb247f8dfad3c1c3f888e0602be91f0b9f4f81ddc2565"),
+    (GenSpec("gnp-hypergraph", 9, 3, 0.5, 4, r=2),
+     "15cf5ea55ed7ca52d7a17989ae26fd3657458aecc5c682cf8cf0996c9c1d8a12"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", WRITTEN_HYPER_DIGESTS)
+def test_written_hypergraph_digests_pinned(spec, digest):
+    buf = io.StringIO()
+    write(generate(spec).graph, buf)
+    assert _sha(buf.getvalue()) == digest
 
 
 @pytest.mark.parametrize("spec,digest", GRAPH_DIGESTS)
@@ -616,3 +638,272 @@ def test_edge_section_from_a_file(tmp_path):
         parse(fh)
     assert "content after the declared edges" in str(exc.value)
     assert exc.value.line == buf.getvalue().count("\n") + 1
+
+
+# -- the same for hypergraph edge sections ------------------------------------
+
+def _hyper_line_by_line(lines, r, sizes):
+    """The edge set, or (error text, line), from reading a hypergraph
+    file's edge lines one at a time with the checks in the parser's order:
+    integers, token count, duplicate, distinct, range, one vertex per
+    part.  ``lines`` are the file's lines; the header must be canonical:
+    ``hypergraph``, one ``part`` line per part, ``edges``."""
+    layout = UniformHypergraph(r, sizes)
+    n, k = layout.n_total, len(sizes)
+    left = int(lines[k + 1].split()[1])
+    edges = set()
+    for lineno, raw in enumerate(lines[k + 2:], k + 3):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        if not left:
+            return "content after the declared edges", lineno
+        try:
+            verts = [int(t) for t in toks]
+        except ValueError:
+            return f"expected integers, got {toks!r}", lineno
+        if len(verts) != r:
+            return f"expected {r} vertex ids", lineno
+        e = tuple(sorted(verts))
+        if e in edges:
+            return f"duplicate hyperedge {verts}", lineno
+        if len(set(e)) != r:
+            return f"hyperedge {e} is not {r} distinct vertices", lineno
+        bad = [v for v in e if not 0 <= v < n]
+        if bad:
+            return f"vertex id out of range: {bad[0]}", lineno
+        if len({layout.part_of(v) for v in e}) != r:
+            return f"hyperedge {e} has vertices in a shared part", lineno
+        edges.add(e)
+        left -= 1
+    if left:
+        return "unexpected end of input", 0
+    return edges
+
+
+def _hyper_parsed(stream):
+    """``parse``'s edge set, or (error text, line) of its ``ParseError``."""
+    try:
+        return parse(stream).edges
+    except ParseError as exc:
+        return str(exc).split(": ", 1)[1], exc.line
+
+
+@st.composite
+def canonical_hyper_files(draw):
+    """A canonical hypergraph file (r in {1, 2, 3}, k from r to 4, parts
+    of 0 to 5 vertices, p in {0, 1, random}, so ``edges 0`` too), r, its
+    part sizes and hyperedges.  Lines are sorted, in random order."""
+    r = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(0, 5), min_size=max(r, 2),
+                          max_size=4))
+    p = draw(st.sampled_from([0.0, 1.0, None]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if p is None:
+        p = rng.random()
+    layout = UniformHypergraph(r, sizes)
+    edges = [e for parts in combinations(range(len(sizes)), r)
+             for e in product(*map(layout.part_vertices, parts))
+             if rng.random() < p]
+    rng.shuffle(edges)
+    text = (f"hypergraph {r} {len(sizes)}\n"
+            + "".join(f"part {s}\n" for s in sizes)
+            + f"edges {len(edges)}\n"
+            + "".join(" ".join(map(str, e)) + "\n" for e in edges))
+    return text, r, sizes, set(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_hyper_files(), _CHUNKS)
+def test_canonical_hyperedge_section_takes_the_buffer(case, chunk):
+    from cliquelab import io as graphio
+    text, r, sizes, edges = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_CHUNK", chunk)
+        mp.setattr(graphio, "_hyperedges_from_lines", _no_line_parser)
+        h = parse(io.StringIO(text))
+        tail = parse(io.StringIO(text + "\n# done\n  \n"))
+    assert h.r == r and h.part_sizes == sizes
+    assert h.edges == tail.edges == edges
+
+
+def _hyper_mutations(h: UniformHypergraph, lines, rng):
+    """Ways to turn the edge lines of a canonical hypergraph file into one
+    that only the line parser can accept or reject."""
+    n, r = h.n_total, h.r
+    i = rng.randrange(len(lines) + 1)       # where a line goes in
+    j = min(i, len(lines) - 1)              # a line that exists, if any
+
+    def ids(count):
+        return " ".join(str(rng.randrange(n)) for _ in range(count))
+    cases = {
+        "comment": lines[:i] + ["# note"] + lines[i:],
+        "blank": lines[:i] + [""] + lines[i:],
+        "extra": lines + [ids(r)],
+        "too many": lines[:i] + [ids(r + 1)] + lines[i:],
+        "out of range": lines[:i] + [f"{n + rng.randrange(3)} {ids(r - 1)}"
+                                     .rstrip()] + lines[i:],
+    }
+    if r > 1:
+        cases["too few"] = lines[:i] + [ids(r - 1)] + lines[i:]
+    if j < 0:
+        return cases
+    line = lines[j]
+    toks = line.split()
+
+    def put(new):
+        return lines[:j] + [new] + lines[j + 1:]
+    cases.update({
+        "trailing comment": put(line + " # e"),
+        "tab": put("\t".join(toks) + ("\t" if r == 1 else "")),
+        "two spaces": put("  ".join(toks) + ("  " if r == 1 else "")),
+        "crlf": put(line + "\r"),
+        "leading zero": put("0" + line),
+        "other digits": put(line.translate(_ARABIC)),
+        "surrogate": put(" ".join(toks[:-1] + ["\udc80" + toks[-1]])),
+        "missing": lines[:j] + lines[j + 1:],
+        "duplicate": lines[:i] + [line] + lines[i:],
+        "permuted duplicate": lines[:i] + [" ".join(toks[::-1])] + lines[i:],
+    })
+    if r > 1:
+        cases["unsorted"] = put(" ".join(toks[::-1]))
+        cases["repeated vertex"] = put(" ".join([toks[0]] + toks[:-1]))
+        v = int(toks[0])
+        part = h.part_vertices(h.part_of(v))
+        if len(part) > 1:
+            w = part[0] if v != part[0] else part[1]
+            cases["shared part"] = put(" ".join([str(w)] + toks[:-1]))
+    return cases
+
+
+def _mutated_hyper_files(case, seed):
+    """(name, file) for each mutation of a canonical hypergraph file's edge
+    lines, declaring the canonical and the mutated edge count."""
+    text, r, sizes, edges = case
+    head, body = text.split(f"edges {len(edges)}\n")
+    lines = body.split("\n")[:-1]
+    h = UniformHypergraph(r, sizes)
+    if not h.n_total:
+        return
+    for name, mutated in _hyper_mutations(h, lines,
+                                          random.Random(seed)).items():
+        for declared in {len(edges), len(mutated)}:
+            yield name, (head + f"edges {declared}\n"
+                         + "".join(line + "\n" for line in mutated))
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_hyper_files(), st.integers(0, 2 ** 32 - 1), _CHUNKS)
+def test_non_canonical_hyperedge_sections_parse_line_by_line(case, seed,
+                                                             chunk):
+    from cliquelab import io as graphio
+    _, r, sizes, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_CHUNK", chunk)
+        for name, file in _mutated_hyper_files(case, seed):
+            assert (_hyper_parsed(io.StringIO(file))
+                    == _hyper_line_by_line(file.split("\n"), r, sizes)), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_hyper_files(), st.integers(0, 2 ** 32 - 1), _CHUNKS)
+def test_cr_and_crlf_hypergraph_files_parse_as_the_stream_splits_lines(
+        case, seed, chunk):
+    from cliquelab import io as graphio
+    _, r, sizes, _ = case
+    files = [("canonical", case[0]), *_mutated_hyper_files(case, seed)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_CHUNK", chunk)
+        for name, file in files:
+            for end in ("\r", "\r\n"):
+                for stream, again in zip(_streams(file, end),
+                                         _streams(file, end)):
+                    assert (_hyper_parsed(stream)
+                            == _hyper_line_by_line(list(again), r, sizes)
+                            ), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(canonical_hyper_files(), st.integers(0, 2 ** 32 - 1))
+def test_unseekable_hypergraph_stream_takes_the_line_parser(case, seed):
+    from cliquelab import io as graphio
+    _, r, sizes, _ = case
+    real = graphio._hyperedges_from_buffer
+
+    def empty_only(h, m, stream):
+        assert m == 0, "an unseekable stream reached the buffer"
+        return real(h, m, stream)
+    files = [("canonical", case[0]), *_mutated_hyper_files(case, seed)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_hyperedges_from_buffer", empty_only)
+        for name, file in files:
+            data = file.encode("utf-8", "surrogateescape")
+            stream = io.TextIOWrapper(_Unseekable(data), "utf-8",
+                                      "surrogateescape")
+            assert (_hyper_parsed(stream)
+                    == _hyper_line_by_line(file.split("\n"), r, sizes)), name
+
+
+def test_hyperedge_section_read_is_bounded():
+    # the buffer of a seekable stream and the line parser alike
+    for seekable in (True, False):
+        head = ("hypergraph 3 3\npart 3\npart 3\npart 3\nedges 3\n"
+                "0 3 6\n1 4 7\n2 5 8\n")
+        stream = _CountingReader(head + "1 3 6\n" * 10 ** 5, seekable)
+        with pytest.raises(ParseError) as exc:
+            parse(stream)
+        assert "content after the declared edges" in str(exc.value)
+        assert exc.value.line == 9
+        # the header, three lines of at most 3 * 1 + 3 characters, one more
+        assert stream.chars <= len(head) + 6
+        # lines longer than canonical ones end the buffer at its bound too
+        padded = head.replace("\n0 3 6\n", "\n000000 3 6\n")
+        stream = _CountingReader(padded + "1 3 6\n" * 10 ** 5, seekable)
+        with pytest.raises(ParseError) as exc:
+            parse(stream)
+        assert exc.value.line == 9
+        assert stream.chars <= len(padded) + 6
+        huge = _CountingReader("hypergraph 2 2\npart 1\npart 1\n"
+                               "edges 99999999999999999999\n0 1\n",
+                               seekable)
+        with pytest.raises(ParseError) as exc:
+            parse(huge)
+        assert "unexpected end of input" in str(exc.value)
+        assert exc.value.line == 0
+
+
+@pytest.mark.parametrize("text", [
+    "kpartite 2\npart 1\npart 99999\nedges 1\n0 1\n",
+    "hypergraph 2 2\npart 1\npart 99999\nedges 1\n0 1\n"])
+def test_cr_past_the_edges_splits_as_the_stream_does(text):
+    # A stream with newline "" ends a line at a bare "\r" too, so the
+    # comment below is one line and "0 1" is content after the edges.
+    # The buffer may read 14 characters for one edge line of 4: it reads
+    # both into its tail.
+    data = text + "# note\r0 1\n"
+    for stream in (io.StringIO(data, newline=""),
+                   io.TextIOWrapper(io.BytesIO(data.encode()), "ascii",
+                                    newline="")):
+        with pytest.raises(ParseError) as exc:
+            parse(stream)
+        assert "content after the declared edges" in str(exc.value)
+        assert exc.value.line == 7
+
+
+def test_wide_sparse_hypergraph_takes_the_buffer():
+    # Four parts of 2^22 vertices and four hyperedges: the buffer's cost
+    # must not grow with n, and its edges are the line parser's.
+    from cliquelab import io as graphio
+    size = 1 << 22
+    edges = [(0, size, 2 * size), (5, size + 7, 3 * size + 9),
+             (size - 1, 3 * size - 1, 4 * size - 1),
+             (size + 255, 2 * size + 256, 3 * size + 257)]
+    text = (f"hypergraph 3 4\n" + f"part {size}\n" * 4 + "edges 4\n"
+            + "".join("%d %d %d\n" % e for e in edges))
+    by_lines = parse(io.TextIOWrapper(_Unseekable(text.encode()), "ascii"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_hyperedges_from_lines", _no_line_parser)
+        h = parse(io.StringIO(text))
+    assert h.n_total == 4 * size
+    assert h.edges == by_lines.edges == set(edges)
+    assert roundtrip(h)[1] == text

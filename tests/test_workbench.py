@@ -200,6 +200,35 @@ def test_cli_hyperclique_and_regularity(tmp_path, capsys):
     assert "violations" in payload and "max_error" in payload
 
 
+def test_cli_hypergraph_file_line_ends_and_comments(tmp_path, capsys):
+    # LF, CRLF and a trailing comment list the same hypercliques; a bad
+    # line still exits 2 with its line number.
+    lf = tmp_path / "lf.txt"
+    run_cli(["gen", "--kind", "planted-hyperclique", "--n", "6", "--k", "4",
+             "--r", "3", "--p", "0.5", "--seed", "2", "--plant-count", "1",
+             "-o", str(lf)], capsys)
+    text = lf.read_text()
+    crlf, tail = tmp_path / "crlf.txt", tmp_path / "tail.txt"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    tail.write_text(text + "# end\n")
+    outs = []
+    for path in (lf, crlf, tail):
+        code, out = run_cli(["list-hypercliques", "--k", "4", "--json",
+                             str(path)], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["count"] >= 1
+
+    lines = text.split("\n")
+    lines[6] = "0 1 12"             # the first edge line; 0 and 1 share part 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines))
+    assert main(["list-hypercliques", "--k", "4", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 7: hyperedge (0, 1, 12) has vertices in a shared part\n")
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("kpartite 2\npart 1\npart 1\nedges 1\n0 0\n")
