@@ -16,12 +16,12 @@ over parts 1..k-1, so each comparison tests a few masks.
 
 Each (r-1)-tuple of parts 1..k-1 is placed on its first read, once per
 call, by ``BlockGeometry.tuple_bit``, the only writer of the layout: its
-segment key (I, j_I) and its bit.  The segment cache groups G_v's
-segments, read off the hyperedges meeting part 0, by key, with the mask of
-the part-0 vertices that have one there; the probe walks only the vertices
-in some mask, visits a block tuple for v only if v lies in the AND of its
-keys' masks, ORs the rep together from int-keyed lookups, and yields its
-hits in block-major order.
+segment key (I, j_I) and its bit, which the geometry keeps as a dict
+entry.  The segment cache groups G_v's segments, read off the hyperedges
+meeting part 0, by key, with the mask of the part-0 vertices that have one
+there; the probe walks only the vertices in some mask, visits a block
+tuple for v only if v lies in the AND of its keys' masks, ORs the rep
+together from int-keyed lookups, and yields its hits in block-major order.
 """
 
 import math
@@ -45,6 +45,12 @@ class HypercliqueParams:
     k: int
     r: int
 
+    def __post_init__(self):
+        if self.s < 1:
+            raise InvalidParameterError("s must be >= 1")
+        if not 2 <= self.r < self.k:
+            raise InvalidParameterError("need 2 <= r < k")
+
     @property
     def segment_length(self) -> int:
         return self.s ** (self.r - 1)
@@ -57,12 +63,6 @@ class HypercliqueParams:
     @property
     def L(self) -> int:
         return math.comb(self.k - 1, self.r - 1) * self.segment_length
-
-    def validate(self) -> None:
-        if self.s < 1:
-            raise InvalidParameterError("s must be >= 1")
-        if not 2 <= self.r < self.k:
-            raise InvalidParameterError("need 2 <= r < k")
 
 
 def formula_block_side(n: int, k: int, r: int) -> float:
@@ -84,12 +84,12 @@ def choose_block_size(n: int, k: int, r: int) -> HypercliqueParams:
     s = max(1, int(formula_block_side(n, k, r)))
     while s > 1 and math.comb(k - 1, r - 1) * s ** (r - 1) > target:
         s -= 1
-    params = HypercliqueParams(s=s, k=k, r=r)
-    params.validate()
-    return params
+    return HypercliqueParams(s=s, k=k, r=r)
 
 
 # -- compact representation ------------------------------------------------
+
+SegmentKey = Tuple[Tuple[int, ...], Tuple[int, ...]]      # (I, j_I)
 
 
 def table_bytes(H: UniformHypergraph, params: HypercliqueParams) -> int:
@@ -111,15 +111,17 @@ def check_table_budget(H: UniformHypergraph,
     engines run it first: at s = 1 its block-tuple count, the product of
     the sizes of parts 1..k-1, caps the prefixes the DFS can expand, the
     levels below depth r-1 that no link prunes included."""
-    params.validate()
     if H.k != params.k or H.r != params.r:
         raise InvalidParameterError("params do not match hypergraph shape")
     check_table_bytes(table_bytes(H, params))
 
 
-class BlockGeometry:
+class BlockGeometry(dict):
     """Block decomposition of parts 1..k-1 plus segment offsets; its
     ``tuple_bit`` is the one place the compact layout is written.
+
+    As a dict it caches placements: reading tuple ``rest`` places it by
+    ``tuple_bit`` on first read, as ((I, j_I), one-bit int).
 
     Read from H's part layout, so nothing is built per vertex: vertex u of
     part p >= 1 sits in slot p - 1, block ``(u - part_start[p]) // s``, at
@@ -152,10 +154,13 @@ class BlockGeometry:
             I, jI, pos = I + (slot,), jI + (block,), pos * s + local
         return I, jI, self.seg_offset[I] + pos
 
+    def __missing__(self, rest: Tuple[int, ...]) -> Tuple[SegmentKey, int]:
+        I, jI, bit = self.tuple_bit(rest)
+        self[rest] = placed = ((I, jI), 1 << bit)
+        return placed
+
 
 # -- lookup tables ---------------------------------------------------------
-
-SegmentKey = Tuple[Tuple[int, ...], Tuple[int, ...]]      # (I, j_I)
 
 
 def _link_masks(H: UniformHypergraph) -> Dict[Tuple[int, ...], int]:
@@ -170,23 +175,11 @@ def _link_masks(H: UniformHypergraph) -> Dict[Tuple[int, ...], int]:
     return links
 
 
-class _Placements(dict):
-    """Tuple -> (segment key, one-bit int), by ``tuple_bit`` on first read."""
-
-    def __init__(self, geometry: BlockGeometry):
-        self.geometry = geometry
-
-    def __missing__(self, rest: Tuple[int, ...]) -> Tuple[SegmentKey, int]:
-        I, jI, bit = self.geometry.tuple_bit(rest)
-        self[rest] = placed = ((I, jI), 1 << bit)
-        return placed
-
-
 class HypercliqueTables:
     """Per populated block tuple j, the (k-1)-hypercliques of parts 1..k-1
     inside j with their required bits.
 
-    ``edges`` are H's, for ``compress_all``; ``placements`` places each
+    ``edges`` are H's, for ``compress_all``; ``geometry`` places each
     tuple that it or the loop below reads, once.  ``entries[j]`` lists
     (required, cand) in lexicographic order of cand, found by ``_dfs`` over
     parts 1..k-1; required has the bit of every (r-1)-subset of cand.
@@ -197,9 +190,8 @@ class HypercliqueTables:
     """
 
     def __init__(self, H: UniformHypergraph, params: HypercliqueParams):
-        self.geometry = BlockGeometry(H, params)
+        self.geometry = geometry = BlockGeometry(H, params)
         self.edges = H.edges
-        self.placements = placements = _Placements(self.geometry)
         self.entries: Dict[Tuple[int, ...],
                            List[Tuple[int, Tuple[int, ...]]]] = {}
         rm1 = H.r - 1
@@ -207,7 +199,7 @@ class HypercliqueTables:
         for cand in _dfs(H.part_masks[1:], _link_masks(H), rm1):
             required = 0
             for sub in combinations(cand, rm1):
-                required |= placements[sub][1]
+                required |= geometry[sub][1]
             j = tuple((u - lo) // s for u, lo in zip(cand, starts))
             self.entries.setdefault(j, []).append((required, cand))
 
@@ -229,22 +221,21 @@ def compress_all(tables: HypercliqueTables
     representation, for every part-0 vertex v with a non-empty one; mask
     has the bit of each such v.  The representation of G_v^j is then the
     OR of its C(k-1, r-1) segments.  Each hyperedge e meeting part 0 gives
-    v = e[0] and G_v's tuple e[1:], placed through ``tables.placements``.
+    v = e[0] and G_v's tuple e[1:], placed through ``tables.geometry``.
     """
-    end0 = tables.geometry.part_start[1]
-    placements = tables.placements
+    geometry = tables.geometry
+    end0 = geometry.part_start[1]
     segments: Dict[SegmentKey, Dict[int, int]] = {}
-    masks: Dict[SegmentKey, int] = {}
     for e in tables.edges:
         v = e[0]
         # sorted, so an edge meeting part 0 starts there
         if v >= end0:
             continue
-        key, bit = placements[e[1:]]
-        masks[key] = masks.get(key, 0) | (1 << v)
+        key, bit = geometry[e[1:]]
         segs = segments.setdefault(key, {})
         segs[v] = segs.get(v, 0) | bit
-    return {key: (masks[key], segs) for key, segs in segments.items()}
+    return {key: (mask_from_vertices(segs), segs)
+            for key, segs in segments.items()}
 
 
 # -- listing / detection ---------------------------------------------------

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .bitops import iter_bits
 from .core import KPartiteGraph
 from .errors import InvalidParameterError
 
@@ -130,29 +129,16 @@ def _sample_disjoint_pair(rng: random.Random, universe: int, nbits: int
     return S, T
 
 
-def _piece_sizes(masks: List[int], membership: np.ndarray) -> np.ndarray:
-    """(len(masks) x pieces) counts |mask & piece|, from a bit matrix of
-    the masks times the (8 nbytes x pieces) 0/1 piece-membership matrix."""
-    import numpy as np
-    nbytes = membership.shape[0] // 8
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(
-        len(masks), nbytes), axis=1, bitorder="little")
-    # Float products of 0/1 entries sum to exact integers far below 2^53.
-    return (bits @ membership).astype(np.int64)
-
-
 def check_pseudoregular_sampled(G: KPartiteGraph, P: PseudoregularPartition,
                                 epsilon: float, samples: int, seed: int
                                 ) -> SampledCheckReport:
     """Evaluate the defining inequality on random disjoint subset pairs.
 
-    For each sampled (S, T): |e(S,T) - sum_ij delta_ij |S_i| |T_j|| <= eps n^2.
-    The estimates of all samples are taken in one numpy pass whose float
-    operations run in the same order as a per-sample loop over i, then j.
-    numpy is imported here, so the certified default paths never load it.
+    For each sampled (S, T): |e(S,T) - sum_ij delta_ij |S_i| |T_j|| <= eps n^2,
+    with e(S,T) exact and the estimate summed in float64 over i, then j,
+    skipping empty |S_i| and |T_j|.  The worst pair is the first sample of
+    largest error, or None when every error is 0.
     """
-    import numpy as np
     if epsilon <= 0:
         raise InvalidParameterError("epsilon must be positive")
     if samples < 1:
@@ -165,31 +151,26 @@ def check_pseudoregular_sampled(G: KPartiteGraph, P: PseudoregularPartition,
     # Draw over the whole id space: on a view, n_total is smaller than the
     # highest id, and bits above it would never be sampled.
     nbits = max(len(G.adjacency), 1)
-    pairs = [_sample_disjoint_pair(rng, universe, nbits)
-             for _ in range(samples)]
-    exact = np.array([_pair_count(G, S, T) for S, T in pairs],
-                     dtype=np.float64)
-
-    membership = np.zeros((8 * ((nbits + 7) // 8), len(P.pieces)))
-    for j, piece in enumerate(P.pieces):
-        membership[list(iter_bits(piece)), j] = 1.0
-    s_sizes = _piece_sizes([S for S, _ in pairs], membership)
-    t_sizes = _piece_sizes([T for _, T in pairs], membership)
-    dens = np.array([[float(d) for d in row] for row in P.densities])
-    # inner[:, i] = sum_j dens[i][j] * |T_j|, accumulated over j in order;
-    # a zero |T_j| or |S_i| adds an exact 0.0, as skipping it would.
-    inner = np.zeros((samples, len(P.pieces)))
-    for j in range(len(P.pieces)):
-        inner += dens[:, j] * t_sizes[:, j:j + 1]
-    est = np.zeros(samples)
-    for i in range(len(P.pieces)):
-        est += s_sizes[:, i] * inner[:, i]
-    err = np.abs(exact - est)
-
-    worst_index = int(np.argmax(err))
-    max_err = float(err[worst_index])
-    worst = pairs[worst_index] if max_err > 0 else None
-    violations = int(np.count_nonzero(err > epsilon * n * n))
+    dens = [[float(d) for d in row] for row in P.densities]
+    violations, max_err, worst = 0, 0.0, None
+    for _ in range(samples):
+        S, T = _sample_disjoint_pair(rng, universe, nbits)
+        t_sizes = [(T & p).bit_count() for p in P.pieces]
+        est = 0.0
+        for row, piece in zip(dens, P.pieces):
+            si = (S & piece).bit_count()
+            if not si:
+                continue
+            inner = 0.0
+            for d, tj in zip(row, t_sizes):
+                if tj:
+                    inner += d * tj
+            est += si * inner
+        err = abs(_pair_count(G, S, T) - est)
+        if err > max_err:
+            max_err, worst = err, (S, T)
+        if err > epsilon * n * n:
+            violations += 1
     return SampledCheckReport(samples=samples, violations=violations,
                               max_error=max_err / (n * n), worst_pair=worst)
 
@@ -205,21 +186,13 @@ def _certified(P: PseudoregularPartition, epsilon: float) -> bool:
     floor(n^2 / 4), every error is at most B = m floor(n^2 / 4).  The check
     computes its estimate in float64: with pieces <= n and n < 2^17 the
     rounding of the products and sums stays below (2n + 3) n^2 2^-55 < 1/4,
-    so B + 1 <= epsilon n^2, compared exactly against the same float
-    threshold the check uses, rules out every violation.  The comparison
-    runs on integers: m = c / b as a pair, the threshold as its
-    ``as_integer_ratio()``.
+    so B + 1 <= epsilon n^2, compared exactly (a Fraction against the same
+    float threshold the check uses), rules out every violation.
     """
     n = P.universe().bit_count()
-    c, b = 0, 1
-    for row in P.densities:
-        for d in row:
-            # in lowest terms d = p / q, max(p, q - p) < q iff 0 < d < 1
-            top = max(d.numerator, d.denominator - d.numerator)
-            if top < d.denominator and top * b > c * d.denominator:
-                c, b = top, d.denominator
-    num, den = (epsilon * n * n).as_integer_ratio()
-    return n < 1 << 17 and (c * (n * n // 4) + b) * den <= num * b
+    m = max((max(d, 1 - d) for row in P.densities for d in row if 0 < d < 1),
+            default=0)
+    return n < 1 << 17 and m * (n * n // 4) + 1 <= epsilon * n * n
 
 
 def _refine(pieces: List[int], S: int, T: int, universe: int,

@@ -91,6 +91,21 @@ def test_choose_block_size_guard():
         choose_block_size(100, 4, 4)
 
 
+def test_choose_block_size_at_the_declared_vertex_cap():
+    # a file may declare one part of exactly 2^24 vertices when the others
+    # are empty; that part is the first size where s >= 2 at r >= 3
+    assert choose_block_size(1 << 24, 4, 3).s == 2
+    assert choose_block_size((1 << 24) - 1, 4, 3).s == 1
+
+
+@pytest.mark.parametrize("args, text", [((0, 4, 3), "s must be >= 1"),
+                                        ((1, 4, 4), "need 2 <= r < k"),
+                                        ((1, 4, 1), "need 2 <= r < k")])
+def test_params_check_themselves_when_built(args, text):
+    with pytest.raises(InvalidParameterError, match=f"^{text}$"):
+        HypercliqueParams(*args)
+
+
 def test_segment_encoding_row_major_example():
     # s=2, r-1=2: edges at local (0,0) and (1,1) take segment bits 0 and 3;
     # the first index-set segment sits in the low bits of the rep

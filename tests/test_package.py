@@ -46,3 +46,39 @@ def test_every_module_import_is_read():
                        (a.asname or a.name.split(".")[0] for a in node.names)
                        if name not in read]
     assert unread == []
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """Private names a module defines: its top-level functions, classes and
+    assignment targets, and its classes' methods; dunders excluded."""
+    names = []
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(top.name)
+        elif isinstance(top, ast.ClassDef):
+            names.append(top.name)
+            names += [f.name for f in top.body if isinstance(
+                f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) \
+                else [top.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def test_every_private_definition_is_read():
+    defined, read = [], set()
+    for path in sorted((ROOT / "src" / "cliquelab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [(path.name, n) for n in _private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert len(defined) >= 40
+    assert [f"{m}: {n}" for m, n in defined if n not in read] == []

@@ -291,6 +291,9 @@ HYPER_FILES = {
     "graph": "kpartite 4\npart 2\npart 2\npart 2\npart 2\nedges 1\n0 2\n",
     "hyper": "hypergraph 3 4\npart 2\npart 2\npart 2\npart 2\nedges 1\n"
              "0 2 4\n",
+    # r = k: a 4-uniform hyperedge spans every part, refused before listing
+    "r_eq_k": "hypergraph 4 4\npart 2\npart 2\npart 2\npart 2\nedges 1\n"
+              "0 2 4 6\n",
     # 40 one-vertex parts: C(39, 19) index sets, refused before any is built
     "wide": "hypergraph 20 40\n" + "part 1\n" * 40 + "edges 0\n",
 }
@@ -326,6 +329,7 @@ ZERO_BUDGET = {"CLIQUELAB_MAX_TABLE_BYTES": "0"}
     (["list-hypercliques", "--k", "4"], "hyper", NEGATIVE_BUDGET, 2),
     (["detect-hyperclique", "--k", "4"], "hyper", TEXT_BUDGET, 2),
     (["list-hypercliques", "--k", "4"], "hyper", ZERO_BUDGET, 3),
+    (["list-hypercliques", "--k", "4"], "r_eq_k", {}, 2),
 ])
 def test_cli_hyperclique_exit_codes(tmp_path, capsys, monkeypatch, cmd, fname,
                                     env, code):
@@ -333,9 +337,12 @@ def test_cli_hyperclique_exit_codes(tmp_path, capsys, monkeypatch, cmd, fname,
     path.write_text(HYPER_FILES[fname])
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    got, out = run_cli(cmd + [str(path)], capsys)
+    got = main(cmd + [str(path)])
+    out, err = capsys.readouterr()
     assert got == code
     assert (out == "") == (code != 0)
+    if fname == "r_eq_k":
+        assert err == "error: need 2 <= r < k\n"
     if code == 0 and cmd[0] == "list-hypercliques":
         # "hyper" has one hyperedge, so no 4-hyperclique
         assert "count: 0\n" in out
@@ -642,9 +649,8 @@ def _src_env() -> dict:
 
 
 def test_cli_import_and_detect_leave_numpy_unloaded(tmp_path):
-    # Only generation and the sampled regularity check use numpy; importing
-    # the CLI and running a detect or list command at defaults must not
-    # pay its import.
+    # Only generation uses numpy; importing the CLI and running a detect,
+    # list or regularity command must not pay its import.
     tri, k4, hyper = (str(tmp_path / name)
                       for name in ("t.txt", "k4.txt", "h.txt"))
     for flags in (["gnp-kpartite", "--n", "12", "--k", "3", "-o", tri],
@@ -658,6 +664,10 @@ def test_cli_import_and_detect_leave_numpy_unloaded(tmp_path):
             ["detect-triangle", "--algo", "fr", tri],
             ["list-triangles", tri],
             ["list-triangles", "--algo", "regularity", tri],
+            ["regularity", tri],
+            ["regularity", "--epsilon", "0.05", tri],
+            ["list-triangles", "--algo", "regularity", "--epsilon", "0.05",
+             tri],
             ["detect-clique", "--k", "4", "--witness", k4],
             ["list-hypercliques", "--k", "4", hyper]]
     script = ("import sys\n"
