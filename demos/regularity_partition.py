@@ -23,8 +23,9 @@ def quadrant_graph(m: int) -> KPartiteGraph:
 
 def main() -> None:
     G = generate(GenSpec("gnp-kpartite", 128, 2, 0.5, seed=9)).graph
+    G = KPartiteGraph([0, *G.part_sizes], G.adjacency)   # parts V2, V3
     cfg = RegularityConfig(epsilon=0.05, rng_seed=0)
-    P = weak_regular_partition(G, cfg, parts=(0, 1))
+    P = weak_regular_partition(G, cfg)
     print(f"random G(128,128,0.5): {P.piece_count} pieces, "
           f"verified={P.verified}")
     rep = check_pseudoregular_sampled(G, P, 0.05, 2000, seed=1)

@@ -28,8 +28,7 @@ def main() -> None:
     print(f"row-AND lister: {len(sparse)} triangles, "
           f"set match = {sparse.as_set() == truth.as_set()}")
 
-    cfg = RegularityConfig(epsilon=0.15, rng_seed=0, sample_count=60,
-                           refinement_budget=4, max_pieces=8)
+    cfg = RegularityConfig(epsilon=0.15, rng_seed=0, sample_count=60)
     detail = list_triangles(G, 10, cfg)
     print(f"regularity pipeline (t=10): {len(detail.result)} triangles, "
           f"{detail.piece_count} partition pieces, "

@@ -154,8 +154,8 @@ def cmd_regularity(args) -> int:
     cfg = RegularityConfig(epsilon=epsilon, sample_count=args.samples,
                            rng_seed=args.seed)
     P = weak_regular_partition(G, cfg)
-    report = check_pseudoregular_sampled(G, P, epsilon, args.samples,
-                                         seed=args.seed)
+    report = P.report or check_pseudoregular_sampled(
+        G, P, epsilon, args.samples, seed=args.seed)
     payload = {
         "pieces": [bits_to_list(p) for p in P.pieces],
         "densities": [[float(d) for d in row] for row in P.densities],

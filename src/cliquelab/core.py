@@ -176,16 +176,12 @@ class UniformHypergraph(PartLayout):
 
     __slots__ = ("r", "edges")
 
-    def __init__(self, r: int, part_sizes: Sequence[int],
-                 edges: Optional[Iterable[Tuple[int, ...]]] = None):
+    def __init__(self, r: int, part_sizes: Sequence[int]):
         if r < 1:
             raise InvalidParameterError("uniformity r must be >= 1")
         super().__init__(part_sizes)
         self.r = r
         self.edges: Set[Tuple[int, ...]] = set()
-        if edges is not None:
-            for e in edges:
-                self.add_edge(e)
 
     def add_edge(self, verts: Iterable[int]) -> None:
         self.add_sorted_edge(tuple(sorted(verts)))

@@ -1,15 +1,17 @@
 """Exact edge counts, weak (Frieze-Kannan style) regularity partitions, and
 a sampled pseudoregularity checker.
 
-The partitioner works on the bipartite view G[V2 u V3] of a 3-part graph.
-It starts from one piece per side and iteratively refines by the worst
-violating sampled subset pair until the partition is verified or the budget
-runs out.  Each round first tries an exact certificate, a bound on the error
-of every disjoint subset pair from the densities alone; only where it does
-not hold is the round verified by sampling (exhaustive subset enumeration is
-exponential and out of scope).  At the default epsilon (0.25 below 2^16
-vertices) the starting partition of any side pair with two or more vertices
-is certified, so the default paths never sample.
+The partitioner works on the bipartite view G[V2 u V3] of a graph of three
+or more parts, under three settings: epsilon, sample_count and rng_seed.
+It starts from one piece per side and, for at most ``_REFINEMENT_ROUNDS``
+rounds, refines into at most 2^ceil(1/eps) pieces by the worst violating
+sampled subset pair until the partition is verified.  Each round first tries
+an exact certificate, a bound on the error of every disjoint subset pair from
+the densities alone; only where it does not hold is the round verified by
+sampling (exhaustive subset enumeration is exponential and out of scope), and
+the partition keeps that check as its ``report``.  At the default epsilon
+(0.25 below 2^16 vertices) the starting partition of any side pair with two
+or more vertices is certified, so the default paths never sample.
 """
 
 from __future__ import annotations
@@ -53,26 +55,29 @@ def edge_count_between(G: KPartiteGraph, S: int, T: int) -> int:
     return _pair_count(G, S, T)
 
 
+_REFINEMENT_ROUNDS = 12
+
+
 @dataclass
 class RegularityConfig:
-    """Knobs for the partitioner and the sampled verifier."""
+    """Settings of the partitioner and its sampled verifier."""
 
     epsilon: float
-    max_pieces: Optional[int] = None
-    refinement_budget: int = 12
     sample_count: int = 200
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise InvalidParameterError("need 0 < epsilon < 1")
-        if self.refinement_budget < 1 or self.sample_count < 1:
-            raise InvalidParameterError("budgets must be positive")
-        if self.max_pieces is None:
-            # 2^ceil(1/eps), capped at 2^62: _refine acts the same for any
-            # cap >= |V2 u V3|, and 1/eps may be huge or infinite
-            inv = 1.0 / self.epsilon
-            self.max_pieces = 1 << (math.ceil(inv) if inv <= 62 else 62)
+        if self.sample_count < 1:
+            raise InvalidParameterError("sample_count must be positive")
+
+
+def _piece_cap(epsilon: float) -> int:
+    """2^ceil(1/eps), capped at 2^62: _refine acts the same for any cap >=
+    |V2 u V3|, and 1/eps may be huge or infinite."""
+    inv = 1.0 / epsilon
+    return 1 << (math.ceil(inv) if inv <= 62 else 62)
 
 
 @dataclass
@@ -83,6 +88,7 @@ class PseudoregularPartition:
     densities: List[List[Fraction]]   # delta_{i,j} incl. diagonal
     epsilon: float
     verified: bool = True
+    report: Optional[SampledCheckReport] = None  # the check that verified it
 
     @property
     def piece_count(self) -> int:
@@ -221,30 +227,26 @@ def _refine(pieces: List[int], S: int, T: int, universe: int,
     return kept
 
 
-def weak_regular_partition(G: KPartiteGraph, cfg: RegularityConfig,
-                           parts: Tuple[int, int] = (1, 2)
+def weak_regular_partition(G: KPartiteGraph, cfg: RegularityConfig
                            ) -> PseudoregularPartition:
     """Construct a partition of U = V2 u V3 passing the eps-check.
 
     Iterative refinement: a round whose partition is ``_certified`` returns
     it; otherwise run the sampled check and, on violation, refine every
     piece by the worst sampled pair's S/T membership.  Deterministic given
-    cfg.rng_seed.  If the budget runs out the best partition so far is
+    cfg.rng_seed.  If the rounds run out the best partition so far is
     returned flagged unverified.
     """
-    if len(parts) != 2 or parts[0] == parts[1] or not all(
-            0 <= i < G.k for i in parts):
-        raise InvalidParameterError(
-            f"parts {tuple(parts)} are not two distinct parts of a "
-            f"{G.k}-part graph")
-    universe = 0
-    for i in parts:
-        universe |= G.part_masks[i]
+    if G.k < 3:
+        raise InvalidParameterError(f"a {G.k}-part graph has no V2 u V3")
+    sides = G.part_masks[1:3]
+    universe = sides[0] | sides[1]
     if universe == 0:
         raise InvalidParameterError("bipartite view is empty")
     # start from one piece per side so side-aligned densities are exact
-    pieces = [G.part_masks[i] for i in parts if G.part_masks[i]]
-    for round_no in range(cfg.refinement_budget):
+    pieces = [m for m in sides if m]
+    cap = _piece_cap(cfg.epsilon)
+    for round_no in range(_REFINEMENT_ROUNDS):
         P = PseudoregularPartition(pieces=pieces,
                                    densities=_density_matrix(G, pieces),
                                    epsilon=cfg.epsilon)
@@ -254,10 +256,10 @@ def weak_regular_partition(G: KPartiteGraph, cfg: RegularityConfig,
             G, P, cfg.epsilon, cfg.sample_count,
             seed=cfg.rng_seed + 7919 * round_no)
         if report.violations == 0:
+            P.report = report
             return P
         S, T = report.worst_pair
-        pieces = _refine(pieces, S, T, universe, cfg.max_pieces)
-    P = PseudoregularPartition(pieces=pieces,
-                               densities=_density_matrix(G, pieces),
-                               epsilon=cfg.epsilon, verified=False)
-    return P
+        pieces = _refine(pieces, S, T, universe, cap)
+    return PseudoregularPartition(pieces=pieces,
+                                  densities=_density_matrix(G, pieces),
+                                  epsilon=cfg.epsilon, verified=False)

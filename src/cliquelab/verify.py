@@ -143,8 +143,10 @@ def shrink(instance, failing: Callable) -> object:
     return instance
 
 
-def run_verify(check: str, specs: Iterable[GenSpec],
-               max_failures: int = 5) -> VerifyReport:
+MAX_FAILURES = 5          # run_verify stops at this many mismatches
+
+
+def run_verify(check: str, specs: Iterable[GenSpec]) -> VerifyReport:
     """Run one named check over many generated instances; specs that
     yield no instance are rejected, since such a run checks nothing."""
     if check not in CHECKS:
@@ -161,7 +163,7 @@ def run_verify(check: str, specs: Iterable[GenSpec],
         buf = _io.StringIO()
         graphio.write(small, buf)
         report.failures.append(Mismatch(spec=spec, reproducer=buf.getvalue()))
-        if len(report.failures) >= max_failures:
+        if len(report.failures) >= MAX_FAILURES:
             break
     if not report.instances:
         raise InvalidParameterError(f"{check}: no instances to check")
@@ -169,8 +171,7 @@ def run_verify(check: str, specs: Iterable[GenSpec],
 
 
 def gnp_sweep(kind: str, n_per_part: int, k: int, ps, seeds,
-              r: Optional[int] = None, plant_count: int = 0) -> List[GenSpec]:
+              r: Optional[int] = None) -> List[GenSpec]:
     """Convenience grid of specs over probabilities x seeds."""
-    return [GenSpec(kind=kind, n_per_part=n_per_part, k=k, p=p, seed=s,
-                    r=r, plant_count=plant_count)
+    return [GenSpec(kind=kind, n_per_part=n_per_part, k=k, p=p, seed=s, r=r)
             for p in ps for s in seeds]

@@ -31,8 +31,7 @@ def _verdict(tag: str, ok: bool, detail: str) -> None:
     print(f"{tag}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-LEAN_CFG = RegularityConfig(epsilon=0.2, rng_seed=0, sample_count=40,
-                            refinement_budget=3, max_pieces=6)
+LEAN_CFG = RegularityConfig(epsilon=0.2, rng_seed=0, sample_count=40)
 
 
 def test_ac1_triangle_oracle_equivalence():
@@ -230,19 +229,19 @@ def test_ac5_compact_representation():
 
 def test_ac6_pseudoregularity_sampled():
     G = generate(GenSpec("gnp-kpartite", 512, 2, 0.5, seed=6)).graph
+    G = KPartiteGraph([0, *G.part_sizes], G.adjacency)
     cfg = RegularityConfig(epsilon=0.05, rng_seed=1)
-    P = weak_regular_partition(G, cfg, parts=(0, 1))
+    P = weak_regular_partition(G, cfg)
     rep = check_pseudoregular_sampled(G, P, 0.05, 10_000, seed=2)
     frac = 1 - rep.violations / rep.samples
 
     # complete bipartite, single piece per side
-    C = KPartiteGraph([64, 64])
+    C = KPartiteGraph([0, 64, 64])
     for u in range(64):
         for v in range(64, 128):
             C.adjacency[u] |= 1 << v
             C.adjacency[v] |= 1 << u
-    Pc = weak_regular_partition(C, RegularityConfig(epsilon=0.05, rng_seed=0),
-                                parts=(0, 1))
+    Pc = weak_regular_partition(C, RegularityConfig(epsilon=0.05, rng_seed=0))
     rep_c = check_pseudoregular_sampled(C, Pc, 0.05, 2000, seed=3)
 
     # quadrant graph with the aligned two-blocks-per-side partition

@@ -280,9 +280,10 @@ def test_large_part0_costs_nothing_per_vertex():
     # listing allocates nothing per part-0 vertex
     n0 = (1 << 18) - 6
     a, b, c, d = n0 - 1, n0 + 1, n0 + 3, n0 + 5
-    h = UniformHypergraph(3, [n0, 2, 2, 2],
-                          list(combinations((a, b, c, d), 3))
-                          + [(0, n0, n0 + 2), (0, n0, n0 + 4)])
+    h = UniformHypergraph(3, [n0, 2, 2, 2])
+    for e in [*combinations((a, b, c, d), 3),
+              (0, n0, n0 + 2), (0, n0, n0 + 4)]:
+        h.add_edge(e)
     tracemalloc.start()
     try:
         res = list_hypercliques(h, 4)

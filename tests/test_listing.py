@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from cliquelab import listing
+from cliquelab import listing, regularity
 from cliquelab.bitops import iter_bits
 from cliquelab.core import KPartiteGraph
 from cliquelab.errors import InvalidParameterError
@@ -22,8 +22,7 @@ from tests.test_hyperclique import complete_hypergraph
 from tests.test_core import random_graph
 from tests.test_oracles import complete_kpartite
 
-FAST_CFG = RegularityConfig(epsilon=0.15, rng_seed=0, sample_count=60,
-                            refinement_budget=4, max_pieces=8)
+FAST_CFG = RegularityConfig(epsilon=0.15, rng_seed=0, sample_count=60)
 
 
 def test_requires_three_parts():
@@ -207,25 +206,31 @@ def _view_reference(G, t, cfg):
     return out, False, plans, pieces
 
 
-# Sizes with empty and single-vertex parts; epsilon below 0.25 with a small
-# piece cap refines into multi-piece partitions, at 4 per part with a
-# mixed-side residual piece.  With ``hub`` V1 is joined to all of V2 u V3
-# and V2-V3 is sparse, so many piece pairs have V2 vertices with no V3
-# neighbour, which the lister skips.
-VIEW_REF_CFGS = [RegularityConfig(epsilon=0.02, rng_seed=3, sample_count=60,
-                                  refinement_budget=4, max_pieces=4),
-                 RegularityConfig(epsilon=0.05, rng_seed=5, sample_count=60,
-                                  refinement_budget=4)]
+# Sizes with empty and single-vertex parts; epsilon below 0.25 refines into
+# multi-piece partitions.  Each config comes with the piece cap the test
+# patches into ``_piece_cap`` (None: the default); a cap of 4 makes a
+# mixed-side residual piece at 4 per part.  With ``hub`` V1 is joined to all
+# of V2 u V3 and V2-V3 is sparse, so many piece pairs have V2 vertices with
+# no V3 neighbour, which the lister skips.
+VIEW_REF_CFGS = [(RegularityConfig(epsilon=0.02, rng_seed=3, sample_count=60),
+                  4),
+                 (RegularityConfig(epsilon=0.05, rng_seed=5, sample_count=60),
+                  None)]
 
 
 @pytest.mark.parametrize("sizes, hub", [
     ([0, 6, 6], False), ([6, 1, 8], False), ([1, 1, 1], False),
     ([10, 10, 10], False), ([10, 10, 10], True), ([4, 4, 4], False)])
-def test_threshold_and_detailed_match_view_reference(sizes, hub):
+def test_threshold_and_detailed_match_view_reference(sizes, hub,
+                                                     monkeypatch):
     # the pipeline's witnesses, truncation and plans, at every t
     rng = random.Random(sum(sizes))
     mixed = pruned = 0
-    for p, cfg in product((0.0, 0.15 if hub else 0.5, 1.0), VIEW_REF_CFGS):
+    default_cap = regularity._piece_cap
+    for p, (cfg, cap) in product((0.0, 0.15 if hub else 0.5, 1.0),
+                                 VIEW_REF_CFGS):
+        monkeypatch.setattr(regularity, "_piece_cap",
+                            lambda eps: cap or default_cap(eps))
         g = (_hub_graph if hub else random_graph)(rng, sizes, p)
         total = len(brute_triangles(g))
         for t in sorted({0, 1, max(total - 1, 0), total}) + [None]:

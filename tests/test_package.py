@@ -82,3 +82,30 @@ def test_every_private_definition_is_read():
                 read.update(alias.name for alias in node.names)
     assert len(defined) >= 40
     assert [f"{m}: {n}" for m, n in defined if n not in read] == []
+
+
+def test_every_config_field_is_set_by_a_package_or_benchmark_call():
+    # a setting that only tests set is a knob no path turns
+    fields = {}
+    for path in sorted((ROOT / "src" / "cliquelab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and \
+                    node.name.endswith(("Config", "Params")) and any(
+                        "dataclass" in ast.unparse(d)
+                        for d in node.decorator_list):
+                fields[node.name] = [f.target.id for f in node.body
+                                     if isinstance(f, ast.AnnAssign)]
+    assert {"RegularityConfig", "RecursionParams",
+            "HypercliqueParams"} <= set(fields)
+    unset = {(name, f) for name, names in fields.items() for f in names}
+    for path in [*(ROOT / "src").rglob("*.py"),
+                 *(ROOT / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or \
+                getattr(node.func, "attr", None)
+            if name in fields:
+                unset -= {(name, f) for f in fields[name][:len(node.args)]}
+                unset -= {(name, kw.arg) for kw in node.keywords}
+    assert sorted(unset) == []

@@ -87,7 +87,7 @@ def test_default_epsilon_clamped():
 def test_exact_edge_accounting_over_pieces():
     rng = random.Random(3)
     G = random_graph(rng, [4, 16, 16], 0.4)
-    cfg = RegularityConfig(epsilon=0.1, rng_seed=2, max_pieces=8)
+    cfg = RegularityConfig(epsilon=0.1, rng_seed=2)
     P = weak_regular_partition(G, cfg)
     m2, m3 = G.part_masks[1], G.part_masks[2]
     assert P.universe() == m2 | m3
@@ -121,8 +121,9 @@ def test_partition_reproducible_per_seed():
 
 def test_complete_and_edgeless_pass_exactly():
     for G in (complete_bipartite(16), KPartiteGraph([16, 16])):
+        G = KPartiteGraph([0, *G.part_sizes], G.adjacency)
         cfg = RegularityConfig(epsilon=0.05, rng_seed=1)
-        P = weak_regular_partition(G, cfg, parts=(0, 1))
+        P = weak_regular_partition(G, cfg)
         assert P.verified
         rep = check_pseudoregular_sampled(G, P, 0.05, 300, seed=2)
         assert rep.violations == 0 and rep.max_error == 0.0
@@ -153,21 +154,40 @@ def test_quadrant_aligned_partition_passes():
     assert rep.violations == 0 and rep.max_error == 0.0
 
 
-def test_unverified_flag_when_budget_exhausted():
+def test_unverified_flag_when_budget_exhausted(monkeypatch):
+    # one round under a cap of 2: the sampled check finds the quadrant, and
+    # the partition is returned unverified instead of aborting
+    monkeypatch.setattr(regularity, "_REFINEMENT_ROUNDS", 1)
+    monkeypatch.setattr(regularity, "_piece_cap", lambda epsilon: 2)
     G = quadrant_graph(16)
-    cfg = RegularityConfig(epsilon=0.001, rng_seed=0, refinement_budget=1,
-                           max_pieces=2, sample_count=400)
-    P = weak_regular_partition(G, cfg, parts=(0, 1))
-    assert isinstance(P.verified, bool)     # never aborts
+    G = KPartiteGraph([0, *G.part_sizes], G.adjacency)
+    cfg = RegularityConfig(epsilon=0.001, rng_seed=0, sample_count=400)
+    P = weak_regular_partition(G, cfg)
+    assert P.verified is False and P.report is None
+    assert P.piece_count <= 2
 
 
 def test_config_validation():
-    with pytest.raises(InvalidParameterError):
-        RegularityConfig(epsilon=0.0)
-    with pytest.raises(InvalidParameterError):
-        RegularityConfig(epsilon=0.1, refinement_budget=0)
-    cfg = RegularityConfig(epsilon=0.1)
-    assert cfg.max_pieces == 1 << 10
+    for bad in ({"epsilon": 0.0}, {"epsilon": 1.0},
+                {"epsilon": 0.1, "sample_count": 0}):
+        with pytest.raises(InvalidParameterError):
+            RegularityConfig(**bad)
+    assert regularity._piece_cap(0.1) == 1 << 10
+    assert regularity._piece_cap(0.01) == 1 << 62
+    assert regularity._piece_cap(1e-320) == 1 << 62     # 1/eps is inf
+
+
+def test_sampled_partition_keeps_its_verifying_check():
+    # at epsilon 0.05 G(30/part, 0.5) is not certified and round 0's
+    # samples verify it; at 0.25 it is certified and keeps no report
+    G = generate(GenSpec("gnp-kpartite", 30, 3, 0.5, seed=2)).graph
+    cfg = RegularityConfig(epsilon=0.05, sample_count=100, rng_seed=4)
+    P = weak_regular_partition(G, cfg)
+    assert P.verified and P.piece_count == 2
+    assert P.report == check_pseudoregular_sampled(G, P, 0.05, 100, seed=4)
+    assert P.report.violations == 0
+    assert weak_regular_partition(
+        G, RegularityConfig(epsilon=0.25)).report is None
 
 
 def _loop_check(G, P, epsilon, samples, seed):

@@ -23,12 +23,11 @@ from cliquelab.regularity import (RegularityConfig,
 from cliquelab.triangle import detect_four_russians, detect_naive, list_row_and
 from tests.test_core import random_graph
 
-LEAN_CFG = RegularityConfig(epsilon=0.2, rng_seed=0, sample_count=40,
-                            refinement_budget=3, max_pieces=6)
+LEAN_CFG = RegularityConfig(epsilon=0.2, rng_seed=0, sample_count=40)
 # Below epsilon 0.25 the exact certificate rarely holds, so these run the
 # sampled check and its refinement.
-SAMPLED_CFGS = [RegularityConfig(epsilon=eps, rng_seed=1, sample_count=60,
-                                 refinement_budget=4) for eps in (0.05, 0.1)]
+SAMPLED_CFGS = [RegularityConfig(epsilon=eps, rng_seed=1, sample_count=60)
+                for eps in (0.05, 0.1)]
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -151,7 +150,7 @@ def test_sampled_check_draws_ids_above_the_view_size():
     # would never reach part 2, and every sample would read zero error.
     g = random_graph(random.Random(4), [6, 6, 6], 0.5)
     view = g.restrict(g.part_masks[1] | g.part_masks[2])
-    cfg = RegularityConfig(epsilon=0.2, refinement_budget=1)
+    cfg = RegularityConfig(epsilon=0.2)
     P = weak_regular_partition(view, cfg)
     assert check_pseudoregular_sampled(view, P, 0.2, 50, seed=0).max_error > 0
 

@@ -256,7 +256,49 @@ def test_cli_regularity_rejects_two_part_graph(tmp_path, capsys):
     path = tmp_path / "two.txt"
     path.write_text("kpartite 2\npart 2\npart 2\nedges 1\n0 2\n")
     assert main(["regularity", str(path)]) == 2
-    assert "2-part graph" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "error: a 2-part graph has no V2 u V3\n")
+
+
+def _gen_tri(path, n, p, seed):
+    assert main(["gen", "--kind", "gnp-kpartite", "--n", str(n), "--k", "3",
+                 "--p", str(p), "--seed", str(seed), "-o", str(path)]) == 0
+
+
+def test_cli_regularity_prints_the_check_that_verified(tmp_path, capsys):
+    # G(8/part, 0.2) at epsilon 0.01 is verified by round 2's samples;
+    # round 0's seed finds violations above epsilon on the same partition
+    path = tmp_path / "g.txt"
+    _gen_tri(path, 8, 0.2, 2)
+    capsys.readouterr()
+    assert main(["regularity", "--epsilon", "0.01", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] and payload["violations"] == 0
+    assert payload["max_error"] <= 0.01
+
+
+def test_cli_regularity_checks_once_when_round_0_verifies(
+        tmp_path, capsys, monkeypatch):
+    from cliquelab import cli, regularity
+    path = tmp_path / "g.txt"
+    _gen_tri(path, 30, 0.3, 2)
+    calls = []
+    real = regularity.check_pseudoregular_sampled
+
+    def counting(G, P, epsilon, samples, seed):
+        calls.append(seed)
+        return real(G, P, epsilon, samples, seed)
+
+    monkeypatch.setattr(regularity, "check_pseudoregular_sampled", counting)
+    monkeypatch.setattr(cli, "check_pseudoregular_sampled", counting)
+    # round 0's samples (seed 3) verify: the command prints that check
+    assert main(["regularity", "--epsilon", "0.05", "--seed", "3",
+                 str(path)]) == 0
+    assert calls == [3]
+    # certified at 0.25: the partitioner samples nothing, the command once
+    calls.clear()
+    assert main(["regularity", "--epsilon", "0.25", str(path)]) == 0
+    assert calls == [0]
 
 
 def test_cli_rejects_negative_t(tmp_path, capsys):
@@ -681,14 +723,26 @@ def test_cli_import_and_detect_leave_numpy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def test_readme_cli_block_names_every_subcommand():
+def _readme_cli_lines() -> list:
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```")[0]
-    documented = {line.split()[1] for line in block.splitlines()
-                  if line.startswith("cliquelab ")}
+    return [line.split() for line in block.splitlines()
+            if line.startswith("cliquelab ")]
+
+
+def test_readme_cli_block_names_every_subcommand():
+    documented = {argv[1] for argv in _readme_cli_lines()}
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, capsys, monkeypatch):
+    # in order, in one directory: each file a command reads is written by
+    # an earlier line
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_cli_lines():
+        assert (main(argv[1:]), capsys.readouterr().err) == (0, ""), argv
 
 
 def test_cli_verify_mismatch_exit(capsys, monkeypatch):
