@@ -103,10 +103,15 @@ class KPartiteGraph(PartLayout):
         if not 0 <= first < len(self.part_masks):
             raise InvalidParameterError(
                 f"first part {first} is not in 0..{self.k - 1}")
+        return self._view([keep & m for m in self.part_masks[first:]])
+
+    def _view(self, part_masks: List[int]) -> "KPartiteGraph":
+        """View whose part i is ``part_masks[i]``, taken as it is: each
+        mask lies in one part of this graph, later than the one before."""
         view = object.__new__(KPartiteGraph)
         view.adjacency = self.adjacency
-        view.part_masks = [keep & m for m in self.part_masks[first:]]
-        view.part_sizes = [m.bit_count() for m in view.part_masks]
+        view.part_masks = part_masks
+        view.part_sizes = [m.bit_count() for m in part_masks]
         view.n_total = sum(view.part_sizes)
         view.part_start = None
         return view

@@ -13,11 +13,13 @@ returns the clique it found: the detector's triple, extended.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from .bitops import iter_bits, split_bits
 from .core import KPartiteGraph
-from .errors import InternalInconsistencyError, InvalidParameterError
+from .errors import (InternalInconsistencyError, InvalidParameterError,
+                     ResourceLimitError)
 from .triangle import detect_naive
 
 ALPHA_MAX = 0.5
@@ -67,16 +69,26 @@ def find_heavy_vertex(G: KPartiteGraph, alpha: float) -> Optional[int]:
     """Part-0 vertex whose degree product reaches alpha * prod |V_i|.
 
     Among qualifiers returns the maximum-product one (ties: lowest id).
+    The test ``prod * 1.0 >= alpha * cap`` is one int threshold, found
+    once; past the float range it is ``prod >= alpha * cap``, exact.
     """
     if not 0 < alpha < 1:
         raise InvalidParameterError("alpha must be in (0, 1)")
-    cap = 1
-    for s in G.part_sizes[1:]:
-        cap *= s
+    cap = math.prod(G.part_sizes[1:])
     if cap == 0:
         return None
+    try:
+        t = alpha * cap
+    except OverflowError:       # cap is past the float range
+        num, den = alpha.as_integer_ratio()
+        least = -(-num * cap // den)
+    else:                       # the least int whose float reaches t
+        least = math.ceil(t)
+        if least > 1 << 53:     # ints down to the midpoint below t round up
+            half = int(t - math.nextafter(t, 0)) >> 1
+            least -= half if float(least - half) >= t else half - 1
     rest = G.part_masks[1:]
-    best_v, best_prod = None, -1
+    best_v, best_prod = None, least - 1
     for v in iter_bits(G.part_masks[0]):
         row = G.adjacency[v]
         prod = 1
@@ -84,7 +96,7 @@ def find_heavy_vertex(G: KPartiteGraph, alpha: float) -> Optional[int]:
             prod *= (row & m).bit_count()
             if prod == 0:
                 break
-        if prod * 1.0 >= alpha * cap and prod > best_prod:
+        if prod > best_prod:
             best_v, best_prod = v, prod
     return best_v
 
@@ -112,8 +124,8 @@ def kclique_via_k1(G: KPartiteGraph, k: int,
     masks = G.part_masks[1:]
     for v in iter_bits(G.part_masks[0]):
         row = G.adjacency[v]
-        if (all(row & m for m in masks)
-                and (sub := k1_solver(G.restrict(row, 1))) is not None):
+        nbrs = [row & m for m in masks]
+        if all(nbrs) and (sub := k1_solver(G._view(nbrs))) is not None:
             return (v,) + sub
     return None
 
@@ -127,7 +139,11 @@ def find_kclique(G: KPartiteGraph, k: int,
         raise InvalidParameterError("k must be >= 3")
     if G.k != k:
         raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
-    return _checked(G, _search(G, k, triangle_detector, params, trace, 0))
+    try:
+        return _checked(G, _search(G, k, triangle_detector, params, trace, 0))
+    except RecursionError:
+        raise ResourceLimitError(f"k = {k} nests the recursion past the "
+                                 "interpreter's recursion limit") from None
 
 
 def detect_kclique(G: KPartiteGraph, k: int,
@@ -153,10 +169,12 @@ def _search(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector,
         return None
     if params is None:
         params = choose_params(max(2, G.n_total), k)
-
-    def leaf(child: KPartiteGraph) -> Witness:
-        return _search(child, k - 1, triangle_detector, params, None,
-                       params.depth_cap)
+    leaf = sparse = triangle_detector   # what a k = 3 ``_search`` calls
+    if k > 4:
+        leaf = partial(_search, k=k - 1, triangle_detector=triangle_detector,
+                       params=params, trace=None, depth=params.depth_cap)
+        sparse = partial(_search, k=k - 1, triangle_detector=triangle_detector,
+                         params=None, trace=None, depth=0)
 
     v = parent_product = child_sum = None
     # Step 1: depth cap reached -> the per-vertex leaf.
@@ -177,23 +195,22 @@ def _search(G: KPartiteGraph, k: int, triangle_detector: TriangleDetector,
             parent_product = math.prod(G.part_sizes)
             child_sum = 0
             for combo in range((1 << (k - 1)) - 1):
-                keep, prod = G.part_masks[0], G.part_sizes[0]
+                masks, prod = [G.part_masks[0]], G.part_sizes[0]
                 for i, pair in enumerate(splits):
                     m = pair[(combo >> i) & 1]
-                    keep |= m
+                    masks.append(m)
                     prod *= m.bit_count()
                 child_sum += prod
                 if prod == 0:
                     continue
-                witness = _search(G.restrict(keep), k, triangle_detector,
+                witness = _search(G._view(masks), k, triangle_detector,
                                   params, trace, depth + 1)
                 if witness is not None:
                     break
     # Step 3: all part-0 degrees are light -> trivial reduction to (k-1).
     else:
         branch = "sparse-base"
-        witness = kclique_via_k1(G, k, lambda child: _search(
-            child, k - 1, triangle_detector, None, None, 0))
+        witness = kclique_via_k1(G, k, sparse)
     if trace is not None:
         trace.append(TraceNode(depth, list(G.part_sizes), branch, v,
                                parent_product, child_sum))

@@ -119,18 +119,21 @@ def build_block_edge_table(G: KPartiteGraph, b: int) -> BlockEdgeTable:
 
 
 def detect_naive(G: KPartiteGraph) -> Optional[Tuple[int, int, int]]:
-    """First triangle by scanning edges (v2, v3) and ANDing N_0 rows."""
+    """First triangle by scanning edges (v2, v3), one row AND per edge."""
     if G.k != 3:
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
-    mask1 = G.part_masks[0]
-    mask3 = G.part_masks[2]
+    adj, mask1, mask3 = G.adjacency, G.part_masks[0], G.part_masks[2]
     for v2 in iter_bits(G.part_masks[1]):
-        row2 = G.adjacency[v2]
-        for v3 in iter_bits(row2 & mask3):
-            common = row2 & G.adjacency[v3] & mask1
-            if common:
-                v1 = (common & -common).bit_length() - 1
-                return (v1, v2, v3)
+        row2 = adj[v2]
+        if not (n0 := row2 & mask1):
+            continue
+        rest = row2 & mask3
+        while rest:             # iter_bits inlined: no generator per v2
+            low = rest & -rest
+            v3 = low.bit_length() - 1
+            if common := n0 & adj[v3]:
+                return ((common & -common).bit_length() - 1, v2, v3)
+            rest ^= low
     return None
 
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from cliquelab import kclique
 from cliquelab.bitops import iter_bits
 from cliquelab.core import KPartiteGraph
-from cliquelab.errors import InternalInconsistencyError, InvalidParameterError
+from cliquelab.errors import (InternalInconsistencyError,
+                              InvalidParameterError, ResourceLimitError)
 from cliquelab.generate import GenSpec, generate
 from cliquelab.kclique import (ALPHA_MAX, RecursionParams, choose_params,
                                detect_kclique, find_heavy_vertex,
@@ -92,6 +93,44 @@ def test_find_heavy_vertex_matches_scan():
             if prod >= alpha * cap and prod > best_prod:
                 best, best_prod = v, prod
         assert find_heavy_vertex(g, alpha) == best
+
+
+def test_find_heavy_vertex_keeps_the_float_test_past_2_to_53():
+    # Vertex 0 sees all of parts 1-36 and one vertex in each of parts
+    # 37-40, so its product P = 3^36 is past 2^53 and float(P) rounds up.
+    g = KPartiteGraph.from_edges([1] + [3] * 40, [
+        (0, 1 + 3 * i + j) for i in range(40)
+        for j in range(3 if i < 36 else 1)])
+    cap, P = 3 ** 40, 3 ** 36
+    alpha = 1 / 81
+    while not alpha * cap > P:
+        alpha = math.nextafter(alpha, 1)
+    assert P * 1.0 >= alpha * cap       # admitted by the float test only
+    assert find_heavy_vertex(g, alpha) == 0
+    while P * 1.0 >= alpha * cap:
+        alpha = math.nextafter(alpha, 1)
+    assert find_heavy_vertex(g, alpha) is None
+
+
+def test_find_heavy_vertex_past_the_float_range():
+    # 1029 parts of 2 past part 0: cap = 2^1029, no float holds alpha * cap
+    g = KPartiteGraph([2] * 1030)
+    assert find_heavy_vertex(g, 0.5) is None
+    g.adjacency[1] = ((1 << 2060) - 1) ^ 0b11      # all of parts 1 onward
+    assert find_heavy_vertex(g, 0.5) == 1
+
+
+def complete_one_per_part(k):
+    full = (1 << k) - 1
+    return KPartiteGraph([1] * k, [full ^ (1 << v) for v in range(k)])
+
+
+def test_find_kclique_past_the_recursion_limit_is_a_resource_error():
+    # the recursion nests a few Python frames per part, so k = 1000 runs
+    # past the interpreter's limit while k = 300 stays below it
+    assert find_kclique(complete_one_per_part(300), 300) == tuple(range(300))
+    with pytest.raises(ResourceLimitError, match="k = 1000 "):
+        find_kclique(complete_one_per_part(1000), 1000)
 
 
 def _is_part_clique(g, w):
@@ -306,7 +345,7 @@ def test_kclique_via_k1_one_call_per_vertex_on_whole_neighbourhood():
         calls = []
 
         def solver(sub):
-            calls.append(sub.part_masks)
+            calls.append(sub)
             return None
 
         assert kclique_via_k1(g, 4, solver) is None
@@ -314,8 +353,14 @@ def test_kclique_via_k1_one_call_per_vertex_on_whole_neighbourhood():
         for v in g.part_vertices(0):
             nbrs = [g.adjacency[v] & g.part_masks[i] for i in range(1, 4)]
             if all(nbrs):
-                want.append(nbrs)
-        assert calls == want
+                want.append((nbrs, g.restrict(g.adjacency[v], 1)))
+        assert [sub.part_masks for sub in calls] == [w[0] for w in want]
+        # each view is the one restrict builds
+        for sub, (_, ref) in zip(calls, want):
+            assert sub.adjacency is g.adjacency
+            assert (sub.part_masks, sub.part_sizes, sub.n_total) == (
+                ref.part_masks, ref.part_sizes, ref.n_total)
+            assert sub.part_start is None and ref.part_start is None
 
 
 @pytest.mark.parametrize("k", [4, 5])

@@ -30,6 +30,22 @@ def test_detect_naive_bipartite_only():
     assert detect_naive(g) is None
 
 
+def first_by_v2(triangles):
+    """The triangle that ``detect_naive`` returns: smallest by (v2, v3, v1)."""
+    return min(triangles, key=lambda w: (w[1], w[2], w[0]), default=None)
+
+
+# Empty parts, single vertices and p in {0, 1}, beside mid densities.
+@pytest.mark.parametrize("sizes", [[0, 4, 4], [4, 0, 4], [4, 4, 0], [1, 1, 1],
+                                   [5, 7, 10], [10, 1, 7]])
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
+def test_detect_naive_returns_first_triangle_by_v2_v3_v1(sizes, p):
+    rng = random.Random(len(sizes) * 97 + sum(sizes) + int(p * 10))
+    for _ in range(6):
+        g = random_graph(rng, sizes, p)
+        assert detect_naive(g) == first_by_v2(brute_triangles(g).witnesses)
+
+
 def test_detect_naive_wrong_part_count():
     with pytest.raises(InvalidParameterError):
         detect_naive(KPartiteGraph([2, 2]))

@@ -22,6 +22,7 @@ from cliquelab.regularity import (RegularityConfig,
                                   weak_regular_partition)
 from cliquelab.triangle import detect_four_russians, detect_naive, list_row_and
 from tests.test_core import random_graph
+from tests.test_triangle import first_by_v2
 
 LEAN_CFG = RegularityConfig(epsilon=0.2, rng_seed=0, sample_count=40)
 # Below epsilon 0.25 the exact certificate rarely holds, so these run the
@@ -77,6 +78,7 @@ def test_triangle_engines_on_views_match_oracle(case):
     for w in found:
         assert (w is None) == (not truth)
         assert w is None or w in truth
+    assert found[0] == first_by_v2(truth)
 
     got = list_row_and(view, None).witnesses
     assert len(got) == len(set(got)) and set(got) == truth

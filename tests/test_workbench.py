@@ -157,6 +157,28 @@ def test_cli_clique_default_params_are_choose_params(tmp_path, capsys):
     assert "witness: [" in runs[0][0]
 
 
+def test_cli_clique_past_the_float_range(tmp_path, capsys):
+    # the part sizes past part 0 multiply to 2^1029, beyond any float
+    path = tmp_path / "wide.txt"
+    path.write_text("kpartite 1030\n" + "part 2\n" * 1030 + "edges 0\n")
+    assert main(["detect-clique", "--k", "1030", "--depth", "1",
+                 "--alpha", "0.5", str(path)]) == 0
+    assert capsys.readouterr() == ("found: False\n", "")
+
+
+def test_cli_clique_past_the_recursion_limit(tmp_path, capsys):
+    # one vertex per part, all joined: the search nests once per part
+    k = 400
+    path = tmp_path / "deep.txt"
+    edges = [f"{u} {v}\n" for u in range(k) for v in range(u + 1, k)]
+    path.write_text(f"kpartite {k}\n" + "part 1\n" * k
+                    + f"edges {len(edges)}\n" + "".join(edges))
+    assert main(["detect-clique", "--k", str(k), str(path)]) == 3
+    assert capsys.readouterr() == ("", (
+        f"error: k = {k} nests the recursion past the interpreter's "
+        "recursion limit\n"))
+
+
 def test_cli_witness_is_one_search(tmp_path, capsys, monkeypatch):
     from cliquelab import cli, kclique
     path = tmp_path / "k4.txt"
