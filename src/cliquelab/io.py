@@ -52,6 +52,7 @@ from itertools import chain, compress, repeat
 from operator import lt
 from typing import Iterator, List, Optional, TextIO, Tuple, Union
 
+from .bitops import bits_to_list
 from .core import KPartiteGraph, UniformHypergraph, fill_rows
 from .errors import InvalidParameterError, ParseError, ResourceLimitError
 
@@ -369,29 +370,6 @@ def _hyperedges_from_lines(h: UniformHypergraph, m: int, lines) -> None:
             raise ParseError(str(exc), lineno)
 
 
-# Set-bit offsets of every byte value, for ``_bit_list``.
-_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1)
-                   for x in range(256))
-
-
-def _bit_list(bits: int, offset: int) -> List[int]:
-    """Set-bit positions of ``bits``, plus ``offset``, ascending.
-
-    Reads a byte at a time through ``_BYTE_BITS``, skipping zero bytes in
-    C: fewer interpreter steps than ``bitops.iter_bits`` on the dense rows
-    the writer sees, but more on a few bits of a wide mask, which is what
-    engines pass, so only the writer uses it.
-    """
-    out = []
-    append = out.append
-    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-    for i in compress(range(len(data)), data):
-        base = offset + (i << 3)
-        for b in _BYTE_BITS[data[i]]:
-            append(base + b)
-    return out
-
-
 def write(obj: Union[KPartiteGraph, UniformHypergraph], stream: TextIO) -> None:
     """Write in the canonical text form (edges sorted ascending).  A view
     (``KPartiteGraph.restrict``) keeps its parent's ids, so it is refused."""
@@ -402,12 +380,13 @@ def write(obj: Union[KPartiteGraph, UniformHypergraph], stream: TextIO) -> None:
         for s in obj.part_sizes:
             stream.write(f"part {s}\n")
         # Edge (u, v), u < v, in order of u, then v: each row's bits above
-        # u, one string per row.  Rows without an edge are skipped in C.
+        # u, listed by the byte walk of ``bits_to_list`` (rows are dense),
+        # one string per row.  Rows without an edge are skipped in C.
         adj = obj.adjacency
         chunks = []
         m = 0
         for u in compress(range(len(adj)), adj):
-            vs = _bit_list(adj[u] >> (u + 1), u + 1)
+            vs = bits_to_list(adj[u] >> (u + 1) << (u + 1))
             if vs:
                 m += len(vs)
                 prefix = f"{u} "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Tuple
 
-from .bitops import iter_bits, split_bits
+from .bitops import bits_to_list, split_bits
 from .core import KPartiteGraph
 from .errors import (InternalInconsistencyError, InvalidParameterError,
                      ResourceLimitError)
@@ -89,7 +89,7 @@ def find_heavy_vertex(G: KPartiteGraph, alpha: float) -> Optional[int]:
             least -= half if float(least - half) >= t else half - 1
     rest = G.part_masks[1:]
     best_v, best_prod = None, least - 1
-    for v in iter_bits(G.part_masks[0]):
+    for v in bits_to_list(G.part_masks[0]):
         row = G.adjacency[v]
         prod = 1
         for m in rest:
@@ -119,10 +119,10 @@ def kclique_via_k1(G: KPartiteGraph, k: int,
     """
     if k < 4:
         raise InvalidParameterError("kclique_via_k1 requires k >= 4")
-    if G.k != k:
+    if len(G.part_masks) != k:
         raise InvalidParameterError(f"graph has {G.k} parts, expected {k}")
     masks = G.part_masks[1:]
-    for v in iter_bits(G.part_masks[0]):
+    for v in bits_to_list(G.part_masks[0]):
         row = G.adjacency[v]
         nbrs = [row & m for m in masks]
         if all(nbrs) and (sub := k1_solver(G._view(nbrs))) is not None:

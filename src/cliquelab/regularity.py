@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from .bitops import bits_to_list
 from .core import KPartiteGraph
 from .errors import InvalidParameterError
 
@@ -38,14 +39,8 @@ def default_epsilon(n_total: int) -> float:
 
 def _pair_count(G: KPartiteGraph, S: int, T: int) -> int:
     """Ordered pair count |{(u,v) in E : u in S, v in T}|."""
-    total = 0
-    bits = S
-    while bits:
-        low = bits & -bits
-        u = low.bit_length() - 1
-        bits ^= low
-        total += (G.adjacency[u] & T).bit_count()
-    return total
+    adj = G.adjacency
+    return sum((adj[u] & T).bit_count() for u in bits_to_list(S))
 
 
 def edge_count_between(G: KPartiteGraph, S: int, T: int) -> int:

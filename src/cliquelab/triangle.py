@@ -2,7 +2,8 @@
 
 Three engines over 3-part graphs:
 
-* ``detect_naive``   -- word-AND over neighbourhood bit-rows per edge.
+* ``detect_naive``   -- word-AND over neighbourhood bit-rows per edge; the
+  dense rows it scans are listed by ``bitops.bits_to_list``'s byte walk.
 * ``detect_four_russians`` -- Four-Russians reach masks: part 1 is cut
   into blocks of b vertices, and every subset of a block maps to the union
   of its part-2 neighbourhoods, so a part-0 vertex's question "is there an
@@ -22,7 +23,8 @@ Three engines over 3-part graphs:
 import os
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .bitops import iter_bits, mask_from_vertices, split_bits
+from .bitops import (bits_to_list, iter_bits, mask_from_vertices,
+                     split_bits)
 from .core import KPartiteGraph
 from .errors import (InternalInconsistencyError, InvalidParameterError,
                      ResourceLimitError)
@@ -120,20 +122,16 @@ def build_block_edge_table(G: KPartiteGraph, b: int) -> BlockEdgeTable:
 
 def detect_naive(G: KPartiteGraph) -> Optional[Tuple[int, int, int]]:
     """First triangle by scanning edges (v2, v3), one row AND per edge."""
-    if G.k != 3:
+    if len(G.part_masks) != 3:
         raise InvalidParameterError(f"expected 3 parts, got {G.k}")
     adj, mask1, mask3 = G.adjacency, G.part_masks[0], G.part_masks[2]
-    for v2 in iter_bits(G.part_masks[1]):
+    for v2 in bits_to_list(G.part_masks[1]):
         row2 = adj[v2]
         if not (n0 := row2 & mask1):
             continue
-        rest = row2 & mask3
-        while rest:             # iter_bits inlined: no generator per v2
-            low = rest & -rest
-            v3 = low.bit_length() - 1
+        for v3 in bits_to_list(row2 & mask3):
             if common := n0 & adj[v3]:
                 return ((common & -common).bit_length() - 1, v2, v3)
-            rest ^= low
     return None
 
 

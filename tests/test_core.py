@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cliquelab.bitops import (iter_bits, mask_from_vertices, mask_range,
-                              split_bits)
+from cliquelab.bitops import (bits_to_list, iter_bits, mask_from_vertices,
+                              mask_range, split_bits)
 from cliquelab.core import KPartiteGraph, UniformHypergraph
 from cliquelab.errors import InvalidParameterError
 from cliquelab.generate import GenSpec, generate
@@ -32,6 +32,39 @@ def test_bitops_basics():
     assert mask_from_vertices([0, 3]) == 0b1001
     assert list(iter_bits(0b10110)) == [1, 2, 4]
     assert list(iter_bits(0)) == []
+
+
+def _bits_by_and_xor(x):
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _with_bits(positions):
+    return sum(1 << v for v in positions)
+
+
+# 0; 1, 7, 8 and 9 set bits (either side of the byte walk's start); bits at
+# byte and word edges; one low and one high bit of a 2000-bit int; dense
+# 1,152-bit rows, as in a 384-per-part graph.
+SET_BIT_INTS = st.one_of(
+    st.just(0),
+    st.sampled_from([1, 7, 8, 9]).flatmap(lambda n: st.sets(
+        st.integers(0, 1999), min_size=n, max_size=n).map(_with_bits)),
+    st.sets(st.sampled_from([7, 8, 63, 64]), min_size=1).map(_with_bits),
+    st.tuples(st.integers(0, 63), st.integers(1936, 1999)).map(_with_bits),
+    st.integers(0, (1 << 1152) - 1),
+    st.just((1 << 1152) - 1))
+
+
+@given(SET_BIT_INTS)
+def test_bits_to_list_matches_and_xor_walk(x):
+    want = _bits_by_and_xor(x)
+    assert bits_to_list(x) == want
+    assert list(iter_bits(x)) == want
 
 
 @given(st.integers(min_value=0, max_value=(1 << 200) - 1),

@@ -109,3 +109,23 @@ def test_every_config_field_is_set_by_a_package_or_benchmark_call():
                 unset -= {(name, f) for f in fields[name][:len(node.args)]}
                 unset -= {(name, kw.arg) for kw in node.keywords}
     assert sorted(unset) == []
+
+
+def _peels_low_bits(loop: ast.While) -> bool:
+    """True if the loop takes ``x & -x`` of some expression x."""
+    return any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+               and isinstance(node.right, ast.UnaryOp)
+               and isinstance(node.right.op, ast.USub)
+               and ast.dump(node.left) == ast.dump(node.right.operand)
+               for node in ast.walk(loop))
+
+
+def test_set_bits_are_walked_only_in_bitops():
+    walkers = []
+    for path in sorted((ROOT / "src" / "cliquelab").glob("*.py")):
+        if path.name == "bitops.py":
+            continue
+        walkers += [f"{path.name}:{node.lineno}"
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.While) and _peels_low_bits(node)]
+    assert walkers == []

@@ -35,15 +35,20 @@ def first_by_v2(triangles):
     return min(triangles, key=lambda w: (w[1], w[2], w[0]), default=None)
 
 
-# Empty parts, single vertices and p in {0, 1}, beside mid densities.
+# Empty parts, single vertices and p in {0, 1}, beside mid densities.  The
+# last two sizes give part-1 masks and part-2 rows of 8 or more bits, which
+# ``bits_to_list`` walks by bytes; the view drops every third vertex.
 @pytest.mark.parametrize("sizes", [[0, 4, 4], [4, 0, 4], [4, 4, 0], [1, 1, 1],
-                                   [5, 7, 10], [10, 1, 7]])
+                                   [5, 7, 10], [10, 1, 7], [3, 24, 40],
+                                   [1, 9, 64]])
 @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
 def test_detect_naive_returns_first_triangle_by_v2_v3_v1(sizes, p):
     rng = random.Random(len(sizes) * 97 + sum(sizes) + int(p * 10))
     for _ in range(6):
         g = random_graph(rng, sizes, p)
-        assert detect_naive(g) == first_by_v2(brute_triangles(g).witnesses)
+        view = g.restrict(sum(1 << v for v in range(g.n_total) if v % 3))
+        for h in (g, view):
+            assert detect_naive(h) == first_by_v2(brute_triangles(h).witnesses)
 
 
 def test_detect_naive_wrong_part_count():
